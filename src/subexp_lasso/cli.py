@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: sample, solve, mismatch, complexity, certificate, experiment,
-report.  Global flags: --seed, --config, --out, --format, --threads; the
-SUBEXP_LASSO_THREADS environment variable overrides --threads.
+report.  Global flags: --seed, --config, --out, --format, --threads.  Only
+`experiment` uses the thread count, which the SUBEXP_LASSO_THREADS
+environment variable overrides.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 
 from . import complexity as cx
 from . import harness, solver
+from .distributions import profile_for
+from .errors import ConfigurationError
 from .models import generate_dataset, mismatch_report
 from .seeding import derive_seed
 
@@ -26,7 +29,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", default="table",
                    choices=("csv", "jsonl", "table"))
     p.add_argument("--threads", type=int, default=1,
-                   help="worker partitions for Monte-Carlo loops")
+                   help="worker threads for the trials of `experiment`")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +106,7 @@ def cmd_solve(args) -> int:
               "converged": res.converged,
               "fixed_point_residual": res.fixed_point_residual,
               "estimate": np.asarray(res.estimate).ravel().tolist()}
-    _write(harness._emit_report(report, args.format), args.out)
+    _write(harness.emit(report, args.format), args.out)
     return 0
 
 
@@ -114,7 +117,7 @@ def cmd_mismatch(args) -> int:
                           hypothesis_set=config.hypothesis_set, t=0.0,
                           mc_budget=100_000,
                           seed=derive_seed(config.master_seed, "cli-mismatch"))
-    _write(harness._emit_report(rep, args.format), args.out)
+    _write(harness.emit(rep, args.format), args.out)
     return 0
 
 
@@ -129,14 +132,14 @@ def cmd_complexity(args) -> int:
         rows.append([est.width_kind, f"{est.mean:.6g}", f"{est.std_error:.3g}",
                      str(est.trials)])
     try:
-        from .distributions import profile_for
         q, m = cx.polytope_complexity(s, profile_for(config.spec),
                                       config.n_grid[0])
+    except ConfigurationError:  # no finite vertex list: l2 ball, large cube
+        pass
+    else:
         rows.append(["polytope-q", f"{q:.6g}", "-", "-"])
         rows.append(["polytope-m", f"{m:.6g}", "-", "-"])
-    except Exception:
-        pass
-    _write(harness._align(rows), args.out)
+    _write(harness.format_table(rows), args.out)
     return 0
 
 
@@ -149,7 +152,7 @@ def cmd_certificate(args) -> int:
     rep = harness.excess_certificate(ds, config.hypothesis_set, beta_nat,
                                      args.scale, args.dirs,
                                      derive_seed(config.master_seed, "cert-dirs"))
-    _write(harness._emit_report(rep, args.format), args.out)
+    _write(harness.emit(rep, args.format), args.out)
     return 0
 
 
@@ -175,7 +178,7 @@ def cmd_report(args) -> int:
         rows.append([str(n), f"{agg['median']:.6g}", f"{agg['q25']:.6g}",
                      f"{agg['q75']:.6g}", str(agg["count"])])
     rows.append(["decay_slope", f"{slope:.4f}", "stderr", f"{stderr:.4f}", ""])
-    _write(harness._align(rows), args.out)
+    _write(harness.format_table(rows), args.out)
     return 0
 
 

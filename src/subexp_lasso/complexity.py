@@ -9,14 +9,14 @@ are set to 1 throughout and recorded as such; natural logarithms everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry
-from .distributions import SemiNorm, seminorm_eval
+from .distributions import SemiNorm, seminorm_rows
 from .errors import ConfigurationError
 from .seeding import derive_seed, rng_for
 
@@ -196,14 +196,8 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
 
 def _profile_diameters(vertices: np.ndarray, g: SemiNorm, e: SemiNorm):
     """Pairwise diameters of a vertex list under the profile semi-norms."""
-    D = vertices.shape[0]
-    dg = de = 0.0
-    for i in range(D - 1):
-        for j in range(i + 1, D):
-            diff = vertices[i] - vertices[j]
-            dg = max(dg, seminorm_eval(g, diff))
-            de = max(de, seminorm_eval(e, diff))
-    return dg, de
+    return (geometry.pairwise_max(vertices, lambda V: seminorm_rows(g, V)),
+            geometry.pairwise_max(vertices, lambda V: seminorm_rows(e, V)))
 
 
 def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
@@ -276,40 +270,36 @@ def finite_gamma_bound(points: geometry.Skeleton, alpha: int,
         raise ConfigurationError("skeleton must be non-empty")
     if m == 1:
         return 0.0
-    diam = _metric_diameter(points, metric)
+    diam = _skeleton_diameter(points, lambda V: seminorm_rows(metric, V))
     return float(diam * np.log(m) ** (1.0 / alpha))
 
 
-def _metric_diameter(skeleton: geometry.Skeleton, metric: SemiNorm) -> float:
-    pts = skeleton.points
+def _skeleton_diameter(skeleton: geometry.Skeleton, rows_fn) -> float:
+    """max over point pairs of rows_fn(difference), for a row semi-norm."""
     if skeleton.symmetric:
         # for symmetric lists the diameter is attained at antipodal pairs
-        return 2.0 * max(seminorm_eval(metric, row) for row in pts)
-    best = 0.0
-    for i in range(pts.shape[0] - 1):
-        for j in range(i + 1, pts.shape[0]):
-            best = max(best, seminorm_eval(metric, pts[i] - pts[j]))
-    return best
+        return 2.0 * float(rows_fn(skeleton.points).max())
+    return geometry.pairwise_max(skeleton.points, rows_fn)
 
 
 def dudley_sparse_bound(k: int, p: int, alpha: int) -> float:
     """Entropy-integral surrogate for the k-sparse radius-3 skeleton:
 
-    3 * int_0^1 [k (log(p/k) + log(9/eps))]^(1/alpha) d eps
+    3 * int_0^1 [k (a - log eps)]^(1/alpha) d eps,  a = log(p/k) + log 9,
 
-    by adaptive quadrature at 1e-6 relative tolerance.
+    in closed form: 3 k (a + 1) for alpha = 1 and
+    3 sqrt(k) (sqrt(a) + (sqrt(pi)/2) e^a erfc(sqrt(a))) for alpha = 2,
+    where e^a = 9 p / k.
     """
     if not (1 <= k <= p):
         raise ConfigurationError("need 1 <= k <= p")
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
-    base = np.log(p / k) + np.log(9.0)
-
-    def integrand(eps):
-        return (k * (base - np.log(eps))) ** (1.0 / alpha)
-
-    val, _ = quad(integrand, 0.0, 1.0, epsrel=1e-6, epsabs=0.0, limit=200)
-    return float(3.0 * val)
+    a = math.log(p / k) + math.log(9.0)
+    if alpha == 1:
+        return 3.0 * k * (a + 1.0)
+    tail = 0.5 * math.sqrt(math.pi) * (9.0 * p / k) * math.erfc(math.sqrt(a))
+    return 3.0 * math.sqrt(k) * (math.sqrt(a) + tail)
 
 
 def skeleton_q_m_proxies(skeleton: geometry.Skeleton, profile, n: int):
@@ -328,24 +318,13 @@ def skeleton_q_m_proxies(skeleton: geometry.Skeleton, profile, n: int):
     g1_e = finite_gamma_bound(skeleton, 1, profile.e_norm)
     g2_g = finite_gamma_bound(skeleton, 2, profile.g_norm)
     logm = np.log(m_count)
-    diam_ge = _sum_metric_diameter(skeleton, profile.g_norm, profile.e_norm)
+    g, e = profile.g_norm, profile.e_norm
+    diam_ge = _skeleton_diameter(
+        skeleton, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
     g2_ge = diam_ge * np.sqrt(logm)
     q = g1_e / np.sqrt(n) + g2_ge
     m = g1_e + g2_g
     return float(q), float(m)
-
-
-def _sum_metric_diameter(skeleton, g: SemiNorm, e: SemiNorm) -> float:
-    pts = skeleton.points
-    if skeleton.symmetric:
-        return 2.0 * max(seminorm_eval(g, row) + seminorm_eval(e, row)
-                         for row in pts)
-    best = 0.0
-    for i in range(pts.shape[0] - 1):
-        for j in range(i + 1, pts.shape[0]):
-            diff = pts[i] - pts[j]
-            best = max(best, seminorm_eval(g, diff) + seminorm_eval(e, diff))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -199,38 +199,40 @@ def operator_scaled(c: float) -> SemiNorm:
     return SemiNorm("operator", c)
 
 
-def _as_square(v: np.ndarray) -> np.ndarray:
-    if v.ndim == 2:
-        return v
-    side = int(round(np.sqrt(v.size)))
-    if side * side != v.size:
-        raise ConfigurationError("matrix semi-norm needs a square-shaped input")
-    return v.reshape(side, side)
+def seminorm_rows(descriptor: SemiNorm, V) -> np.ndarray:
+    """Semi-norm of each row of the 2-D array V.
+
+    The mt_* kinds apply one V @ M; frobenius/operator reshape each row of
+    length p^2 to a p x p matrix.
+    """
+    V = np.asarray(V, dtype=float)
+    kind = descriptor.kind
+    if kind == "zero":
+        return np.zeros(V.shape[0])
+    if kind in ("frobenius", "operator"):
+        side = int(round(np.sqrt(V.shape[1])))
+        if side * side != V.shape[1]:
+            raise ConfigurationError("matrix semi-norm needs a square-shaped input")
+        mats = V.reshape(-1, side, side)
+        return descriptor.c * np.linalg.norm(
+            mats, "fro" if kind == "frobenius" else 2, axis=(1, 2))
+    if kind.startswith("mt_"):
+        if descriptor.matrix.shape[0] != V.shape[1]:
+            raise ConfigurationError("mixing matrix / vector dimension mismatch")
+        V = V @ descriptor.matrix
+    if kind.endswith("euclidean"):
+        return descriptor.c * np.linalg.norm(V, axis=1)
+    return descriptor.c * np.abs(V).max(axis=1, initial=0.0)
 
 
 def seminorm_eval(descriptor: SemiNorm, v) -> float:
     """Evaluate a semi-norm descriptor; absolutely homogeneous by construction."""
     v = np.asarray(v, dtype=float)
-    kind = descriptor.kind
-    if kind == "zero":
+    if descriptor.kind == "zero":
         return 0.0
-    if kind == "frobenius":
-        return descriptor.c * float(np.linalg.norm(_as_square(v), "fro"))
-    if kind == "operator":
-        return descriptor.c * float(np.linalg.norm(_as_square(v), 2))
-    if v.ndim != 1:
+    if descriptor.kind not in ("frobenius", "operator") and v.ndim != 1:
         raise ConfigurationError("vector semi-norm applied to a non-vector")
-    if kind == "euclidean":
-        return descriptor.c * float(np.linalg.norm(v))
-    if kind == "infinity":
-        return descriptor.c * float(np.max(np.abs(v))) if v.size else 0.0
-    M = descriptor.matrix
-    if M.shape[0] != v.size:
-        raise ConfigurationError("mixing matrix / vector dimension mismatch")
-    w = M.T @ v
-    if kind == "mt_euclidean":
-        return descriptor.c * float(np.linalg.norm(w))
-    return descriptor.c * float(np.max(np.abs(w))) if w.size else 0.0
+    return float(seminorm_rows(descriptor, v.reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Sets are immutable values; every operation here is a pure function of its
 arguments.  Projections are exact (closed form) for l1/l2 balls and
-hypercubes; polytope projection solves the simplex-weight least-squares
-subproblem; the PSD-intersect-Frobenius-ball set uses alternating
-projections, which yields a feasible (not exactly nearest) point.
+hypercubes and for the PSD-intersect-Frobenius-ball set; polytope
+projection solves the simplex-weight least-squares subproblem.  scipy is
+imported only by the convex-hull membership certificate.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
+from .distributions import euclidean_scaled, infinity_scaled, seminorm_rows
 from .errors import ConfigurationError
 from .seeding import rng_for
 
 MEMBERSHIP_TOL = 1e-8
 ANGULAR_DEDUP_TOL = 1e-6
 SPAN_RANK_RTOL = 1e-8
+PAIR_BLOCK_BYTES = 1 << 22  # difference rows held at once by pairwise_max
 
 
 @dataclass(frozen=True)
@@ -191,23 +192,21 @@ def _simplex_weights_lsq(V: np.ndarray, target: np.ndarray,
     return w
 
 
-def _project_psd_fro(s: HypothesisSet, B: np.ndarray,
-                     tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
-    """Alternating projections onto PSD cone and the Frobenius ball."""
+def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
+    """Nearest point of PSD-intersect-Frobenius-ball to sym(B).
+
+    One eigendecomposition: clip the eigenvalues at 0, then scale onto the
+    ball.  This is exact because projecting onto a closed cone intersected
+    with an origin-centred ball is the cone projection followed by the ball
+    projection.
+    """
     B = np.asarray(B, dtype=float)
     if B.shape != (s.p, s.p):
         raise ConfigurationError("dimension mismatch in project (lifted)")
-    X = 0.5 * (B + B.T)
-    for _ in range(max_iter):
-        prev = X
-        vals, vecs = np.linalg.eigh(X)
-        X = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        nrm = np.linalg.norm(X, "fro")
-        if nrm > s.radius:
-            X = X * (s.radius / nrm)
-        if np.linalg.norm(X - prev, "fro") <= tol:
-            break
-    return X
+    vals, vecs = np.linalg.eigh(0.5 * (B + B.T))
+    X = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    nrm = np.linalg.norm(X, "fro")
+    return X * (s.radius / nrm) if nrm > s.radius else X
 
 
 def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -412,14 +411,14 @@ def _dedup_directions(dirs: np.ndarray, tol: float = ANGULAR_DEDUP_TOL) -> np.nd
     if dirs.shape[0] <= 1:
         return dirs
     cos_tol = np.cos(tol)
-    kept: list[np.ndarray] = []
-    K = np.zeros((0, dirs.shape[1]))
+    kept = np.empty_like(dirs)
+    count = 0
     for d in dirs:
-        if K.shape[0] and np.max(K @ d) >= cos_tol:
+        if count and np.max(kept[:count] @ d) >= cos_tol:
             continue
-        kept.append(d)
-        K = np.vstack([K, d])
-    return np.array(kept)
+        kept[count] = d
+        count += 1
+    return kept[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +472,29 @@ def skeleton_from_points(points, covered_set: str = "custom",
 
 
 def pairwise_diameter(points: np.ndarray, norm: str = "l2") -> float:
-    """Exact max pairwise distance of a (moderate) point list."""
-    m = points.shape[0]
-    if m <= 1:
-        return 0.0
+    """Exact max pairwise distance of a point list (l2, else l-infinity)."""
+    metric = euclidean_scaled(1.0) if norm == "l2" else infinity_scaled(1.0)
+    return pairwise_max(points, lambda V: seminorm_rows(metric, V))
+
+
+def pairwise_max(points, rows_fn) -> float:
+    """max over i < j of rows_fn(points[i] - points[j]); 0 below two points.
+
+    rows_fn maps an (r, d) array of differences to r nonnegative values.
+    The pairs are scanned in square tiles of at most PAIR_BLOCK_BYTES of
+    difference rows.
+    """
+    P = np.asarray(points, dtype=float)
+    m, d = P.shape
+    side = max(1, int(np.sqrt(PAIR_BLOCK_BYTES / (8 * max(d, 1)))))
     best = 0.0
-    for i in range(m - 1):
-        diffs = points[i + 1:] - points[i]
-        if norm == "l2":
-            best = max(best, float(np.max(np.linalg.norm(diffs, axis=1))))
-        else:
-            best = max(best, float(np.max(np.abs(diffs))))
+    for a in range(0, m - 1, side):
+        for b in range(a, m, side):
+            diffs = P[a:a + side, None, :] - P[None, b:b + side, :]
+            vals = rows_fn(diffs.reshape(-1, d)).reshape(diffs.shape[:2])
+            if a == b:
+                vals = np.triu(vals, 1)  # the diagonal tile: keep j > i
+            best = max(best, float(vals.max()))
     return best
 
 
@@ -524,6 +535,8 @@ def hull_membership_residual(points: np.ndarray, v: np.ndarray,
     Fast path is an exact nonnegative least-squares solve; if its weights
     overshoot the sum budget, an LP feasibility fallback runs.
     """
+    from scipy.optimize import linprog, nnls
+
     A = points.T  # p x m
     v = np.asarray(v, dtype=float)
     w, _ = nnls(A, v)

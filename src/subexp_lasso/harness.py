@@ -403,7 +403,7 @@ def _emit_records(records, fmt: str) -> str:
         rows += [[r.experiment, str(r.n), str(r.trial), f"{r.error:.6g}",
                   f"{r.runtime_ms:.2f}", str(r.converged).lower(), str(r.seed)]
                  for r in records]
-        return _align(rows)
+        return format_table(rows)
     raise ConfigurationError(f"unknown format {fmt!r}")
 
 
@@ -423,7 +423,7 @@ def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)
         return buf.getvalue()
-    return _align(rows)
+    return format_table(rows)
 
 
 def _emit_report(obj, fmt: str) -> str:
@@ -439,10 +439,11 @@ def _emit_report(obj, fmt: str) -> str:
         writer.writerow(["field", "value"])
         writer.writerows(rows)
         return buf.getvalue()
-    return _align([["field", "value"]] + rows)
+    return format_table([["field", "value"]] + rows)
 
 
-def _align(rows) -> str:
+def format_table(rows) -> str:
+    """Left-aligned columns of string cells, two spaces apart."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
              for row in rows]

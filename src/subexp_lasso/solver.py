@@ -145,7 +145,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet, config: SolverConfig,
         return float(r @ r) / n
 
     obj = objective(beta)
-    best_beta, best_obj, best_iter = beta.copy(), obj, 0
+    best_beta, best_obj = beta.copy(), obj
     trace = [obj] if config.track_trace else None
     converged = False
     iterations = 0
@@ -171,7 +171,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet, config: SolverConfig,
         if trace is not None:
             trace.append(obj_next)
         if obj_next < best_obj:
-            best_beta, best_obj, best_iter = beta_next.copy(), obj_next, it
+            best_beta, best_obj = beta_next.copy(), obj_next
         decrease = obj - obj_next
         if decrease <= config.tol * max(obj, 1e-300):
             converged = True
@@ -188,7 +188,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet, config: SolverConfig,
     estimate = _shape_for(dataset, s, best_beta)
     if s.is_matrix_set:
         estimate = np.asarray(estimate)
-    return SolveResult(estimate=estimate, iterations=max(iterations, best_iter),
+    return SolveResult(estimate=estimate, iterations=iterations,
                        objective=best_obj, converged=converged,
                        objective_trace=trace, fixed_point_residual=fp_res)
 

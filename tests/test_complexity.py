@@ -251,6 +251,16 @@ def test_dudley_alpha1_matches_closed_form():
         assert dudley_sparse_bound(k, p, 1) == pytest.approx(expected, rel=1e-6)
 
 
+def test_dudley_alpha2_matches_quadrature():
+    from scipy.integrate import quad
+
+    for k, p in [(1, 1), (1, 3), (2, 16), (4, 64), (3, 1000), (10, 10 ** 6)]:
+        a = math.log(p / k) + math.log(9.0)
+        val, _ = quad(lambda eps: math.sqrt(k * (a - math.log(eps))), 0.0, 1.0,
+                      epsrel=1e-12, epsabs=0.0, limit=200)
+        assert dudley_sparse_bound(k, p, 2) == pytest.approx(3.0 * val, rel=1e-8)
+
+
 def test_dudley_ratio_sweep_bounded():
     for k in range(1, 9):
         for p in (16, 64, 256, 1024):

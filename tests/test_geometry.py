@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subexp_lasso import geometry as geo
+from subexp_lasso.distributions import (
+    euclidean_scaled, frobenius_scaled, infinity_scaled, mt_euclidean,
+    mt_infinity, operator_scaled, seminorm_eval, seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
 
 
@@ -102,6 +109,24 @@ def test_lifted_projection_feasibility():
         assert geo.contains(s, X)
         again = geo.project(s, X)
         assert np.linalg.norm(again - X, "fro") < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 6), radius=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.01, 10.0))
+def test_lifted_projection_is_nearest_point(p, radius, seed, spread):
+    # variational inequality <sym(B) - P(B), Z - P(B)> <= 0 for feasible Z
+    rng = np.random.default_rng(seed)
+    s = geo.lifted_psd_fro(radius, p)
+    B = spread * rng.standard_normal((p, p))
+    P = geo.project(s, B)
+    assert geo.contains(s, P)
+    sym = 0.5 * (B + B.T)
+    for _ in range(20):
+        A = rng.standard_normal((p, int(rng.integers(1, p + 1))))
+        Z = A @ A.T
+        Z *= radius * rng.uniform(0.0, 1.0) ** 0.5 / np.linalg.norm(Z, "fro")
+        assert np.sum((sym - P) * (Z - P)) <= 1e-9
 
 
 def test_projection_optimality_oracle_property():
@@ -337,3 +362,85 @@ def test_hull_membership_detects_outside_point():
     outside = geo.hull_membership_residual(pts, np.array([1.5, 0.0]))
     assert inside < 1e-10
     assert outside > 0.4
+
+
+# ---------------------------------------------------------------------------
+# Batched semi-norms and the pairwise-max kernel
+# ---------------------------------------------------------------------------
+
+def _reference_seminorm(desc, v):
+    """One vector at a time, straight from the definitions."""
+    if desc.kind == "zero":
+        return 0.0
+    if desc.kind in ("frobenius", "operator"):
+        side = math.isqrt(v.size)
+        sv = np.linalg.svd(v.reshape(side, side), compute_uv=False)
+        base = math.sqrt(sum(x * x for x in sv)) if desc.kind == "frobenius" \
+            else sv[0]
+        return desc.c * float(base)
+    w = desc.matrix.T @ v if desc.kind.startswith("mt_") else v
+    if desc.kind.endswith("euclidean"):
+        return desc.c * math.sqrt(sum(x * x for x in w))
+    return desc.c * max(abs(x) for x in w)
+
+
+def _reference_pair_max(points, fn):
+    best = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            best = max(best, fn(points[i] - points[j]))
+    return best
+
+
+def _all_seminorms(rng, d):
+    M = rng.standard_normal((d, 3))
+    return [zero_norm(), euclidean_scaled(1.3), infinity_scaled(0.6),
+            mt_euclidean(M, 0.9), mt_infinity(M, 2.0),
+            frobenius_scaled(1.1), operator_scaled(0.7)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_pairwise_max_matches_double_loop_for_every_seminorm(monkeypatch,
+                                                             symmetric):
+    rng = np.random.default_rng(8)
+    d = 4  # a flat 2 x 2 matrix for the frobenius/operator kinds
+    base = rng.standard_normal((19, d))
+    if symmetric:
+        base = np.vstack([base, -base])
+    # tiles of 5 x 5 pairs: the point count crosses several tile boundaries;
+    # a far point first, inside a tile, or last puts the maximum in each
+    far = np.full((1, d), 9.0)
+    lists = [base, np.vstack([far, base]), np.vstack([base[:12], far, base[12:]]),
+             np.vstack([base, far])]
+    monkeypatch.setattr(geo, "PAIR_BLOCK_BYTES", 8 * d * 5 * 5)
+    for desc in _all_seminorms(rng, d):
+        rows = seminorm_rows(desc, base)
+        for row, got in zip(base, rows):
+            assert got == pytest.approx(_reference_seminorm(desc, row),
+                                        rel=1e-12, abs=1e-15)
+            assert seminorm_eval(desc, row) == pytest.approx(got, rel=1e-14)
+        for pts in lists:
+            want = _reference_pair_max(pts,
+                                       lambda v: _reference_seminorm(desc, v))
+            got = geo.pairwise_max(pts, lambda V: seminorm_rows(desc, V))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_pairwise_max_crosses_default_tile():
+    rng = np.random.default_rng(9)
+    d = 4
+    side = int(np.sqrt(geo.PAIR_BLOCK_BYTES / (8 * d)))
+    pts = rng.standard_normal((side + 7, d))
+    got = geo.pairwise_diameter(pts, "l2")
+    want = _reference_pair_max(pts, lambda v: float(np.linalg.norm(v)))
+    assert got == pytest.approx(want, rel=1e-13)
+    assert geo.pairwise_max(pts[:1], lambda V: np.ones(len(V))) == 0.0
+
+
+def test_seminorm_rows_errors():
+    with pytest.raises(ConfigurationError, match="square"):
+        seminorm_rows(frobenius_scaled(1.0), np.ones((2, 3)))
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        seminorm_rows(mt_infinity(np.ones((4, 2)), 1.0), np.ones((2, 3)))
+    with pytest.raises(ConfigurationError, match="non-vector"):
+        seminorm_eval(euclidean_scaled(1.0), np.ones((2, 2)))

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -357,6 +358,47 @@ def test_cli_subcommands(tmp_path):
     rep_out = tmp_path / "report.txt"
     assert main(["report", str(rec_out), "--out", str(rep_out)]) == 0
     assert "decay_slope" in rep_out.read_text()
+
+
+def test_cli_complexity_without_vertex_list(tmp_path, capsys):
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "l2.yaml"
+    cfg.write_text(CONFIG_YAML.replace("{kind: l1_ball, radius: beta0_l1}",
+                                       "{kind: l2_ball, radius: 1.0}"))
+    assert main(["complexity", "--config", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "gaussian" in text and "exponential" in text
+    assert "polytope" not in text
+
+
+def test_cli_complexity_raises_real_errors(tmp_path, monkeypatch):
+    from subexp_lasso import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken kernel")
+
+    monkeypatch.setattr(cli.cx, "polytope_complexity", broken)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    with pytest.raises(ValueError, match="broken kernel"):
+        cli.main(["complexity", "--config", str(cfg)])
+
+
+def test_cli_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    import subexp_lasso
+
+    src = os.path.dirname(os.path.dirname(subexp_lasso.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import subexp_lasso.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_n_grid_must_increase():

@@ -228,9 +228,7 @@ def seminorm_rows(descriptor: SemiNorm, V) -> np.ndarray:
 def seminorm_eval(descriptor: SemiNorm, v) -> float:
     """Evaluate a semi-norm descriptor; absolutely homogeneous by construction."""
     v = np.asarray(v, dtype=float)
-    if descriptor.kind == "zero":
-        return 0.0
-    if descriptor.kind not in ("frobenius", "operator") and v.ndim != 1:
+    if descriptor.kind not in ("zero", "frobenius", "operator") and v.ndim != 1:
         raise ConfigurationError("vector semi-norm applied to a non-vector")
     return float(seminorm_rows(descriptor, v.reshape(1, -1))[0])
 

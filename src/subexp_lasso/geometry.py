@@ -451,12 +451,10 @@ def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleto
         g = rng.standard_normal(k)
         g /= np.linalg.norm(g)
         pts[i, support] = 3.0 * g
-    pts = np.vstack([pts, -pts])
-    diam = {"l2": 2.0 * float(np.linalg.norm(pts, axis=1).max()),
-            "linf": 2.0 * float(np.abs(pts).max())}
-    return Skeleton(pts, f"descent cone of the l1 ball at a {k}-sparse point, "
-                         f"intersected with the sphere (p={p})",
-                    diam, symmetric=True)
+    return skeleton_from_points(
+        np.vstack([pts, -pts]),
+        f"descent cone of the l1 ball at a {k}-sparse point, "
+        f"intersected with the sphere (p={p})", symmetric=True)
 
 
 def skeleton_from_points(points, covered_set: str = "custom",

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .distributions import DistributionSpec
 from .errors import ConfigurationError
 from .models import (Dataset, Noise, ObservationModel, generate_dataset,
                      sparse_vector, target_scale_mu)
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 
 RESULT_COLUMNS = ("experiment", "n", "trial", "error", "runtime_ms",
                   "converged", "seed")
@@ -133,28 +133,15 @@ def resolve_target(config: ExperimentConfig) -> np.ndarray:
 def erm_mc_target(config: ExperimentConfig) -> np.ndarray:
     """Expected-risk minimizer on the set, approximated at scale.
 
-    Dense candidate search (vertices, projected random points, the projected
-    moment vector E[y x]) followed by a projected-gradient polish on one
-    large calibration sample.  Restricted to small dimensions.
+    The constrained least-squares estimate (solve_lasso) on one calibration
+    sample of erm_budget draws.  Restricted to small dimensions.
     """
     if config.spec.p > 12:
         raise ConfigurationError("erm_mc target rule is restricted to p <= 12")
-    seed = derive_seed(config.master_seed, "erm-mc")
-    big = generate_dataset(config.model, config.spec, config.erm_budget, seed)
-    s = config.hypothesis_set
-    rng = rng_for(seed, "erm-candidates")
-    cands = [geometry.project(s, np.zeros(s.p))]
-    moment = big.inputs.T @ big.outputs / big.n
-    cands.append(geometry.project(s, moment))
-    if s.kind in ("polytope", "l1_ball"):
-        cands.extend(list(geometry.vertices_of(s)))
-    scale = 2.0 * (s.radius or 1.0)
-    for _ in range(64):
-        cands.append(geometry.project(s, scale * rng.standard_normal(s.p)))
-    best = min(cands, key=lambda b: solver.empirical_risk(big, b))
-    polish_cfg = solver.SolverConfig(max_iters=5_000, tol=1e-13)
-    res = solver._pgd(big, s, polish_cfg, best)
-    return res.estimate
+    big = generate_dataset(config.model, config.spec, config.erm_budget,
+                           derive_seed(config.master_seed, "erm-mc"))
+    calib_cfg = solver.SolverConfig(max_iters=5_000, tol=1e-13)
+    return solver.solve_lasso(big, config.hypothesis_set, calib_cfg).estimate
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +519,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     spec = spec_from_dict(d["spec"])
     model = model_from_dict(d["model"], spec.p)
     hset = set_from_dict(d["set"], spec.p, beta0=model.beta0)
-    solver_d = d.get("solver", {})
+    solver_d = d.get("solver") or {}
+    known = [f.name for f in fields(solver.SolverConfig)]
+    unknown = sorted(set(solver_d) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown solver key(s) {', '.join(unknown)}; "
+                                 f"expected {', '.join(known)}")
     scfg = solver.SolverConfig(
         max_iters=int(solver_d.get("max_iters", 20_000)),
         tol=float(solver_d.get("tol", 1e-12)),
-        step_rule=solver_d.get("step_rule", "fixed_inverse_lipschitz"),
-        restart_count=int(solver_d.get("restart_count", 1)),
-        seed=int(solver_d.get("seed", 0)),
         track_trace=bool(solver_d.get("track_trace", False)))
     target_rule = d.get("target_rule", "beta0")
     target_vector = None

@@ -225,6 +225,9 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
     for t > 0, cone directions for t = 0, vertex differences included for
     polytopal sets), hence a lower bound on the true supremum.
     """
+    if model.kind == "lifted_view":
+        raise ConfigurationError(f"mismatch_report needs vector inputs, not the "
+                                 f"matrix lifts of model kind {model.kind!r}")
     if mc_budget < 1_000:
         raise ConfigurationError("mc_budget must be at least 1000")
     beta_nat = np.asarray(beta_nat, dtype=float)

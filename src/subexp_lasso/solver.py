@@ -2,9 +2,10 @@
 
 One algorithm serves both the vector estimator (over a convex hypothesis
 set) and the matrix estimator (over the PSD-intersect-Frobenius-ball set,
-with centered rank-one lifts as inputs).  Step size is 1/L with L estimated
-by power iteration and a 1.01 safety factor, so the objective trace is
-non-increasing without a line search; a backtracking rule is available.
+with centered rank-one lifts as inputs).  The step is exactly 1/L, where
+L = 2 lambda_max(X^T X) / n comes from one eigvalsh of the smaller Gram
+matrix, so the objective is non-increasing (up to rounding) without a line
+search.  The sets are convex, so a single start at project(0) suffices.
 """
 
 from __future__ import annotations
@@ -17,22 +18,12 @@ import numpy as np
 from . import geometry
 from .errors import ConfigurationError
 from .models import Dataset
-from .seeding import rng_for
-
-LIPSCHITZ_SAFETY = 1.01
-POWER_ITERS = 50
-POWER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 20_000
     tol: float = 1e-12          # relative objective-decrease stopping threshold
-    step_rule: str = "fixed_inverse_lipschitz"  # or "backtracking"
-    backtrack_shrink: float = 0.5
-    backtrack_slope: float = 1e-4
-    restart_count: int = 1
-    seed: int = 0
     track_trace: bool = False
 
     def __post_init__(self):
@@ -40,10 +31,6 @@ class SolverConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ConfigurationError("tol must be positive")
-        if self.step_rule not in ("fixed_inverse_lipschitz", "backtracking"):
-            raise ConfigurationError(f"unknown step rule {self.step_rule!r}")
-        if self.restart_count < 1:
-            raise ConfigurationError("restart_count must be >= 1")
 
 
 @dataclass
@@ -104,113 +91,66 @@ def excess_risk(dataset: Dataset, beta, beta_nat) -> float:
 # Projected gradient descent
 # ---------------------------------------------------------------------------
 
-def _lipschitz_estimate(X: np.ndarray, n: int) -> float:
-    """Largest eigenvalue of (2/n) X^T X by power iteration."""
-    d = X.shape[1]
-    v = np.ones(d) / np.sqrt(d)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = X.T @ (X @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v_next = w / nrm
-        lam_next = float(v_next @ (X.T @ (X @ v_next)))
-        if abs(lam_next - lam) <= POWER_TOL * max(lam_next, 1.0):
-            lam = lam_next
-            break
-        v, lam = v_next, lam_next
-    return 2.0 * lam / n
+def lipschitz_constant(X: np.ndarray) -> float:
+    """Exact Lipschitz constant 2 lambda_max(X^T X) / n of the risk gradient.
+
+    One eigvalsh of the smaller Gram matrix: X^T X when n >= d, else X X^T.
+    """
+    n, d = X.shape
+    gram = X.T @ X if n >= d else X @ X.T
+    return 2.0 * max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) / n
 
 
-def _shape_for(dataset: Dataset, s: geometry.HypothesisSet, flat: np.ndarray):
-    return flat.reshape(s.p, s.p) if s.is_matrix_set else flat
-
-
-def _pgd(dataset: Dataset, s: geometry.HypothesisSet, config: SolverConfig,
-         start) -> SolveResult:
+def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
+         config: SolverConfig) -> SolveResult:
     X = _design(dataset)
     y = dataset.outputs
     n = dataset.n
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ConfigurationError("non-finite data passed to the solver")
 
-    lip = _lipschitz_estimate(X, n)
-    step = 1.0 / (LIPSCHITZ_SAFETY * lip) if lip > 0 else 1.0
+    lip = lipschitz_constant(X)
+    step = 1.0 / lip if lip > 0 else 1.0
 
+    start = geometry.project(s, np.zeros((s.p, s.p) if s.is_matrix_set else s.p))
+    shape = start.shape
     beta = _flat(start)
-
-    def objective(b):
-        r = y - X @ b
-        return float(r @ r) / n
-
-    obj = objective(beta)
-    best_beta, best_obj = beta.copy(), obj
+    r = X @ beta - y
+    obj = float(r @ r) / n
+    best_beta, best_obj, best_r = beta, obj, r
     trace = [obj] if config.track_trace else None
     converged = False
     iterations = 0
 
     for it in range(1, config.max_iters + 1):
         iterations = it
-        grad = (2.0 / n) * (X.T @ (X @ beta - y))
-        if config.step_rule == "fixed_inverse_lipschitz":
-            cand = geometry.project(s, _shape_for(dataset, s, beta - step * grad))
-            beta_next = _flat(cand)
-            obj_next = objective(beta_next)
-        else:
-            eta = step if lip > 0 else 1.0
-            gnorm2 = float(grad @ grad)
-            while True:
-                cand = geometry.project(s, _shape_for(dataset, s, beta - eta * grad))
-                beta_next = _flat(cand)
-                obj_next = objective(beta_next)
-                if obj_next <= obj - config.backtrack_slope * eta * gnorm2 \
-                        or eta < 1e-18:
-                    break
-                eta *= config.backtrack_shrink
+        grad = (2.0 / n) * (X.T @ r)
+        beta_next = _flat(geometry.project(s, (beta - step * grad).reshape(shape)))
+        r_next = X @ beta_next - y
+        obj_next = float(r_next @ r_next) / n
         if trace is not None:
             trace.append(obj_next)
         if obj_next < best_obj:
-            best_beta, best_obj = beta_next.copy(), obj_next
-        decrease = obj - obj_next
-        if decrease <= config.tol * max(obj, 1e-300):
+            best_beta, best_obj, best_r = beta_next, obj_next, r_next
+        if obj - obj_next <= config.tol * max(obj, 1e-300):
             converged = True
-            beta = beta_next
             break
-        beta = beta_next
-        obj = obj_next
+        beta, obj, r = beta_next, obj_next, r_next
 
-    grad_best = (2.0 / n) * (X.T @ (X @ best_beta - y))
-    fp_step = step if lip > 0 else 1.0
-    fp = geometry.project(s, _shape_for(dataset, s, best_beta - fp_step * grad_best))
+    grad_best = (2.0 / n) * (X.T @ best_r)
+    fp = geometry.project(s, (best_beta - step * grad_best).reshape(shape))
     fp_res = float(np.linalg.norm(_flat(fp) - best_beta))
-
-    estimate = _shape_for(dataset, s, best_beta)
-    if s.is_matrix_set:
-        estimate = np.asarray(estimate)
-    return SolveResult(estimate=estimate, iterations=iterations,
+    return SolveResult(estimate=best_beta.reshape(shape), iterations=iterations,
                        objective=best_obj, converged=converged,
                        objective_trace=trace, fixed_point_residual=fp_res)
-
-
-def _starts(dataset: Dataset, s: geometry.HypothesisSet, config: SolverConfig):
-    zero = np.zeros((s.p, s.p)) if s.is_matrix_set else np.zeros(s.p)
-    yield geometry.project(s, zero)
-    if config.restart_count > 1:
-        rng = rng_for(config.seed, "solver-restarts")
-        scale = s.radius if s.kind != "polytope" \
-            else float(np.abs(s.vertices).max()) or 1.0
-        for _ in range(config.restart_count - 1):
-            raw = scale * rng.standard_normal(zero.shape)
-            yield geometry.project(s, raw)
 
 
 def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
                 config: SolverConfig = SolverConfig()) -> SolveResult:
     """Minimize the empirical risk over the hypothesis set by PGD.
 
-    Starts at project(0) plus optional random feasible restarts; returns the
-    lowest-objective iterate (earliest iteration on ties).
+    Starts at project(0) and returns the lowest-objective iterate (earliest
+    iteration on ties).
     """
     if s.is_matrix_set:
         raise ConfigurationError("use solve_lifted for the matrix set")
@@ -218,7 +158,7 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
         raise ConfigurationError("lifted dataset passed to solve_lasso")
     if dataset.inputs.shape[1] != s.p:
         raise ConfigurationError("set ambient dimension mismatch")
-    return _best_over_starts(dataset, s, config)
+    return _pgd(dataset, s, config)
 
 
 def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
@@ -230,16 +170,7 @@ def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
         raise ConfigurationError("solve_lifted requires a lifted dataset")
     if dataset.inputs.shape[1] != s.p:
         raise ConfigurationError("set ambient dimension mismatch")
-    return _best_over_starts(dataset, s, config)
-
-
-def _best_over_starts(dataset, s, config) -> SolveResult:
-    best = None
-    for start in _starts(dataset, s, config):
-        res = _pgd(dataset, s, config, start)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    return _pgd(dataset, s, config)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +183,8 @@ class Rank1(NamedTuple):
     degenerate: bool
 
 
-def rank1_extract(B: np.ndarray, tol: float = 1e-10,
-                  max_iter: int = 10_000) -> Rank1:
-    """Top eigenpair of a symmetric PSD matrix by power iteration.
+def rank1_extract(B: np.ndarray) -> Rank1:
+    """Top eigenpair of a symmetric PSD matrix from one eigh of sym(B).
 
     The sign of the eigenvector is fixed by making its largest-magnitude
     coordinate positive.  A numerically zero matrix yields (0, e_1, True).
@@ -262,33 +192,15 @@ def rank1_extract(B: np.ndarray, tol: float = 1e-10,
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ConfigurationError("rank1_extract needs a square matrix")
-    if np.max(np.abs(B - B.T)) > 1e-10:
-        B = 0.5 * (B + B.T)
-    p = B.shape[0]
-    scale = float(np.linalg.norm(B, "fro"))
-    if scale < 1e-300:
-        e1 = np.zeros(p)
+    if float(np.linalg.norm(B, "fro")) < 1e-300:
+        e1 = np.zeros(B.shape[0])
         e1[0] = 1.0
         return Rank1(0.0, e1, True)
-    # deterministic start biased toward the dominant column
-    v = B[:, int(np.argmax(np.linalg.norm(B, axis=0)))].copy()
-    if np.linalg.norm(v) == 0.0:
-        v = np.ones(p)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (B @ v))
-    for _ in range(max_iter):
-        w = B @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        v = w / nrm
-        lam = float(v @ (B @ v))
-        if np.linalg.norm(B @ v - lam * v) <= tol * max(scale, 1.0):
-            break
-    j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
+    w, V = np.linalg.eigh(0.5 * (B + B.T))
+    v = V[:, -1]
+    if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-    return Rank1(max(lam, 0.0), v, False)
+    return Rank1(max(float(w[-1]), 0.0), v, False)
 
 
 def trace_csv(result: SolveResult) -> str:

@@ -310,6 +310,24 @@ def test_erm_rule_dimension_guard():
         harness.resolve_target(config)
 
 
+def test_erm_rule_equals_least_squares_when_the_set_does_not_bind():
+    config = small_config(target_rule="erm_mc", erm_budget=20_000,
+                          hypothesis_set=geometry.l2_ball(1e3, 6))
+    target = harness.resolve_target(config)
+    big = generate_dataset(config.model, config.spec, config.erm_budget,
+                           derive_seed(config.master_seed, "erm-mc"))
+    oracle = np.linalg.lstsq(big.inputs, big.outputs, rcond=None)[0]
+    assert np.max(np.abs(target - oracle)) < 1e-6
+
+
+def test_erm_rule_binding_set_keeps_target_feasible():
+    config = small_config(target_rule="erm_mc", erm_budget=20_000,
+                          hypothesis_set=geometry.l1_ball(0.5, 6))
+    target = harness.resolve_target(config)
+    assert geometry.contains(config.hypothesis_set, target)
+    assert np.abs(target).sum() == pytest.approx(0.5, rel=1e-9)
+
+
 def test_thread_count_env_override(monkeypatch):
     monkeypatch.delenv("SUBEXP_LASSO_THREADS", raising=False)
     assert harness.thread_count(4) == 4
@@ -399,6 +417,40 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("extra", ["step_rule: backtracking",
+                                   "restart_count: 3", "seed: 0"])
+def test_config_rejects_unknown_solver_keys(tmp_path, extra):
+    path = tmp_path / "exp.yaml"
+    path.write_text(CONFIG_YAML.replace("tol: 1.0e-12}",
+                                        f"tol: 1.0e-12, {extra}}}"))
+    key = extra.split(":")[0]
+    with pytest.raises(ConfigurationError, match=key):
+        harness.load_config(str(path))
+
+
+def test_config_solver_keys_reach_solver_config(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text(CONFIG_YAML.replace("tol: 1.0e-12}",
+                                        "tol: 1.0e-12, track_trace: true}"))
+    assert harness.load_config(str(path)).solver_config == SolverConfig(
+        max_iters=4000, tol=1e-12, track_trace=True)
+    # an empty `solver:` section means the defaults
+    path.write_text(CONFIG_YAML.replace("solver: {max_iters: 4000, tol: 1.0e-12}",
+                                        "solver:"))
+    assert harness.load_config(str(path)).solver_config == SolverConfig()
+
+
+def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "lifted.yaml"
+    cfg.write_text(CONFIG_YAML.replace("kind: linear", "kind: lifted_view")
+                   .replace("{kind: l1_ball, radius: beta0_l1}",
+                            "{kind: lifted_psd_fro, radius: 1.0}"))
+    with pytest.raises(ConfigurationError, match="lifted_view"):
+        main(["mismatch", "--config", str(cfg)])
 
 
 def test_n_grid_must_increase():

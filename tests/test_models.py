@@ -248,6 +248,13 @@ def test_mismatch_scale_equivariance():
     assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=0.05)
 
 
+def test_mismatch_rejects_lifted_model_by_kind():
+    model = ObservationModel("lifted_view", np.array([1.0, 0.0, 0.0]))
+    spec = DistributionSpec("gaussian", 3)
+    with pytest.raises(ConfigurationError, match="lifted_view"):
+        mismatch_report(model, spec, np.zeros(3), mc_budget=2_000, seed=26)
+
+
 def test_mismatch_scale_exceeds_diameter_flag():
     beta0 = np.array([1.0, 0.0])
     model = ObservationModel("linear", beta0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subexp_lasso import geometry
 from subexp_lasso.distributions import DistributionSpec
@@ -10,8 +12,9 @@ from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.solver import (SolverConfig, empirical_risk,
                                  excess_decomposition, excess_risk,
-                                 rank1_extract, sign_invariant_error,
-                                 solve_lasso, solve_lifted)
+                                 lipschitz_constant, rank1_extract,
+                                 sign_invariant_error, solve_lasso,
+                                 solve_lifted)
 
 
 def toy_dataset(X, y, seed=0):
@@ -137,28 +140,63 @@ def test_monotone_trace_and_feasibility_and_certificate():
         (1.0 + np.linalg.norm(res.estimate))
 
 
-def test_backtracking_step_rule_reaches_same_solution():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((40, 5))
-    y = rng.standard_normal(40)
-    ds = toy_dataset(X, y)
-    s = geometry.l1_ball(0.5, 5)
-    a = solve_lasso(ds, s, SolverConfig(max_iters=50_000, tol=1e-13))
-    b = solve_lasso(ds, s, SolverConfig(max_iters=50_000, tol=1e-13,
-                                        step_rule="backtracking"))
-    assert np.linalg.norm(a.estimate - b.estimate) < 1e-5
+def test_exact_step_solves_identity_design_in_one_iteration():
+    # X = I with n = 2 gives L = 1 exactly; one step of 1/L from 0 lands on y,
+    # and the next iteration makes no progress
+    y = np.array([0.3, -0.2])
+    ds = toy_dataset(np.eye(2), y)
+    res = solve_lasso(ds, geometry.l2_ball(10.0, 2),
+                      SolverConfig(max_iters=100, tol=1e-14))
+    assert res.converged and res.iterations == 2
+    assert np.array_equal(res.estimate, y)
+    assert res.objective == 0.0
 
 
-def test_restarts_are_deterministic():
-    rng = np.random.default_rng(10)
-    X = rng.standard_normal((30, 4))
-    y = rng.standard_normal(30)
-    ds = toy_dataset(X, y)
-    s = geometry.hypercube(0.3, 4)
-    cfg = SolverConfig(max_iters=10_000, tol=1e-13, restart_count=3, seed=5)
-    a = solve_lasso(ds, s, cfg)
-    b = solve_lasso(ds, s, cfg)
-    assert np.array_equal(a.estimate, b.estimate)
+def _svd_lipschitz(X):
+    return 2.0 * np.linalg.svd(X, compute_uv=False)[0] ** 2 / X.shape[0]
+
+
+@pytest.mark.parametrize("n,d", [(7, 20), (20, 20), (60, 9), (1, 5), (5, 1)])
+def test_lipschitz_constant_matches_svd_oracle(n, d):
+    rng = np.random.default_rng(n * 100 + d)
+    X = rng.standard_normal((n, d))
+    assert lipschitz_constant(X) == pytest.approx(_svd_lipschitz(X), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_lipschitz_constant_lifted_design_matches_svd_oracle(n):
+    # p = 5 lifts flatten to d = 25 columns: both sides of n = d
+    model = ObservationModel("lifted_view", np.eye(5)[0])
+    ds = generate_dataset(model, DistributionSpec("gaussian", 5), n, 31)
+    X = ds.inputs.reshape(n, -1)
+    assert lipschitz_constant(X) == pytest.approx(_svd_lipschitz(X), rel=1e-12)
+
+
+def test_lipschitz_constant_zero_design_and_unit_step():
+    assert lipschitz_constant(np.zeros((4, 3))) == 0.0
+    assert lipschitz_constant(np.zeros((3, 4))) == 0.0
+    # L = 0: the solver falls back to step 1.0 and stays at project(0)
+    ds = toy_dataset(np.zeros((4, 3)), np.ones(4))
+    res = solve_lasso(ds, geometry.l1_ball(1.0, 3), SolverConfig(max_iters=10))
+    assert res.converged and np.array_equal(res.estimate, np.zeros(3))
+    assert res.objective == 1.0
+
+
+SET_MAKERS = {"l1": geometry.l1_ball, "l2": geometry.l2_ball,
+              "hypercube": geometry.hypercube}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), d=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(sorted(SET_MAKERS)), radius=st.floats(0.05, 3.0))
+def test_objective_trace_does_not_increase(n, d, seed, kind, radius):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+    ds = toy_dataset(X, rng.standard_normal(n))
+    res = solve_lasso(ds, SET_MAKERS[kind](radius, d),
+                      SolverConfig(max_iters=300, tol=1e-14, track_trace=True))
+    trace = np.array(res.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(trace[:-1], 1.0))
 
 
 def test_non_finite_data_rejected():

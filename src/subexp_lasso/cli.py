@@ -160,9 +160,8 @@ def cmd_experiment(args) -> int:
     config = _load(args)
     result = harness.run_error_curve(config, threads=args.threads)
     out = args.out or config.outputs
-    harness.emit(result, "csv" if args.format == "table" and out else args.format, out)
-    if not out:
-        sys.stdout.write(harness.emit(result, args.format))
+    _write(harness.emit(result, "csv" if args.format == "table" and out
+                        else args.format), out)
     return 0
 
 

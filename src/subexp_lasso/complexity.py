@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import geometry
-from .distributions import SemiNorm, seminorm_rows
+from .distributions import SemiNorm, sample_inputs, seminorm_rows
 from .errors import ConfigurationError
 from .seeding import derive_seed, rng_for
 
@@ -52,18 +52,21 @@ def _sup_linear(target: Target, z: np.ndarray) -> float:
     return geometry.support_function(target, z)
 
 
-def _width(target: Target, trials: int, seed: int, kind: str,
-           driver) -> WidthEstimate:
+def _width(target: Target, trials: int, seed: int, domain: str, driver,
+           kind: Optional[str] = None) -> WidthEstimate:
+    """Mean and standard error of sup_v <driver(rng, dim), v> over trials.
+
+    The drivers draw from the stream "width-<domain>"; kind labels the
+    estimate (default: the domain).
+    """
     if trials < 100:
         raise ValueError("trials must be at least 100")
     dim, label = _target_shape(target)
-    rng = rng_for(seed, f"width-{kind}")
-    sups = np.empty(trials)
-    for i in range(trials):
-        sups[i] = _sup_linear(target, driver(rng, dim))
+    rng = rng_for(seed, f"width-{domain}")
+    sups = np.array([_sup_linear(target, driver(rng, dim)) for _ in range(trials)])
     return WidthEstimate(float(sups.mean()),
                          float(sups.std(ddof=1) / np.sqrt(trials)),
-                         trials, kind, label)
+                         trials, kind or domain, label)
 
 
 def gaussian_width(target: Target, trials: int, seed: int) -> WidthEstimate:
@@ -82,25 +85,17 @@ def exponential_width(target: Target, trials: int, seed: int) -> WidthEstimate:
 def empirical_width(target: Target, spec, n: int, trials: int,
                     seed: int) -> WidthEstimate:
     """Mean of sup_v <(1/sqrt(n)) sum_i eps_i x_i, v> over fresh draws."""
-    from .distributions import sample_inputs  # local to avoid cycle at import
-
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim, label = _target_shape(target)
-    if spec.p != dim:
+    if spec.p != _target_shape(target)[0]:
         raise ConfigurationError("spec dimension does not match the target")
-    rng = rng_for(seed, "width-empirical")
-    sups = np.empty(trials)
-    for i in range(trials):
+
+    def driver(rng, dim):
         x = sample_inputs(spec, n, rng.integers(2 ** 63))
         eps = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        h = (eps @ x) / np.sqrt(n)
-        sups[i] = _sup_linear(target, h)
-    return WidthEstimate(float(sups.mean()),
-                         float(sups.std(ddof=1) / np.sqrt(trials)),
-                         trials, f"empirical(n={n})", label)
+        return (eps @ x) / np.sqrt(n)
+
+    return _width(target, trials, seed, "empirical", driver, f"empirical(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +139,6 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
     alpha^3 / (16 delta) for theta * Q_{2 theta}.  Because the infimum runs
     over a finite list, q_hat upper-bounds the true infimal probability.
     """
-    from .distributions import sample_inputs
-
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape[0] == 0:
         raise ConfigurationError("directions must be non-empty")

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,11 @@ TARGET_RULES = ("beta0", "mu_beta0", "erm_mc", "explicit")
 
 
 def thread_count(cli_value: Optional[int] = None) -> int:
-    """Worker count: SUBEXP_LASSO_THREADS overrides the CLI value."""
+    """Worker count: SUBEXP_LASSO_THREADS overrides the CLI value.
+
+    The variable also sets the workers of run_phase_transition, which takes
+    no thread count.
+    """
     env = os.environ.get("SUBEXP_LASSO_THREADS")
     if env:
         try:
@@ -69,6 +73,8 @@ class ExperimentConfig:
         grid = tuple(int(n) for n in self.n_grid)
         if any(b >= a for a, b in zip(grid[1:], grid[:-1])):
             raise ConfigurationError("n_grid must be strictly increasing")
+        if any(n < 1 for n in grid):
+            raise ConfigurationError("n_grid entries must be >= 1")
         if self.trials_per_n < 1:
             raise ConfigurationError("trials_per_n must be >= 1")
         if self.target_rule not in TARGET_RULES:
@@ -185,26 +191,29 @@ def _solve_cell(config: ExperimentConfig, beta_nat: np.ndarray, n: int,
     return TrialRecord(config.name, n, trial, err, ms, res.converged, seed)
 
 
-def run_error_curve(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Per-(n, trial) estimation errors against the resolved target.
+def _run_cells(cells, threads: Optional[int] = None) -> list:
+    """`_solve_cell` records of (config, target, n, trial) cells, in order.
 
-    Trials are independent units; with threads > 1 they are scheduled
-    concurrently, each on its own derived seed, and records are serialized
-    in (n, trial) order, so the result is identical for any thread count.
-    Solver non-convergence is recorded, not fatal.
+    Each cell seeds itself, so the records are the same for any worker count.
     """
-    beta_nat = resolve_target(config)
-    cells = [(n, trial) for n in config.n_grid
-             for trial in range(config.trials_per_n)]
     workers = thread_count(threads)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda cell: _solve_cell(config, beta_nat, *cell), cells))
-    else:
-        records = [_solve_cell(config, beta_nat, n, trial)
-                   for n, trial in cells]
+            return list(pool.map(lambda cell: _solve_cell(*cell), cells))
+    return [_solve_cell(*cell) for cell in cells]
+
+
+def run_error_curve(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Per-(n, trial) estimation errors against the resolved target.
+
+    Trials are independent units scheduled by `_run_cells`, so the result is
+    identical for any thread count.  Solver non-convergence is recorded, not
+    fatal.
+    """
+    beta_nat = resolve_target(config)
+    records = _run_cells([(config, beta_nat, n, trial) for n in config.n_grid
+                          for trial in range(config.trials_per_n)], threads)
     aggregates = aggregate_records(records)
     slope, stderr = (None, None)
     try:
@@ -307,37 +316,35 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
 
     For each sparsity k a fresh unit-norm k-sparse target is drawn and the
     l1 ball is tuned to it; the default threshold is 1e-3 times the target
-    norm for noiseless models and the noise level otherwise.
+    norm for noiseless models and the noise level otherwise.  The cells are
+    the error-curve cells of a config named "pt:k=<k>", solved by
+    `_run_cells` on thread_count() workers.
     """
     k_grid = tuple(int(k) for k in k_grid)
     n_grid = tuple(int(n) for n in n_grid)
-    success = np.zeros((len(k_grid), len(n_grid)))
+    noise = config.model.noise
+    cells, thresholds = [], []
     for i, k in enumerate(k_grid):
         beta0 = sparse_vector(config.spec.p, k,
                               derive_seed(config.master_seed, "pt-beta0", i))
-        model = ObservationModel(config.model.kind, beta0, config.model.link,
-                                 config.model.noise)
-        radius = float(np.abs(beta0).sum())
-        s = geometry.l1_ball(radius, config.spec.p)
-        if success_threshold is None:
-            if model.noise.kind == "none" or model.noise.level == 0.0:
-                thr = 1e-3 * float(np.linalg.norm(beta0))
-            else:
-                thr = model.noise.level
-            rule = "auto"
+        config_k = replace(
+            config, name=f"pt:k={k}",
+            model=replace(config.model, beta0=beta0),
+            hypothesis_set=geometry.l1_ball(float(np.abs(beta0).sum()),
+                                            config.spec.p))
+        cells += [(config_k, beta0, n, trial) for n in n_grid
+                  for trial in range(config.trials_per_n)]
+        if success_threshold is not None:
+            thresholds.append(float(success_threshold))
+        elif noise.kind == "none" or noise.level == 0.0:
+            thresholds.append(1e-3 * float(np.linalg.norm(beta0)))
         else:
-            thr = float(success_threshold)
-            rule = "explicit"
-        for j, n in enumerate(n_grid):
-            hits = 0
-            for trial in range(config.trials_per_n):
-                seed = derive_seed(config.master_seed, f"pt:k={k}:n={n}", trial)
-                dataset = generate_dataset(model, config.spec, n, seed)
-                res = solver.solve_lasso(dataset, s, config.solver_config)
-                if float(np.linalg.norm(res.estimate - beta0)) < thr:
-                    hits += 1
-            success[i, j] = hits / config.trials_per_n
-    return PhaseTransitionResult(k_grid, n_grid, success, rule)
+            thresholds.append(noise.level)
+    errors = np.array([r.error for r in _run_cells(cells)]).reshape(
+        len(k_grid), len(n_grid), config.trials_per_n)
+    hits = np.count_nonzero(errors < np.array(thresholds)[:, None, None], axis=2)
+    rule = "auto" if success_threshold is None else "explicit"
+    return PhaseTransitionResult(k_grid, n_grid, hits / config.trials_per_n, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +376,19 @@ def emit(result, fmt: str = "csv", out=None) -> str:
     return text
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_records(records, fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(records_to_rows(records))
-        return buf.getvalue()
+        return _csv_text([RESULT_COLUMNS] + records_to_rows(records))
     if fmt == "jsonl":
-        lines = []
-        for r in records:
-            lines.append(json.dumps({
-                "experiment": r.experiment, "n": r.n, "trial": r.trial,
-                "error": r.error, "runtime_ms": r.runtime_ms,
-                "converged": r.converged, "seed": r.seed}))
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps(asdict(r)) for r in records) + "\n"
     if fmt == "table":
-        rows = [["experiment", "n", "trial", "error", "runtime_ms",
-                 "converged", "seed"]]
+        rows = [list(RESULT_COLUMNS)]
         rows += [[r.experiment, str(r.n), str(r.trial), f"{r.error:.6g}",
                   f"{r.runtime_ms:.2f}", str(r.converged).lower(), str(r.seed)]
                  for r in records]
@@ -405,12 +407,7 @@ def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
     for i, k in enumerate(result.k_grid):
         rows.append([str(k)] + [f"{result.success[i, j]:.3f}"
                                 for j in range(len(result.n_grid))])
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        return buf.getvalue()
-    return format_table(rows)
+    return _csv_text(rows) if fmt == "csv" else format_table(rows)
 
 
 def _emit_report(obj, fmt: str) -> str:
@@ -419,14 +416,8 @@ def _emit_report(obj, fmt: str) -> str:
              for k, v in data.items()}
     if fmt == "jsonl":
         return json.dumps(clean, default=str) + "\n"
-    rows = [[str(k), str(v)] for k, v in clean.items()]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["field", "value"])
-        writer.writerows(rows)
-        return buf.getvalue()
-    return format_table([["field", "value"]] + rows)
+    rows = [["field", "value"]] + [[str(k), str(v)] for k, v in clean.items()]
+    return _csv_text(rows) if fmt == "csv" else format_table(rows)
 
 
 def format_table(rows) -> str:
@@ -438,15 +429,21 @@ def format_table(rows) -> str:
 
 
 def parse_records_csv(text_or_path) -> list:
-    """Inverse of the csv emitter; returns TrialRecord objects."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path \
-            and os.path.exists(text_or_path):
-        with open(text_or_path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
+    """Inverse of the csv emitter; returns TrialRecord objects.
+
+    A non-empty string without a newline is a path, anything else CSV text.
+    """
+    text = text_or_path
+    if text and "\n" not in text:
+        try:
+            with open(text, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError as exc:
+            raise ConfigurationError(f"records CSV {text!r} does not exist") from exc
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ConfigurationError("records CSV is empty")
     if tuple(header) != RESULT_COLUMNS:
         raise ConfigurationError("unexpected result CSV header")
     records = []
@@ -463,11 +460,20 @@ def parse_records_csv(text_or_path) -> list:
 # Declarative configs (YAML)
 # ---------------------------------------------------------------------------
 
+def _required(d, path: str):
+    """d[key] for the last key of a dotted path; raises naming the path."""
+    value = (d or {}).get(path.rsplit(".", 1)[-1])
+    if value is None:
+        raise ConfigurationError(f"config is missing required key {path!r}")
+    return value
+
+
 def spec_from_dict(d: dict) -> DistributionSpec:
     mixing = d.get("mixing")
     if isinstance(mixing, str):
         mixing = np.loadtxt(mixing)
-    return DistributionSpec(kind=d["kind"], p=int(d["p"]),
+    return DistributionSpec(kind=_required(d, "spec.kind"),
+                            p=int(_required(d, "spec.p")),
                             scale=float(d.get("scale", 1.0)),
                             mixing=None if mixing is None else np.asarray(mixing, float),
                             base_kind=d.get("base_kind", "laplace"),
@@ -480,17 +486,27 @@ def model_from_dict(d: dict, p: int) -> ObservationModel:
         rule = d.get("beta0_rule")
         if not rule:
             raise ConfigurationError("model needs beta0 or beta0_rule")
-        beta0 = sparse_vector(p, int(rule["k"]), int(rule.get("seed", 0)),
+        beta0 = sparse_vector(p, int(_required(rule, "model.beta0_rule.k")),
+                              int(rule.get("seed", 0)),
                               rule.get("norm", "l2"))
     noise_d = d.get("noise", {"kind": "none"})
     noise = Noise(noise_d.get("kind", "none"), float(noise_d.get("level", 0.0)))
-    return ObservationModel(d["kind"], np.asarray(beta0, dtype=float),
+    return ObservationModel(_required(d, "model.kind"), np.asarray(beta0, dtype=float),
                             d.get("link", "identity"), noise)
 
 
 def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
-    kind = d["kind"]
-    radius = d.get("radius")
+    kind = _required(d, "set.kind")
+    if kind == "polytope":
+        if "vertices_file" in d:
+            return geometry.load_vertices(d["vertices_file"])
+        return geometry.polytope(np.asarray(_required(d, "set.vertices"), dtype=float))
+    builders = {"l1_ball": geometry.l1_ball, "hypercube": geometry.hypercube,
+                "lifted_psd_fro": geometry.lifted_psd_fro,
+                "l2_ball": lambda r, p: geometry.l2_ball(r, p, d.get("center"))}
+    if kind not in builders:
+        raise ConfigurationError(f"unknown set kind {kind!r}")
+    radius = _required(d, "set.radius")
     if isinstance(radius, str):
         if beta0 is None:
             raise ConfigurationError(f"radius rule {radius!r} needs beta0")
@@ -500,25 +516,13 @@ def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
             radius = float(np.linalg.norm(beta0))
         else:
             raise ConfigurationError(f"unknown radius rule {radius!r}")
-    if kind == "l1_ball":
-        return geometry.l1_ball(float(radius), p)
-    if kind == "l2_ball":
-        return geometry.l2_ball(float(radius), p, d.get("center"))
-    if kind == "hypercube":
-        return geometry.hypercube(float(radius), p)
-    if kind == "lifted_psd_fro":
-        return geometry.lifted_psd_fro(float(radius), p)
-    if kind == "polytope":
-        if "vertices_file" in d:
-            return geometry.load_vertices(d["vertices_file"])
-        return geometry.polytope(np.asarray(d["vertices"], dtype=float))
-    raise ConfigurationError(f"unknown set kind {kind!r}")
+    return builders[kind](float(radius), p)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    spec = spec_from_dict(d["spec"])
-    model = model_from_dict(d["model"], spec.p)
-    hset = set_from_dict(d["set"], spec.p, beta0=model.beta0)
+    spec = spec_from_dict(_required(d, "spec"))
+    model = model_from_dict(_required(d, "model"), spec.p)
+    hset = set_from_dict(_required(d, "set"), spec.p, beta0=model.beta0)
     solver_d = d.get("solver") or {}
     known = [f.name for f in fields(solver.SolverConfig)]
     unknown = sorted(set(solver_d) - set(known))
@@ -532,7 +536,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     target_rule = d.get("target_rule", "beta0")
     target_vector = None
     if isinstance(target_rule, dict):
-        target_vector = np.asarray(target_rule["explicit"], dtype=float)
+        target_vector = np.asarray(_required(target_rule, "target_rule.explicit"), float)
         target_rule = "explicit"
     return ExperimentConfig(
         name=d.get("name", "experiment"),

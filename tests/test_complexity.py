@@ -12,6 +12,7 @@ from subexp_lasso.complexity import (assemble_bound, dudley_sparse_bound,
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
                                         profile_for, zero_norm)
+from subexp_lasso.errors import ConfigurationError
 
 
 def origin_skeleton():
@@ -70,6 +71,31 @@ def test_empirical_width_gaussian_inputs_equals_gaussian_width():
     a = gaussian_width(sk, 3_000, 8)
     b = empirical_width(sk, spec, 32, 3_000, 9)
     assert abs(a.mean - b.mean) <= 3 * (a.std_error + b.std_error)
+
+
+def test_empirical_width_equals_inline_stream_loop():
+    # stream "width-empirical": each trial draws its input seed, then the signs
+    from subexp_lasso.distributions import sample_inputs
+    from subexp_lasso.seeding import rng_for
+
+    p, n, trials = 5, 12, 100
+    spec = DistributionSpec("laplace", p)
+    est = empirical_width(geometry.l1_ball(1.0, p), spec, n, trials, 4)
+    rng = rng_for(4, "width-empirical")
+    sups = np.empty(trials)
+    for i in range(trials):
+        x = sample_inputs(spec, n, rng.integers(2 ** 63))
+        eps = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        sups[i] = np.abs((eps @ x) / np.sqrt(n)).max()
+    assert (est.mean, est.std_error) == (sups.mean(),
+                                         sups.std(ddof=1) / np.sqrt(trials))
+    assert (est.width_kind, est.trials) == (f"empirical(n={n})", trials)
+    with pytest.raises(ValueError, match="trials must be at least 100"):
+        empirical_width(geometry.l1_ball(1.0, p), spec, n, 99, 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        empirical_width(geometry.l1_ball(1.0, p), spec, 0, trials, 4)
+    with pytest.raises(ConfigurationError, match="spec dimension"):
+        empirical_width(geometry.l1_ball(1.0, p + 1), spec, n, trials, 4)
 
 
 def test_empirical_width_laplace_matches_bruteforce_oracle():

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ import pytest
 from subexp_lasso import geometry, harness
 from subexp_lasso.distributions import DistributionSpec
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import Noise, ObservationModel, generate_dataset
-from subexp_lasso.solver import SolverConfig
+from subexp_lasso.models import (Noise, ObservationModel, generate_dataset,
+                                 sparse_vector)
+from subexp_lasso.solver import SolverConfig, solve_lasso
 from subexp_lasso.seeding import derive_seed, split_trials, partitioned_mean
 
 
@@ -221,6 +224,52 @@ def test_phase_transition_extremes_and_monotonicity():
     assert np.all(np.diff(res.success, axis=1) >= -slack)
 
 
+def phase_oracle(k_grid, n_grid, config):
+    """The (k, n, trial) solve loop written out: seeds pt:k=<k>:n=<n>."""
+    success = np.zeros((len(k_grid), len(n_grid)))
+    for i, k in enumerate(k_grid):
+        beta0 = sparse_vector(config.spec.p, k,
+                              derive_seed(config.master_seed, "pt-beta0", i))
+        model = ObservationModel(config.model.kind, beta0, config.model.link,
+                                 config.model.noise)
+        s = geometry.l1_ball(float(np.abs(beta0).sum()), config.spec.p)
+        noise = config.model.noise
+        thr = (1e-3 * float(np.linalg.norm(beta0))
+               if noise.kind == "none" or noise.level == 0.0 else noise.level)
+        for j, n in enumerate(n_grid):
+            hits = 0
+            for trial in range(config.trials_per_n):
+                seed = derive_seed(config.master_seed, f"pt:k={k}:n={n}", trial)
+                res = solve_lasso(generate_dataset(model, config.spec, n, seed),
+                                  s, config.solver_config)
+                hits += float(np.linalg.norm(res.estimate - beta0)) < thr
+            success[i, j] = hits / config.trials_per_n
+    return success
+
+
+@pytest.mark.parametrize("noise", [Noise(), Noise("gaussian", 0.05)],
+                         ids=["noiseless", "noisy"])
+def test_phase_transition_equals_inline_loop(noise, monkeypatch):
+    p = 16
+    config = harness.ExperimentConfig(
+        name="pt-oracle",
+        model=ObservationModel("linear", np.eye(p)[0], noise=noise),
+        spec=DistributionSpec("gaussian", p),
+        hypothesis_set=geometry.l1_ball(1.0, p),
+        solver_config=SolverConfig(max_iters=500, tol=1e-12),
+        n_grid=(10,), trials_per_n=3, master_seed=23)
+    k_grid, n_grid = (1, 4), (4, 10, 20)
+    oracle = phase_oracle(k_grid, n_grid, config)
+    assert 0.0 < oracle.mean() < 1.0  # both outcomes occur on this grid
+    monkeypatch.delenv("SUBEXP_LASSO_THREADS", raising=False)
+    serial = harness.run_phase_transition(k_grid, n_grid, config)
+    assert np.array_equal(serial.success, oracle)
+    assert serial.threshold_rule == "auto"
+    monkeypatch.setenv("SUBEXP_LASSO_THREADS", "2")
+    threaded = harness.run_phase_transition(k_grid, n_grid, config)
+    assert np.array_equal(threaded.success, oracle)
+
+
 # ---------------------------------------------------------------------------
 # Emission round trips
 # ---------------------------------------------------------------------------
@@ -250,6 +299,31 @@ def test_jsonl_and_table_formats():
     assert table.splitlines()[0].startswith("experiment")
     with pytest.raises(ConfigurationError):
         harness.emit(res, "xml")
+
+
+def test_jsonl_records_carry_the_result_columns():
+    res = harness.run_error_curve(small_config(n_grid=(20,), trials_per_n=2))
+    lines = harness.emit(res, "jsonl").splitlines()
+    for line, r in zip(lines, res.records):
+        row = json.loads(line)
+        assert tuple(row) == harness.RESULT_COLUMNS
+        assert row == {c: getattr(r, c) for c in harness.RESULT_COLUMNS}
+
+
+def test_parse_records_csv_bad_input(tmp_path):
+    from subexp_lasso.cli import main
+
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(ConfigurationError, match="missing.csv.*does not exist"):
+        harness.parse_records_csv(missing)
+    with pytest.raises(ConfigurationError, match="missing.csv.*does not exist"):
+        main(["report", missing])
+    with pytest.raises(ConfigurationError, match="empty"):
+        harness.parse_records_csv("")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ConfigurationError, match="empty"):
+        main(["report", str(empty)])
 
 
 def test_emit_report_object():
@@ -289,6 +363,23 @@ def test_config_yaml_load_and_run(tmp_path):
     res = harness.run_error_curve(config)
     assert len(res.records) == 6
     assert res.config_hash == harness.config_hash(config)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("set: {kind: l1_ball, radius: beta0_l1}\n", "", "'set'"),
+    ("{kind: laplace, p: 6, scale: 1.0}", "{kind: laplace, scale: 1.0}", "'spec.p'"),
+    ("{kind: l1_ball, radius: beta0_l1}", "{kind: l2_ball}", "'set.radius'"),
+    ("  kind: linear\n", "", "'model.kind'"),
+    ("{k: 2, seed: 4}", "{seed: 4}", "'model.beta0_rule.k'"),
+    ("target_rule: beta0", "target_rule: {}", "'target_rule.explicit'"),
+    ("n_grid: [20, 40, 80]", "n_grid: [0, 5, 10]", "n_grid entries must be >= 1"),
+])
+def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
+    assert old in CONFIG_YAML
+    path = tmp_path / "exp.yaml"
+    path.write_text(CONFIG_YAML.replace(old, new))
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        harness.load_config(str(path))
 
 
 def test_config_hash_sensitivity(tmp_path):
@@ -376,6 +467,22 @@ def test_cli_subcommands(tmp_path):
     rep_out = tmp_path / "report.txt"
     assert main(["report", str(rec_out), "--out", str(rep_out)]) == 0
     assert "decay_slope" in rep_out.read_text()
+
+
+def test_cli_experiment_renders_stdout_once(tmp_path, capsys, monkeypatch):
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    calls = []
+    emit = harness.emit
+    monkeypatch.setattr(harness, "emit",
+                        lambda *a, **kw: calls.append(a[1:]) or emit(*a, **kw))
+    assert main(["experiment", "--config", str(cfg), "--format", "jsonl"]) == 0
+    assert calls == [("jsonl",)]
+    rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [(r["n"], r["trial"]) for r in rows] == [
+        (n, t) for n in (20, 40, 80) for t in range(2)]
 
 
 def test_cli_complexity_without_vertex_list(tmp_path, capsys):

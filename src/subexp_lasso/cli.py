@@ -80,11 +80,16 @@ def _write(text: str, out):
         sys.stdout.write(text)
 
 
+def _dataset(args, config: harness.ExperimentConfig, command: str):
+    """The dataset of `command`: --n draws (default: the first n_grid entry)
+    seeded from the master seed's "cli-<command>" stream."""
+    return generate_dataset(config.model, config.spec,
+                            args.n or config.n_grid[0],
+                            derive_seed(config.master_seed, f"cli-{command}"))
+
+
 def cmd_sample(args) -> int:
-    config = _load(args)
-    n = args.n or config.n_grid[0]
-    ds = generate_dataset(config.model, config.spec, n,
-                          derive_seed(config.master_seed, "cli-sample"))
+    ds = _dataset(args, _load(args), "sample")
     X = ds.inputs.reshape(ds.n, -1)
     header = "y," + ",".join(f"x{j}" for j in range(X.shape[1]))
     body = "\n".join(",".join([repr(y)] + [repr(v) for v in row])
@@ -95,14 +100,9 @@ def cmd_sample(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _load(args)
-    n = args.n or config.n_grid[0]
-    ds = generate_dataset(config.model, config.spec, n,
-                          derive_seed(config.master_seed, "cli-solve"))
-    if ds.lifted:
-        res = solver.solve_lifted(ds, config.hypothesis_set, config.solver_config)
-    else:
-        res = solver.solve_lasso(ds, config.hypothesis_set, config.solver_config)
-    report = {"n": n, "objective": res.objective, "iterations": res.iterations,
+    ds = _dataset(args, config, "solve")
+    res = solver.solve(ds, config.hypothesis_set, config.solver_config)
+    report = {"n": ds.n, "objective": res.objective, "iterations": res.iterations,
               "converged": res.converged,
               "fixed_point_residual": res.fixed_point_residual,
               "estimate": np.asarray(res.estimate).ravel().tolist()}
@@ -145,10 +145,8 @@ def cmd_complexity(args) -> int:
 
 def cmd_certificate(args) -> int:
     config = _load(args)
-    n = args.n or config.n_grid[0]
     beta_nat = harness.resolve_target(config)
-    ds = generate_dataset(config.model, config.spec, n,
-                          derive_seed(config.master_seed, "cli-certificate"))
+    ds = _dataset(args, config, "certificate")
     rep = harness.excess_certificate(ds, config.hypothesis_set, beta_nat,
                                      args.scale, args.dirs,
                                      derive_seed(config.master_seed, "cert-dirs"))

@@ -10,6 +10,7 @@ imported only by the convex-hull membership certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -229,6 +230,19 @@ def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
+_MASKED_KINDS = ("l1_ball", "l2_ball", "hypercube")
+
+
+def _contains_rows(s: HypothesisSet, V: np.ndarray,
+                   tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """`contains` of each row of V as one boolean mask (_MASKED_KINDS only)."""
+    if s.kind == "l1_ball":
+        return np.abs(V).sum(axis=1) <= s.radius + tol
+    if s.kind == "l2_ball":
+        return np.linalg.norm(V - s.center, axis=1) <= s.radius + tol
+    return np.max(np.abs(V), axis=1) <= s.radius + tol
+
+
 # ---------------------------------------------------------------------------
 # Support functions and vertex representations
 # ---------------------------------------------------------------------------
@@ -305,6 +319,8 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
     """Unit directions v with center + t v in the set.
 
     Rejection sampling, augmented with vertex directions for polytopal sets.
+    Each batch of l1, l2 or hypercube candidates is tested with one membership
+    mask; other sets call `contains` row by row until enough are accepted.
     An empty result signals that t exceeds the local reach in every sampled
     direction.
     """
@@ -323,12 +339,13 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
         u = rng.standard_normal((batch, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         attempts += batch
-        for row in u:
-            cand = center + t * _shaped(row, s)
-            if contains(s, cand):
-                accepted.append(row)
-                if len(accepted) >= n_dirs:
-                    break
+        cands = center.ravel() + t * u
+        if s.kind in _MASKED_KINDS:
+            hits = u[_contains_rows(s, cands)]
+        else:
+            hits = (row for row, cand in zip(u, cands)
+                    if contains(s, _shaped(cand, s)))
+        accepted.extend(islice(hits, n_dirs - len(accepted)))
     for vert in _cheap_vertices(s):
         d = vert.ravel() - center
         nrm = np.linalg.norm(d)

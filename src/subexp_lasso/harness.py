@@ -180,12 +180,11 @@ def _solve_cell(config: ExperimentConfig, beta_nat: np.ndarray, n: int,
     seed = derive_seed(config.master_seed, f"{config.name}:n={n}", trial)
     dataset = generate_dataset(config.model, config.spec, n, seed)
     t0 = time.perf_counter()
+    res = solver.solve(dataset, config.hypothesis_set, config.solver_config)
     if dataset.lifted:
-        res = solver.solve_lifted(dataset, config.hypothesis_set, config.solver_config)
         lam, vec, _ = solver.rank1_extract(res.estimate)
         err = solver.sign_invariant_error(lam * vec, beta_nat)
     else:
-        res = solver.solve_lasso(dataset, config.hypothesis_set, config.solver_config)
         err = float(np.linalg.norm(res.estimate - beta_nat))
     ms = 1000.0 * (time.perf_counter() - t0)
     return TrialRecord(config.name, n, trial, err, ms, res.converged, seed)

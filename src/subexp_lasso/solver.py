@@ -1,11 +1,32 @@
 """Projected gradient descent for constrained least squares.
 
-One algorithm serves both the vector estimator (over a convex hypothesis
-set) and the matrix estimator (over the PSD-intersect-Frobenius-ball set,
-with centered rank-one lifts as inputs).  The step is exactly 1/L, where
-L = 2 lambda_max(X^T X) / n comes from one eigvalsh of the smaller Gram
-matrix, so the objective is non-increasing (up to rounding) without a line
-search.  The sets are convex, so a single start at project(0) suffices.
+One loop serves both the vector estimator (over a convex hypothesis set) and
+the matrix estimator (over the PSD-intersect-Frobenius-ball set, with
+centered rank-one lifts as inputs).  The step is exactly 1/L, with
+L = 2 lambda_max(X^T X) / n, so the objective is non-increasing (up to
+rounding) without a line search.  The sets are convex, so a single start at
+project(0) suffices.  The loop runs in one of two forms, chosen by the shape
+of the n x d design X:
+
+* Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once and
+  L = 2 lambda_max(G) comes from that same G.  An iteration costs one d x d
+  matvec, grad = 2 (G beta - c).  The objective is tracked as the exact
+  starting objective minus the decreases delta^T (G beta + G beta' - 2 c),
+  delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
+  ||y||^2 / n would cancel catastrophically near zero risk.
+* Direct form (n < d).  The loop keeps the residual X beta - y of the
+  accepted iterate: two products with X per iteration.
+
+Lifted datasets are solved in svec coordinates: the upper triangle of a
+symmetric matrix with its off-diagonal entries scaled by sqrt(2).  svec is
+an isometry from the symmetric matrices onto R^(p(p+1)/2), and the lifts and
+every iterate are symmetric, so the iterates and L are those of the
+full-coordinate (d = p^2) problem in exact arithmetic, with d = p(p+1)/2.
+The svec Gram is accumulated from row blocks of the stored lifts; the svec
+design itself is only formed when n < d.
+
+Either way the returned objective and fixed-point residual are recomputed
+once from the true residual of the returned estimate.
 """
 
 from __future__ import annotations
@@ -91,14 +112,48 @@ def excess_risk(dataset: Dataset, beta, beta_nat) -> float:
 # Projected gradient descent
 # ---------------------------------------------------------------------------
 
+GRAM_BLOCK_BYTES = 1 << 21  # bytes of design rows per block when forming G
+
+
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+
+
 def lipschitz_constant(X: np.ndarray) -> float:
     """Exact Lipschitz constant 2 lambda_max(X^T X) / n of the risk gradient.
 
     One eigvalsh of the smaller Gram matrix: X^T X when n >= d, else X X^T.
+    The solver's Gram form takes the same value as 2 lambda_max(G) from its
+    G = X^T X / n; for lifted designs that G is in svec coordinates, which
+    leaves lambda_max unchanged because svec preserves the inner products of
+    symmetric matrices.
     """
     n, d = X.shape
-    gram = X.T @ X if n >= d else X @ X.T
-    return 2.0 * max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) / n
+    return 2.0 * _top_eigenvalue(X.T @ X if n >= d else X @ X.T) / n
+
+
+class _Svec:
+    """svec coordinates of symmetric p x p matrices (see the module docstring)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows, self.cols = np.triu_indices(p)
+        self.weights = np.where(self.rows == self.cols, 1.0, np.sqrt(2.0))
+        self.dim = self.rows.size
+
+    def vec(self, A: np.ndarray) -> np.ndarray:
+        """svec of a matrix, or of each matrix in an (m, p, p) stack."""
+        v = A[..., self.rows, self.cols]
+        v *= self.weights
+        return v
+
+    def mat(self, v: np.ndarray) -> np.ndarray:
+        """The symmetric matrix whose svec is v."""
+        half = v / self.weights
+        B = np.empty((self.p, self.p))
+        B[self.rows, self.cols] = half
+        B[self.cols, self.rows] = half
+        return B
 
 
 def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
@@ -109,40 +164,84 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ConfigurationError("non-finite data passed to the solver")
 
-    lip = lipschitz_constant(X)
+    if dataset.lifted:
+        sv = _Svec(s.p)
+        d, to_coords, from_coords = sv.dim, sv.vec, sv.mat
+
+        def rows(lo, hi):
+            return sv.vec(dataset.inputs[lo:hi])
+    else:
+        d, to_coords, from_coords = X.shape[1], _flat, _flat
+
+        def rows(lo, hi):
+            return X[lo:hi]
+
+    if n >= d:
+        block = max(1, GRAM_BLOCK_BYTES // (8 * d))
+        G, c = np.zeros((d, d)), np.zeros(d)
+        for lo in range(0, n, block):
+            V = rows(lo, lo + block)
+            G += V.T @ V
+            c += V.T @ y[lo:lo + block]
+        G /= n
+        c /= n
+        lip = 2.0 * _top_eigenvalue(G)
+
+        def state(b):
+            return G @ b
+
+        def gradient(g):
+            return 2.0 * (g - c)
+
+        def objective(obj, b, g, b_next, g_next):
+            return obj - float((b - b_next) @ (g + g_next - 2.0 * c))
+    else:
+        Xc = rows(0, n)
+        lip = lipschitz_constant(Xc)
+
+        def state(b):
+            return Xc @ b - y
+
+        def gradient(r):
+            return (2.0 / n) * (Xc.T @ r)
+
+        def objective(obj, b, r, b_next, r_next):
+            return float(r_next @ r_next) / n
     step = 1.0 / lip if lip > 0 else 1.0
 
-    start = geometry.project(s, np.zeros((s.p, s.p) if s.is_matrix_set else s.p))
-    shape = start.shape
-    beta = _flat(start)
-    r = X @ beta - y
+    start = geometry.project(s, np.zeros(s.ambient))
+    r = X @ _flat(start) - y
     obj = float(r @ r) / n
-    best_beta, best_obj, best_r = beta, obj, r
+    beta = to_coords(start)
+    st = state(beta)
+    best_beta, best_obj = beta, obj
     trace = [obj] if config.track_trace else None
     converged = False
     iterations = 0
 
     for it in range(1, config.max_iters + 1):
         iterations = it
-        grad = (2.0 / n) * (X.T @ r)
-        beta_next = _flat(geometry.project(s, (beta - step * grad).reshape(shape)))
-        r_next = X @ beta_next - y
-        obj_next = float(r_next @ r_next) / n
+        beta_next = to_coords(geometry.project(
+            s, from_coords(beta - step * gradient(st))))
+        st_next = state(beta_next)
+        obj_next = objective(obj, beta, st, beta_next, st_next)
         if trace is not None:
             trace.append(obj_next)
         if obj_next < best_obj:
-            best_beta, best_obj, best_r = beta_next, obj_next, r_next
+            best_beta, best_obj = beta_next, obj_next
         if obj - obj_next <= config.tol * max(obj, 1e-300):
             converged = True
             break
-        beta, obj, r = beta_next, obj_next, r_next
+        beta, obj, st = beta_next, obj_next, st_next
 
-    grad_best = (2.0 / n) * (X.T @ best_r)
-    fp = geometry.project(s, (best_beta - step * grad_best).reshape(shape))
-    fp_res = float(np.linalg.norm(_flat(fp) - best_beta))
-    return SolveResult(estimate=best_beta.reshape(shape), iterations=iterations,
-                       objective=best_obj, converged=converged,
-                       objective_trace=trace, fixed_point_residual=fp_res)
+    estimate = from_coords(best_beta)
+    r = X @ _flat(estimate) - y
+    grad = ((2.0 / n) * (X.T @ r)).reshape(estimate.shape)
+    fp = geometry.project(s, estimate - step * grad)
+    return SolveResult(estimate=estimate, iterations=iterations,
+                       objective=float(r @ r) / n, converged=converged,
+                       objective_trace=trace,
+                       fixed_point_residual=float(np.linalg.norm(fp - estimate)))
 
 
 def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
@@ -171,6 +270,12 @@ def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
     if dataset.inputs.shape[1] != s.p:
         raise ConfigurationError("set ambient dimension mismatch")
     return _pgd(dataset, s, config)
+
+
+def solve(dataset: Dataset, s: geometry.HypothesisSet,
+          config: SolverConfig = SolverConfig()) -> SolveResult:
+    """solve_lifted for a lifted dataset, solve_lasso otherwise."""
+    return (solve_lifted if dataset.lifted else solve_lasso)(dataset, s, config)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from subexp_lasso.distributions import (
     euclidean_scaled, frobenius_scaled, infinity_scaled, mt_euclidean,
     mt_infinity, operator_scaled, seminorm_eval, seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
+from subexp_lasso.seeding import rng_for
 
 
 def random_set(rng, p):
@@ -244,6 +245,40 @@ def test_sphere_slice_acceptance_strictly_between_zero_and_one():
     center = 0.999 * np.eye(20)[0]
     sample = geo.sphere_slice_directions(s, center, 0.1, 200, 9)
     assert 0.0 < sample.acceptance_rate < 1.0
+
+
+def slice_rows_oracle(s, center, t, n_dirs, seed):
+    """The rejection-sampled rows of sphere_slice_directions, one `contains`
+    call per candidate."""
+    rng = rng_for(seed, "sphere-slice")
+    accepted, attempts = [], 0
+    batch = max(n_dirs, 64)
+    while len(accepted) < n_dirs and attempts < max(50 * n_dirs, 2000):
+        u = rng.standard_normal((batch, center.size))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        attempts += batch
+        for row in u:
+            if geo.contains(s, center + t * row.reshape(center.shape)):
+                accepted.append(row)
+                if len(accepted) >= n_dirs:
+                    break
+    return np.array(accepted).reshape(-1, center.size)
+
+
+@pytest.mark.parametrize("s,center,t,n_dirs", [
+    (geo.l1_ball(1.0, 20), 0.5 * np.eye(20)[0], 0.15, 200),
+    (geo.l1_ball(2.0, 6), np.full(6, 0.2), 0.5, 64),
+    (geo.l2_ball(1.0, 5, center=np.full(5, 0.1)), np.full(5, 0.3), 0.7, 100),
+    (geo.hypercube(0.5, 15), np.full(15, 0.45), 0.2, 30),
+    (geo.polytope(np.vstack([np.eye(3), -np.eye(3)]) * 0.7), np.zeros(3), 0.5, 40),
+    (geo.lifted_psd_fro(1.0, 3), 0.3 * np.eye(3), 0.2, 20),
+])
+def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
+                                                              n_dirs):
+    rows = slice_rows_oracle(s, center, t, n_dirs, 11)
+    sample = geo.sphere_slice_directions(s, center, t, n_dirs, 11)
+    assert rows.shape[0] > 0
+    assert np.array_equal(sample.directions[:rows.shape[0]], rows)
 
 
 def test_sphere_slice_requires_feasible_center():

@@ -563,3 +563,35 @@ def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):
 def test_n_grid_must_increase():
     with pytest.raises(ConfigurationError):
         small_config(n_grid=(40, 40))
+
+
+def test_cli_datasets_come_from_the_command_streams(tmp_path):
+    # solve and certificate (and sample, through the same helper) draw --n
+    # points (default: the first n_grid entry) seeded by "cli-<command>"
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    config = harness.load_config(str(cfg))
+
+    def dataset(command, n):
+        return generate_dataset(config.model, config.spec, n,
+                                derive_seed(config.master_seed, f"cli-{command}"))
+
+    solve_out = tmp_path / "solve.jsonl"
+    assert main(["solve", "--config", str(cfg), "--format", "jsonl",
+                 "--out", str(solve_out)]) == 0
+    report = json.loads(solve_out.read_text())
+    res = solve_lasso(dataset("solve", 20), config.hypothesis_set,
+                      config.solver_config)
+    assert report["n"] == 20 and report["iterations"] == res.iterations
+    assert report["estimate"] == res.estimate.tolist()
+
+    cert_out = tmp_path / "cert.jsonl"
+    assert main(["certificate", "--config", str(cfg), "--scale", "0.5",
+                 "--n", "30", "--format", "jsonl", "--out", str(cert_out)]) == 0
+    rep = harness.excess_certificate(
+        dataset("certificate", 30), config.hypothesis_set,
+        harness.resolve_target(config), 0.5, 256,
+        derive_seed(config.master_seed, "cert-dirs"))
+    assert json.loads(cert_out.read_text())["min_excess"] == rep.min_excess

@@ -10,10 +10,11 @@ from subexp_lasso.distributions import DistributionSpec
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
+from subexp_lasso.seeding import derive_seed
 from subexp_lasso.solver import (SolverConfig, empirical_risk,
                                  excess_decomposition, excess_risk,
                                  lipschitz_constant, rank1_extract,
-                                 sign_invariant_error, solve_lasso,
+                                 sign_invariant_error, solve, solve_lasso,
                                  solve_lifted)
 
 
@@ -199,6 +200,64 @@ def test_objective_trace_does_not_increase(n, d, seed, kind, radius):
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(trace[:-1], 1.0))
 
 
+def residual_form_pgd(X, y, s, cfg):
+    """Reference PGD in the residual form: step 1/L, the solver's stop rule."""
+    n, d = X.shape
+    shape = (s.p, s.p) if s.is_matrix_set else (d,)
+    step = 1.0 / lipschitz_constant(X)
+    beta = geometry.project(s, np.zeros(shape)).ravel()
+    r = X @ beta - y
+    obj = float(r @ r) / n
+    best, best_obj = beta, obj
+    for _ in range(cfg.max_iters):
+        grad = (2.0 / n) * (X.T @ r)
+        beta_next = geometry.project(s, (beta - step * grad).reshape(shape)).ravel()
+        r_next = X @ beta_next - y
+        obj_next = float(r_next @ r_next) / n
+        if obj_next < best_obj:
+            best, best_obj = beta_next, obj_next
+        if obj - obj_next <= cfg.tol * max(obj, 1e-300):
+            break
+        beta, r, obj = beta_next, r_next, obj_next
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(2, 15), offset=st.sampled_from([-1, 0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(sorted(SET_MAKERS)),
+       radius=st.floats(0.05, 3.0), max_iters=st.integers(1, 300))
+def test_gram_form_matches_residual_form_oracle(d, offset, seed, kind, radius,
+                                                max_iters):
+    # n = d - 1 runs the direct form, n = d and n = d + 1 the Gram form; the
+    # cap keeps slow instances from stopping at different iterations, where
+    # the residual form's rounded objective differences decide the stop
+    rng = np.random.default_rng(seed)
+    n = d + offset
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+    y = rng.standard_normal(n)
+    s = SET_MAKERS[kind](radius, d)
+    cfg = SolverConfig(max_iters=max_iters, tol=1e-12)
+    res = solve_lasso(toy_dataset(X, y), s, cfg)
+    assert np.max(np.abs(res.estimate - residual_form_pgd(X, y, s, cfg))) < 1e-8
+
+
+def test_gram_form_noiseless_recovery_reaches_rounding_level():
+    # criterion 1's design (n = 400 > d = 100, noiseless, tuned l1 ball): the
+    # Gram form tracks the objective by exact decreases, so it converges to
+    # rounding level; the expanded beta^T G beta - 2 c^T beta + ||y||^2 / n
+    # cancels near zero risk and stops near 1e-8
+    vals = np.array([1.0, 0.35, 0.2, 0.12, 0.08])
+    beta0 = np.zeros(100)
+    beta0[np.linspace(3, 90, 5, dtype=int)] = vals / np.linalg.norm(vals)
+    model = ObservationModel("linear", beta0)
+    s = geometry.l1_ball(float(np.abs(beta0).sum()), 100)
+    for trial in range(3):
+        ds = generate_dataset(model, DistributionSpec("laplace", 100), 400,
+                              derive_seed(3, "exact", trial))
+        res = solve_lasso(ds, s, SolverConfig(max_iters=50_000, tol=1e-14))
+        assert np.linalg.norm(res.estimate - beta0) < 1e-12
+
+
 def test_non_finite_data_rejected():
     X = np.array([[1.0, np.nan]])
     ds = toy_dataset(X, [1.0])
@@ -299,6 +358,41 @@ def test_lifted_objective_identity_isotropic_centering():
     lift = np.outer(x, x) - np.eye(5)
     lhs = float(np.sum(lift * np.outer(b, b)))
     assert lhs == pytest.approx(float(x @ b) ** 2 - float(b @ b), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 14, 15, 16, 24, 60])
+def test_svec_path_matches_full_coordinate_pgd(n):
+    # p = 5: svec has p(p+1)/2 = 15 coordinates (Gram form from n = 15 on),
+    # the flattened lifts p^2 = 25
+    p = 5
+    model = ObservationModel("lifted_view", np.ones(p) / math.sqrt(p))
+    ds = generate_dataset(model, DistributionSpec("gaussian", p), n, 50 + n)
+    s = geometry.lifted_psd_fro(1.0, p)
+    cfg = SolverConfig(max_iters=200, tol=1e-12)
+    res = solve_lifted(ds, s, cfg)
+    B = res.estimate
+    assert np.array_equal(B, B.T)
+    X = ds.inputs.reshape(n, -1)
+    oracle = residual_form_pgd(X, ds.outputs, s, cfg).reshape(p, p)
+    assert np.max(np.abs(B - oracle)) < 1e-8
+    assert res.objective == pytest.approx(empirical_risk(ds, B), abs=1e-12)
+    step = 1.0 / lipschitz_constant(X)
+    grad = ((2.0 / n) * (X.T @ (X @ B.ravel() - ds.outputs))).reshape(p, p)
+    fp = np.linalg.norm(geometry.project(s, B - step * grad) - B)
+    assert res.fixed_point_residual == pytest.approx(fp, rel=1e-9)
+
+
+def test_solve_dispatches_on_the_dataset_kind():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((10, 3))
+    ds = toy_dataset(X, X @ np.ones(3))
+    s = geometry.l2_ball(2.0, 3)
+    assert np.array_equal(solve(ds, s).estimate, solve_lasso(ds, s).estimate)
+    model = ObservationModel("lifted_view", np.eye(3)[0])
+    lifted = generate_dataset(model, DistributionSpec("gaussian", 3), 20, 18)
+    m = geometry.lifted_psd_fro(1.0, 3)
+    assert np.array_equal(solve(lifted, m).estimate,
+                          solve_lifted(lifted, m).estimate)
 
 
 def test_solver_entry_points_validate_dataset_kind():

@@ -92,7 +92,7 @@ def cmd_sample(args) -> int:
     ds = _dataset(args, _load(args), "sample")
     X = ds.inputs.reshape(ds.n, -1)
     header = "y," + ",".join(f"x{j}" for j in range(X.shape[1]))
-    body = "\n".join(",".join([repr(y)] + [repr(v) for v in row])
+    body = "\n".join(",".join(repr(float(v)) for v in (y, *row))
                      for y, row in zip(ds.outputs, X))
     _write(header + "\n" + body + "\n", args.out)
     return 0
@@ -170,11 +170,14 @@ def cmd_report(args) -> int:
         slope, stderr = harness.fit_decay_rate_from_aggregates(aggregates)
     except ValueError:
         slope, stderr = float("nan"), float("nan")
-    rows = [["n", "median", "q25", "q75", "count"]]
+    rows = [["n", "median", "q25", "q75", "count", "iters_p50", "iters_max"]]
     for n, agg in sorted(aggregates.items()):
+        iters = [agg["iters_p50"], agg["iters_max"]]
         rows.append([str(n), f"{agg['median']:.6g}", f"{agg['q25']:.6g}",
-                     f"{agg['q75']:.6g}", str(agg["count"])])
-    rows.append(["decay_slope", f"{slope:.4f}", "stderr", f"{stderr:.4f}", ""])
+                     f"{agg['q75']:.6g}", str(agg["count"])]
+                    + ["-" if v is None else f"{v:.10g}" for v in iters])
+    rows.append(["decay_slope", f"{slope:.4f}", "stderr", f"{stderr:.4f}",
+                 "", "", ""])
     _write(harness.format_table(rows), args.out)
     return 0
 

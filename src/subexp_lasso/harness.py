@@ -29,7 +29,7 @@ from .models import (Dataset, Noise, ObservationModel, generate_dataset,
 from .seeding import derive_seed
 
 RESULT_COLUMNS = ("experiment", "n", "trial", "error", "runtime_ms",
-                  "converged", "seed")
+                  "converged", "seed", "iterations")
 
 TARGET_RULES = ("beta0", "mu_beta0", "erm_mc", "explicit")
 
@@ -38,7 +38,13 @@ def thread_count(cli_value: Optional[int] = None) -> int:
     """Worker count: SUBEXP_LASSO_THREADS overrides the CLI value.
 
     The variable also sets the workers of run_phase_transition, which takes
-    no thread count.
+    no thread count.  Workers pay only on cells whose time goes to BLAS
+    (n >> p, lifted): cells with n < p run many small numpy calls that
+    contend for the GIL, and two workers are slower than one there.  On the
+    phase-sparse grid (Gaussian p = 200, n in {120, 140, 160}, 72 solves, a
+    2-core host) run_phase_transition took 0.71-0.85 s wall with one worker
+    and 0.75-1.08 s with two (six runs each, two workers slower in every
+    pair).  The count is never chosen from the cell shape.
     """
     env = os.environ.get("SUBEXP_LASSO_THREADS")
     if env:
@@ -163,12 +169,13 @@ class TrialRecord:
     runtime_ms: float
     converged: bool
     seed: int
+    iterations: Optional[int] = None   # None when parsed from a 7-column CSV
 
 
 @dataclass
 class ExperimentResult:
     records: list
-    aggregates: dict            # n -> {"median", "q25", "q75"}
+    aggregates: dict            # n -> aggregate_records entry
     decay_slope: Optional[float]
     decay_stderr: Optional[float]
     config_hash: str
@@ -187,7 +194,8 @@ def _solve_cell(config: ExperimentConfig, beta_nat: np.ndarray, n: int,
     else:
         err = float(np.linalg.norm(res.estimate - beta_nat))
     ms = 1000.0 * (time.perf_counter() - t0)
-    return TrialRecord(config.name, n, trial, err, ms, res.converged, seed)
+    return TrialRecord(config.name, n, trial, err, ms, res.converged, seed,
+                       res.iterations)
 
 
 def _run_cells(cells, threads: Optional[int] = None) -> list:
@@ -224,16 +232,25 @@ def run_error_curve(config: ExperimentConfig, threads: int = 1) -> ExperimentRes
 
 
 def aggregate_records(records) -> dict:
+    """Error quantiles and iteration counts per n.
+
+    The iteration entries are None when any record of that n lacks its
+    count (records parsed from a 7-column CSV).
+    """
     by_n: dict = {}
     for r in records:
-        by_n.setdefault(r.n, []).append(r.error)
+        by_n.setdefault(r.n, []).append(r)
     out = {}
     for n in sorted(by_n):
-        errs = np.array(by_n[n])
+        errs = np.array([r.error for r in by_n[n]])
+        iters = [r.iterations for r in by_n[n]]
+        known = None not in iters
         out[n] = {"median": float(np.median(errs)),
                   "q25": float(np.quantile(errs, 0.25)),
                   "q75": float(np.quantile(errs, 0.75)),
-                  "count": int(errs.size)}
+                  "count": int(errs.size),
+                  "iters_p50": float(np.median(iters)) if known else None,
+                  "iters_max": max(iters) if known else None}
     return out
 
 
@@ -352,7 +369,8 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
 
 def records_to_rows(records) -> list:
     return [[r.experiment, r.n, r.trial, repr(r.error), repr(r.runtime_ms),
-             "true" if r.converged else "false", r.seed] for r in records]
+             "true" if r.converged else "false", r.seed, r.iterations]
+            for r in records]
 
 
 def emit(result, fmt: str = "csv", out=None) -> str:
@@ -389,7 +407,8 @@ def _emit_records(records, fmt: str) -> str:
     if fmt == "table":
         rows = [list(RESULT_COLUMNS)]
         rows += [[r.experiment, str(r.n), str(r.trial), f"{r.error:.6g}",
-                  f"{r.runtime_ms:.2f}", str(r.converged).lower(), str(r.seed)]
+                  f"{r.runtime_ms:.2f}", str(r.converged).lower(), str(r.seed),
+                  str(r.iterations)]
                  for r in records]
         return format_table(rows)
     raise ConfigurationError(f"unknown format {fmt!r}")
@@ -431,6 +450,8 @@ def parse_records_csv(text_or_path) -> list:
     """Inverse of the csv emitter; returns TrialRecord objects.
 
     A non-empty string without a newline is a path, anything else CSV text.
+    The 7-column header written before the iterations column was added is
+    accepted too; its records have iterations None.
     """
     text = text_or_path
     if text and "\n" not in text:
@@ -443,7 +464,7 @@ def parse_records_csv(text_or_path) -> list:
     header = next(reader, None)
     if header is None:
         raise ConfigurationError("records CSV is empty")
-    if tuple(header) != RESULT_COLUMNS:
+    if tuple(header) not in (RESULT_COLUMNS, RESULT_COLUMNS[:-1]):
         raise ConfigurationError("unexpected result CSV header")
     records = []
     for row in reader:
@@ -451,7 +472,8 @@ def parse_records_csv(text_or_path) -> list:
             continue
         records.append(TrialRecord(row[0], int(row[1]), int(row[2]),
                                    float(row[3]), float(row[4]),
-                                   row[5] == "true", int(row[6])))
+                                   row[5] == "true", int(row[6]),
+                                   int(row[7]) if row[7:] and row[7] else None))
     return records
 
 

@@ -1,12 +1,27 @@
-"""Projected gradient descent for constrained least squares.
+"""Monotone accelerated projected gradient for constrained least squares.
 
 One loop serves both the vector estimator (over a convex hypothesis set) and
 the matrix estimator (over the PSD-intersect-Frobenius-ball set, with
-centered rank-one lifts as inputs).  The step is exactly 1/L, with
-L = 2 lambda_max(X^T X) / n, so the objective is non-increasing (up to
-rounding) without a line search.  The sets are convex, so a single start at
-project(0) suffices.  The loop runs in one of two forms, chosen by the shape
-of the n x d design X:
+centered rank-one lifts as inputs).  The sets are convex, so a single start
+at project(0) suffices.  The loop is monotone FISTA (Beck and Teboulle,
+IEEE TIP 2009) with restarts: each step is a projected gradient step of
+exactly 1/L, with L = 2 lambda_max(X^T X) / n, from the extrapolated point
+z = beta + ((t - 1) / t') (beta - beta_prev), and with tol = config.tol
+
+* a step that moved by at most tol (||cand - z|| <= tol) ends the loop,
+  keeping cand if it lowers the objective;
+* otherwise a candidate that lowers the objective by at most tol * obj is
+  dropped: after a momentum step the loop restarts from beta without
+  momentum (t = 1, z = beta), after a step without momentum it ends;
+* any other candidate is accepted.
+
+The decrease test is what stops a noisy problem with an active constraint:
+there the step length bottoms out at projection rounding times a nonzero
+multiplier, 1e-10 to 1e-9, far above a tol of 1e-14.  Accepted iterates
+strictly lower the objective, so the estimate (the last accepted iterate)
+is the lowest-objective one; the objective trace holds the objective of the
+accepted iterate after each step.  The loop runs in one of two forms, chosen
+by the shape of the n x d design X:
 
 * Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once and
   L = 2 lambda_max(G) comes from that same G.  An iteration costs one d x d
@@ -16,6 +31,9 @@ of the n x d design X:
   ||y||^2 / n would cancel catastrophically near zero risk.
 * Direct form (n < d).  The loop keeps the residual X beta - y of the
   accepted iterate: two products with X per iteration.
+
+Both stored states (G beta, or X beta - y) are affine in beta, so the state
+at z is recombined from those of beta and beta_prev with no extra product.
 
 Lifted datasets are solved in svec coordinates: the upper triangle of a
 symmetric matrix with its off-diagonal entries scaled by sqrt(2).  svec is
@@ -31,6 +49,7 @@ once from the true residual of the returned estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -44,7 +63,9 @@ from .models import Dataset
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 20_000
-    tol: float = 1e-12          # relative objective-decrease stopping threshold
+    # the loop stops on a step that moved by <= tol, or on a step without
+    # momentum that lowered the objective by <= tol * objective
+    tol: float = 1e-12
     track_trace: bool = False
 
     def __post_init__(self):
@@ -193,8 +214,9 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         def gradient(g):
             return 2.0 * (g - c)
 
-        def objective(obj, b, g, b_next, g_next):
-            return obj - float((b - b_next) @ (g + g_next - 2.0 * c))
+        def decrease(obj, b, g, b_next, g_next):
+            dec = float((b - b_next) @ (g + g_next - 2.0 * c))
+            return dec, obj - dec
     else:
         Xc = rows(0, n)
         lip = lipschitz_constant(Xc)
@@ -205,36 +227,52 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         def gradient(r):
             return (2.0 / n) * (Xc.T @ r)
 
-        def objective(obj, b, r, b_next, r_next):
-            return float(r_next @ r_next) / n
+        def decrease(obj, b, r, b_next, r_next):
+            obj_next = float(r_next @ r_next) / n
+            return obj - obj_next, obj_next
     step = 1.0 / lip if lip > 0 else 1.0
+    tol = config.tol
 
     start = geometry.project(s, np.zeros(s.ambient))
     r = X @ _flat(start) - y
     obj = float(r @ r) / n
     beta = to_coords(start)
     st = state(beta)
-    best_beta, best_obj = beta, obj
+    # z is the point the next step starts from; its state is recombined from
+    # the stored states, which are affine in the iterate
+    z, st_z, t, momentum = beta, st, 1.0, False
     trace = [obj] if config.track_trace else None
     converged = False
     iterations = 0
 
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        beta_next = to_coords(geometry.project(
-            s, from_coords(beta - step * gradient(st))))
-        st_next = state(beta_next)
-        obj_next = objective(obj, beta, st, beta_next, st_next)
-        if trace is not None:
-            trace.append(obj_next)
-        if obj_next < best_obj:
-            best_beta, best_obj = beta_next, obj_next
-        if obj - obj_next <= config.tol * max(obj, 1e-300):
+    for iterations in range(1, config.max_iters + 1):
+        cand = to_coords(geometry.project(
+            s, from_coords(z - step * gradient(st_z))))
+        st_cand = state(cand)
+        dec, obj_cand = decrease(obj, beta, st, cand, st_cand)
+        moved = cand - z
+        if math.sqrt(float(moved @ moved)) <= tol:
+            if dec > 0:
+                beta, obj = cand, obj_cand
             converged = True
+        elif dec <= tol * max(obj, 1e-300):
+            if momentum:
+                z, st_z, t, momentum = beta, st, 1.0, False
+            else:
+                converged = True
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            coef = (t - 1.0) / t_next
+            z = cand + coef * (cand - beta)
+            st_z = st_cand + coef * (st_cand - st)
+            beta, st, obj = cand, st_cand, obj_cand
+            t, momentum = t_next, coef > 0.0
+        if trace is not None:
+            trace.append(obj)
+        if converged:
             break
-        beta, obj, st = beta_next, obj_next, st_next
 
-    estimate = from_coords(best_beta)
+    estimate = from_coords(beta)
     r = X @ _flat(estimate) - y
     grad = ((2.0 / n) * (X.T @ r)).reshape(estimate.shape)
     fp = geometry.project(s, estimate - step * grad)
@@ -246,10 +284,13 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
 
 def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
                 config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Minimize the empirical risk over the hypothesis set by PGD.
+    """Minimize the empirical risk over the hypothesis set.
 
-    Starts at project(0) and returns the lowest-objective iterate (earliest
-    iteration on ties).
+    Starts at project(0) and returns the last accepted iterate, the
+    lowest-objective one among those accepted (see the module docstring).
+    `converged` is True when the last step moved by <= tol, or when a step
+    without momentum lowered the objective by <= tol relative; `iterations`
+    counts every projected step, dropped ones included.
     """
     if s.is_matrix_set:
         raise ConfigurationError("use solve_lifted for the matrix set")
@@ -262,7 +303,8 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
 
 def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
                  config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Minimize the lifted empirical risk over a PSD/Frobenius set by PGD."""
+    """Minimize the lifted empirical risk over a PSD/Frobenius set; the loop
+    and its result are those of solve_lasso."""
     if not s.is_matrix_set:
         raise ConfigurationError("solve_lifted requires the lifted matrix set")
     if not dataset.lifted:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,6 +441,12 @@ def test_cli_subcommands(tmp_path):
                  "--n", "15"]) == 0
     lines = sample_out.read_text().splitlines()
     assert lines[0].startswith("y,x0") and len(lines) == 16
+    # every cell is a plain float literal that parses back bit for bit
+    config = harness.load_config(str(cfg))
+    ds = generate_dataset(config.model, config.spec, 15,
+                          derive_seed(config.master_seed, "cli-sample"))
+    table = np.loadtxt(sample_out, delimiter=",", skiprows=1)
+    assert np.array_equal(table, np.column_stack([ds.outputs, ds.inputs]))
 
     solve_out = tmp_path / "solve.txt"
     assert main(["solve", "--config", str(cfg), "--out", str(solve_out)]) == 0
@@ -467,6 +474,46 @@ def test_cli_subcommands(tmp_path):
     rep_out = tmp_path / "report.txt"
     assert main(["report", str(rec_out), "--out", str(rep_out)]) == 0
     assert "decay_slope" in rep_out.read_text()
+
+
+def test_report_prints_iteration_counts_per_n(tmp_path):
+    from subexp_lasso.cli import main
+
+    res = harness.run_error_curve(small_config(n_grid=(20, 40), trials_per_n=3))
+    records = tmp_path / "records.csv"
+    harness.emit(res, "csv", str(records))
+    report = tmp_path / "report.txt"
+    assert main(["report", str(records), "--out", str(report)]) == 0
+    lines = [line.split() for line in report.read_text().splitlines()]
+    assert lines[0] == ["n", "median", "q25", "q75", "count", "iters_p50",
+                        "iters_max"]
+    for row, n in zip(lines[1:], (20, 40)):
+        iters = [r.iterations for r in res.records if r.n == n]
+        assert row[0] == str(n) and row[4] == "3"
+        assert float(row[5]) == np.median(iters) and int(row[6]) == max(iters)
+    assert lines[-1][0] == "decay_slope"
+
+
+def test_parse_records_csv_accepts_the_legacy_header(tmp_path):
+    # records written before the iterations column: 7 columns, no counts
+    from subexp_lasso.cli import main
+
+    res = harness.run_error_curve(small_config(n_grid=(20,), trials_per_n=2))
+    lines = harness.emit(res, "csv").splitlines()
+    legacy = "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+    assert legacy.splitlines()[0] == ",".join(harness.RESULT_COLUMNS[:-1])
+    parsed = harness.parse_records_csv(legacy)
+    assert [replace(r, iterations=None) for r in res.records] == parsed
+    agg = harness.aggregate_records(parsed)[20]
+    assert agg["iters_p50"] is None and agg["iters_max"] is None
+    path = tmp_path / "legacy.csv"
+    path.write_text(legacy)
+    report = tmp_path / "report.txt"
+    assert main(["report", str(path), "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[1].split()[5:] == ["-", "-"]
+    # re-emitted legacy records keep an empty iterations cell
+    again = harness.emit(harness.ExperimentResult(parsed, {}, None, None, ""), "csv")
+    assert harness.parse_records_csv(again) == parsed
 
 
 def test_cli_experiment_renders_stdout_once(tmp_path, capsys, monkeypatch):

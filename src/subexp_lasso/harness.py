@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ConfigurationError("n_grid entries must be >= 1")
         if self.trials_per_n < 1:
             raise ConfigurationError("trials_per_n must be >= 1")
+        for name in ("mu_budget", "erm_budget"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if self.target_rule not in TARGET_RULES:
             raise ConfigurationError(f"unknown target rule {self.target_rule!r}")
         if self.target_rule == "explicit" and self.target_vector is None:
@@ -254,12 +257,9 @@ def aggregate_records(records) -> dict:
     return out
 
 
-def fit_decay_rate(result: ExperimentResult):
-    """OLS slope of log(median error) on log(n); see the aggregate variant."""
-    return fit_decay_rate_from_aggregates(result.aggregates)
-
-
 def fit_decay_rate_from_aggregates(aggregates: dict):
+    """(slope, stderr) of the OLS fit of log(median error) on log(n), over
+    the grid points whose median is positive (at least 3 of them)."""
     ns, meds = [], []
     for n, agg in sorted(aggregates.items()):
         if agg["median"] > 0:

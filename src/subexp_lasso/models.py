@@ -164,25 +164,50 @@ class TargetScale:
     budget: int
 
 
+def _mc_scale(mc_budget: int, seed: int, domain: str, chunk) -> TargetScale:
+    """Mean of `chunk` over mc_budget draws, in partitions of at most _MC_CHUNK."""
+    if mc_budget < 1:
+        raise ConfigurationError(f"mc_budget must be >= 1, got {mc_budget}")
+    partitions = -(-mc_budget // _MC_CHUNK)
+    mean, se = partitioned_mean(mc_budget, partitions, seed, domain, chunk)
+    return TargetScale(float(mean), float(se), mc_budget)
+
+
 def target_scale_mu(model: ObservationModel, spec: DistributionSpec,
                     mc_budget: int, seed: int) -> TargetScale:
-    """MC estimate of E[f(<x, b0>) <x, b0>] / ||b0||^2 for single-index models."""
+    """MC estimate of mu = E[f(<x, b0>) <x, b0>] / ||b0||^2 for single-index models.
+
+    Only the coordinates on the support S of w enter <x, b0> = <z, w>, where
+    w = b0 and z = x, or w = M^T b0 and x = M z for mixed specs.  Each chunk
+    therefore draws z_S from a |S|-dimensional spec of the same coordinate
+    law, scale and seed_domain and returns f(<z_S, w_S>) <z_S, w_S> / ||b0||^2.
+    The estimate depends on (law, scale, seed_domain, w_S in coordinate
+    order, link, budget, seed) only: padding b0 with zero coordinates leaves
+    it bitwise unchanged.  An empty support gives the exact mu = 0.
+    """
     if model.kind != "single_index":
         raise ConfigurationError("target_scale_mu applies to single_index models")
-    if not np.any(model.beta0):
-        raise ConfigurationError("beta0 must be non-zero")
+    if model.p != spec.p:
+        raise ConfigurationError("model/spec dimension mismatch")
     f = LINKS[model.link]
     b0 = model.beta0
     nsq = float(b0 @ b0)
+    mixed = spec.kind == "mixed"
+    w = spec.mixing.T @ b0 if mixed else b0
+    support = np.flatnonzero(w)
+    if support.size == 0:
+        # <x, b0> = 0 almost surely, and f(0) * 0 = 0 for every link
+        return _mc_scale(mc_budget, seed, "target-scale-mu",
+                         lambda rng, m: np.zeros(m))
+    w_s = w[support]
+    sub = DistributionSpec(spec.base_kind if mixed else spec.kind, support.size,
+                           spec.scale, seed_domain=spec.seed_domain)
 
     def chunk(rng, m):
-        x = sample_inputs(spec, m, rng.integers(2 ** 63))
-        z = x @ b0
+        z = sample_inputs(sub, m, rng.integers(2 ** 63)) @ w_s
         return f(z) * z / nsq
 
-    partitions = max(1, -(-mc_budget // _MC_CHUNK))
-    mean, se = partitioned_mean(mc_budget, partitions, seed, "target-scale-mu", chunk)
-    return TargetScale(float(mean), float(se), mc_budget)
+    return _mc_scale(mc_budget, seed, "target-scale-mu", chunk)
 
 
 def lifted_target_scale(link: str, mc_budget: int, seed: int) -> TargetScale:
@@ -195,9 +220,7 @@ def lifted_target_scale(link: str, mc_budget: int, seed: int) -> TargetScale:
         z = rng.standard_normal(m)
         return 0.5 * f(z) * (z * z - 1.0)
 
-    partitions = max(1, -(-mc_budget // _MC_CHUNK))
-    mean, se = partitioned_mean(mc_budget, partitions, seed, "lifted-target-scale", chunk)
-    return TargetScale(float(mean), float(se), mc_budget)
+    return _mc_scale(mc_budget, seed, "lifted-target-scale", chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +269,8 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
         xi = ds.outputs - ds.inputs @ beta_nat
         contrib = ds.inputs * xi[:, None]
         mean_vec += contrib.sum(axis=0)
-        sq_vec += (contrib ** 2).sum(axis=0)
+        contrib *= contrib
+        sq_vec += contrib.sum(axis=0)
         if collected < _SIGMA_SAMPLE_CAP:
             take = min(m, _SIGMA_SAMPLE_CAP - collected)
             xi_samples.append(xi[:take])

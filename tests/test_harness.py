@@ -420,6 +420,12 @@ def test_erm_rule_binding_set_keeps_target_feasible():
     assert np.abs(target).sum() == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("field_name", ["mu_budget", "erm_budget"])
+def test_config_rejects_an_empty_monte_carlo_budget(field_name):
+    with pytest.raises(ConfigurationError, match=field_name):
+        small_config(**{field_name: 0})
+
+
 def test_thread_count_env_override(monkeypatch):
     monkeypatch.delenv("SUBEXP_LASSO_THREADS", raising=False)
     assert harness.thread_count(4) == 4

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from subexp_lasso import geometry
-from subexp_lasso.distributions import DistributionSpec
+from subexp_lasso.distributions import DistributionSpec, psi_norm_estimate
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import (Noise, ObservationModel,
+from subexp_lasso.models import (_MC_CHUNK, Noise, ObservationModel, TargetScale,
                                  generate_dataset, lifted_target_scale,
                                  mismatch_report, sparse_vector,
                                  target_scale_mu)
@@ -134,6 +136,87 @@ def test_mu_scales_with_beta_norm():
     assert mu.value == pytest.approx(1.0, abs=0.01)
 
 
+def _mu(beta0, spec, budget, seed, link="tanh"):
+    model = ObservationModel("single_index", np.asarray(beta0, dtype=float), link=link)
+    return target_scale_mu(model, spec, budget, seed)
+
+
+COORDINATE_KINDS = ["gaussian", "rademacher", "laplace", "symmetric_exponential"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), pad=st.integers(1, 6),
+       kind=st.sampled_from(COORDINATE_KINDS), seed=st.integers(0, 2 ** 32 - 1))
+def test_mu_depends_only_on_the_support_in_coordinate_order(k, pad, kind, seed):
+    # padding b0 with zeros, then moving its coordinates to other positions
+    # that keep the support in order, changes neither the draws nor the
+    # weights; a permutation that reorders the support keeps only the law
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k)
+    p = k + pad
+    base = _mu(vals, DistributionSpec(kind, k, 0.8, seed_domain="pad"), 3_000, seed)
+    padded = np.concatenate([vals, np.zeros(pad)])
+    spec = DistributionSpec(kind, p, 0.8, seed_domain="pad")
+    assert _mu(padded, spec, 3_000, seed) == base
+    perm = np.empty(p, dtype=int)
+    positions = np.sort(rng.choice(p, k, replace=False))
+    perm[positions] = np.arange(k)
+    perm[np.setdiff1d(np.arange(p), positions)] = rng.permutation(np.arange(k, p))
+    assert _mu(padded[perm], spec, 3_000, seed) == base
+
+
+@pytest.mark.parametrize("base_kind", COORDINATE_KINDS)
+def test_mixed_mu_equals_the_base_law_at_the_pulled_back_target(base_kind):
+    # x = M z gives <x, b0> = <z, M^T b0>.  Rows 0-3 of M are half a 4 x 4
+    # Hadamard matrix (orthogonal) and b0 is dyadic with b0[4] = 0, so
+    # ||M^T b0|| equals ||b0|| exactly, as bitwise equality needs (mu divides
+    # by ||b0||^2); M^T b0 = (0.5, 0.5, 0.5, 0) has a zero coordinate
+    h = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                        [1, -1, -1, 1]], dtype=float)
+    M = np.vstack([h, np.random.default_rng(3).standard_normal(4)])
+    beta0 = np.array([0.75, 0.25, 0.25, -0.25, 0.0])
+    pulled = M.T @ beta0
+    assert pulled[3] == 0.0 and float(pulled @ pulled) == float(beta0 @ beta0)
+    mixed = DistributionSpec("mixed", 5, 0.7, mixing=M, base_kind=base_kind,
+                             seed_domain="pull")
+    base = DistributionSpec(base_kind, 4, 0.7, seed_domain="pull")
+    assert _mu(beta0, mixed, 5_000, 31) == _mu(pulled, base, 5_000, 31)
+
+
+# exact coordinate variances: s^2 for rademacher, 2 s^2 for the symmetric
+# exponential of scale s
+@pytest.mark.parametrize("spec, variance", [
+    (DistributionSpec("rademacher", 5, 1.5), 2.25),
+    (DistributionSpec("symmetric_exponential", 5, 0.7), 0.98),
+    (DistributionSpec("mixed", 5, 1.3, base_kind="symmetric_exponential",
+                      mixing=np.random.default_rng(4).standard_normal((5, 3))),
+     3.38),
+])
+def test_mu_identity_link_is_the_coordinate_variance(spec, variance):
+    # mu = E[<z, w>^2] / ||b0||^2 = variance * ||w||^2 / ||b0||^2
+    beta0 = np.array([0.3, 0.0, -1.2, 0.5, 0.0])
+    w = spec.mixing.T @ beta0 if spec.kind == "mixed" else beta0
+    expected = variance * float(w @ w) / float(beta0 @ beta0)
+    mu = _mu(beta0, spec, 200_000, 32, link="identity")
+    assert abs(mu.value - expected) <= 4 * mu.std_error
+
+
+def test_mu_is_exactly_zero_when_the_mixing_annihilates_beta0():
+    M = np.array([[1.0, 2.0], [-1.0, -2.0], [0.0, 3.0]])
+    spec = DistributionSpec("mixed", 3, mixing=M)
+    assert _mu([1.0, 1.0, 0.0], spec, 1_000, 33) == TargetScale(0.0, 0.0, 1_000)
+
+
+def test_target_scales_reject_bad_budgets_and_dimensions():
+    spec = DistributionSpec("gaussian", 3)
+    with pytest.raises(ConfigurationError, match="mc_budget"):
+        _mu([1.0, 0.0, 0.0], spec, 0, 34)
+    with pytest.raises(ConfigurationError, match="mc_budget"):
+        lifted_target_scale("tanh", 0, 34)
+    with pytest.raises(ConfigurationError, match="dimension"):
+        _mu([1.0, 0.0], spec, 1_000, 34)
+
+
 def test_lifted_scale_identity_link_is_zero():
     est = lifted_target_scale("identity", 400_000, 12)
     assert abs(est.value) < 4 * est.std_error + 1e-3
@@ -243,9 +326,44 @@ def test_mismatch_scale_equivariance():
         ds_pairs.append(ds)
     xi3 = np.concatenate([3 * ds.outputs - ds.inputs @ (3 * 0.3 * beta0)
                           for ds in ds_pairs])
-    from subexp_lasso.distributions import psi_norm_estimate
     sigma3 = psi_norm_estimate(xi3, alpha=1).value
     assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=0.05)
+
+
+def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
+    """(sigma, rho_global, mc_std_error) accumulated with a fresh squared
+    array per chunk, as mismatch_report did before squaring in place."""
+    mean_vec = np.zeros(spec.p)
+    sq_vec = np.zeros(spec.p)
+    xis = []
+    done = idx = 0
+    while done < mc_budget:
+        m = min(_MC_CHUNK, mc_budget - done)
+        ds = generate_dataset(model, spec, m, derive_seed(seed, "mismatch", idx))
+        xi = ds.outputs - ds.inputs @ beta_nat
+        contrib = ds.inputs * xi[:, None]
+        mean_vec += contrib.sum(axis=0)
+        sq_vec += (contrib ** 2).sum(axis=0)
+        xis.append(xi)
+        done += m
+        idx += 1
+    mean_vec /= mc_budget
+    var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
+    se_vec = np.sqrt(var_vec / mc_budget)
+    return (psi_norm_estimate(np.concatenate(xis), alpha=1).value,
+            float(np.linalg.norm(mean_vec)), float(np.sqrt(np.mean(se_vec ** 2))))
+
+
+@pytest.mark.parametrize("budget", [5_000, _MC_CHUNK + 3_000])
+def test_mismatch_accumulator_matches_the_out_of_place_reference(budget):
+    beta0 = np.array([0.8, 0.0, -0.6, 0.0])
+    model = ObservationModel("single_index", beta0, link="tanh",
+                             noise=Noise("laplace", 0.3))
+    spec = DistributionSpec("laplace", 4)
+    beta_nat = 0.6 * beta0
+    rep = mismatch_report(model, spec, beta_nat, mc_budget=budget, seed=35)
+    assert (rep.sigma, rep.rho_global, rep.mc_std_error) == \
+        _mismatch_reference(model, spec, beta_nat, budget, 35)
 
 
 def test_mismatch_rejects_lifted_model_by_kind():

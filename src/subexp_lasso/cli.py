@@ -90,7 +90,7 @@ def _dataset(args, config: harness.ExperimentConfig, command: str):
 
 def cmd_sample(args) -> int:
     ds = _dataset(args, _load(args), "sample")
-    X = ds.inputs.reshape(ds.n, -1)
+    X = (ds.lifts() if ds.lifted else ds.inputs).reshape(ds.n, -1)
     header = "y," + ",".join(f"x{j}" for j in range(X.shape[1]))
     body = "\n".join(",".join(repr(float(v)) for v in (y, *row))
                      for y, row in zip(ds.outputs, X))

@@ -92,8 +92,10 @@ class ObservationModel:
 class Dataset:
     """Sampled (inputs, outputs) with provenance.
 
-    inputs is n x p, or n x p x p for the lifted view (stored centered);
-    `centering` records the second-moment matrix subtracted from the lifts.
+    inputs is the n x p sample.  For the lifted view, `centering` holds the
+    second-moment matrix E subtracted from the lifts: the inputs the
+    estimator sees are the centered rank-one lifts x_i x_i^T - E, applied by
+    `forward` and `adjoint` straight from x and E and built only by `lifts`.
     """
 
     inputs: np.ndarray
@@ -104,8 +106,15 @@ class Dataset:
     centering: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if np.ndim(self.inputs) != 2:
+            raise ConfigurationError(f"inputs must be an n x p array, got shape "
+                                     f"{np.shape(self.inputs)}")
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ConfigurationError("inputs/outputs row counts disagree")
+        p = self.inputs.shape[1]
+        if self.centering is not None and np.shape(self.centering) != (p, p):
+            raise ConfigurationError(f"centering must be {p} x {p}, got shape "
+                                     f"{np.shape(self.centering)}")
 
     @property
     def n(self) -> int:
@@ -113,7 +122,32 @@ class Dataset:
 
     @property
     def lifted(self) -> bool:
-        return self.inputs.ndim == 3
+        return self.centering is not None
+
+    def lifts(self) -> np.ndarray:
+        """The n x p x p centered lifts x_i x_i^T - E of a lifted dataset."""
+        if not self.lifted:
+            raise ConfigurationError("lifts() needs a lifted dataset")
+        x = self.inputs
+        return x[:, :, None] * x[:, None, :] - self.centering
+
+    def forward(self, beta) -> np.ndarray:
+        """The linear predictions <input_i, beta>: X beta, or for the lifted
+        view x_i^T B x_i - <E, B> with B = beta as a p x p matrix."""
+        x = self.inputs
+        b = np.asarray(beta, dtype=float)
+        if self.lifted:
+            B = b.reshape(x.shape[1], x.shape[1])
+            return ((x @ B) * x).sum(axis=1) - float(np.sum(self.centering * B))
+        return x @ b.ravel()
+
+    def adjoint(self, r) -> np.ndarray:
+        """sum_i r_i input_i: X^T r, or for the lifted view the p x p matrix
+        X^T diag(r) X - (sum_i r_i) E."""
+        x = self.inputs
+        if self.lifted:
+            return (x.T * r) @ x - float(np.sum(r)) * self.centering
+        return x.T @ r
 
 
 def generate_dataset(model: ObservationModel, spec: DistributionSpec, n: int,
@@ -137,9 +171,8 @@ def generate_dataset(model: ObservationModel, spec: DistributionSpec, n: int,
         y = (z + nu) ** 2
         if model.kind == "quadratic":
             return Dataset(x, y, spec, model, seed)
-        centering = lift_centering(spec, seed, calibration_size)
-        lifts = x[:, :, None] * x[:, None, :] - centering
-        return Dataset(lifts, y, spec, model, seed, centering=centering)
+        return Dataset(x, y, spec, model, seed,
+                       centering=lift_centering(spec, seed, calibration_size))
     raise ConfigurationError(f"unknown model kind {model.kind!r}")
 
 

@@ -40,11 +40,17 @@ symmetric matrix with its off-diagonal entries scaled by sqrt(2).  svec is
 an isometry from the symmetric matrices onto R^(p(p+1)/2), and the lifts and
 every iterate are symmetric, so the iterates and L are those of the
 full-coordinate (d = p^2) problem in exact arithmetic, with d = p(p+1)/2.
-The svec Gram is accumulated from row blocks of the stored lifts; the svec
-design itself is only formed when n < d.
+The lifts are never stored: the svec rows are built from the raw sample x
+and the centering E one block at a time, (x[:, rows] * x[:, cols] -
+E[rows, cols]) * weights.  In the Gram form the blocks accumulate G and c;
+in the direct form they make the n x d svec design once, half the size of
+the n x p^2 lifts.
 
-Either way the returned objective and fixed-point residual are recomputed
-once from the true residual of the returned estimate.
+Either way the starting objective, and the returned objective and
+fixed-point residual (recomputed once from the true residual of the
+returned estimate), come from the dataset's forward and adjoint operators:
+X beta and X^T r, or for lifted data x_i^T B x_i - <E, B> and
+X^T diag(r) X - (sum_i r_i) E.
 """
 
 from __future__ import annotations
@@ -89,22 +95,13 @@ class SolveResult:
 # Risk evaluation
 # ---------------------------------------------------------------------------
 
-def _design(dataset: Dataset) -> np.ndarray:
-    """Inputs as an n x d matrix (lifts are flattened)."""
-    if dataset.lifted:
-        n = dataset.inputs.shape[0]
-        return dataset.inputs.reshape(n, -1)
-    return dataset.inputs
-
-
 def _flat(beta) -> np.ndarray:
     return np.asarray(beta, dtype=float).ravel()
 
 
 def empirical_risk(dataset: Dataset, beta) -> float:
     """(1/n) sum of squared residuals of the linear hypothesis beta."""
-    X = _design(dataset)
-    r = dataset.outputs - X @ _flat(beta)
+    r = dataset.outputs - dataset.forward(beta)
     return float(r @ r) / dataset.n
 
 
@@ -115,11 +112,9 @@ def excess_decomposition(dataset: Dataset, beta, beta_nat) -> tuple[float, float
     M = (2/n) sum (<x_i, beta_nat> - y_i) <x_i, beta - beta_nat>
     and Q + M equals the excess risk identically.
     """
-    X = _design(dataset)
-    d = _flat(beta) - _flat(beta_nat)
-    Xd = X @ d
+    Xd = dataset.forward(_flat(beta) - _flat(beta_nat))
     q = float(Xd @ Xd) / dataset.n
-    resid = X @ _flat(beta_nat) - dataset.outputs
+    resid = dataset.forward(beta_nat) - dataset.outputs
     m = 2.0 * float(resid @ Xd) / dataset.n
     return q, m
 
@@ -168,6 +163,15 @@ class _Svec:
         v *= self.weights
         return v
 
+    def lift_rows(self, x: np.ndarray, centering: np.ndarray) -> np.ndarray:
+        """svec of the centered lifts x_i x_i^T - centering of the rows of x:
+        the products of vec(lifts) in the same order, so bitwise equal."""
+        v = x[:, self.rows]
+        v *= x[:, self.cols]
+        v -= centering[self.rows, self.cols]
+        v *= self.weights
+        return v
+
     def mat(self, v: np.ndarray) -> np.ndarray:
         """The symmetric matrix whose svec is v."""
         half = v / self.weights
@@ -179,10 +183,11 @@ class _Svec:
 
 def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
          config: SolverConfig) -> SolveResult:
-    X = _design(dataset)
+    x = dataset.inputs
     y = dataset.outputs
     n = dataset.n
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+    data = (x, y, dataset.centering) if dataset.lifted else (x, y)
+    if not all(np.all(np.isfinite(a)) for a in data):
         raise ConfigurationError("non-finite data passed to the solver")
 
     if dataset.lifted:
@@ -190,12 +195,12 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         d, to_coords, from_coords = sv.dim, sv.vec, sv.mat
 
         def rows(lo, hi):
-            return sv.vec(dataset.inputs[lo:hi])
+            return sv.lift_rows(x[lo:hi], dataset.centering)
     else:
-        d, to_coords, from_coords = X.shape[1], _flat, _flat
+        d, to_coords, from_coords = x.shape[1], _flat, _flat
 
         def rows(lo, hi):
-            return X[lo:hi]
+            return x[lo:hi]
 
     if n >= d:
         block = max(1, GRAM_BLOCK_BYTES // (8 * d))
@@ -234,7 +239,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     tol = config.tol
 
     start = geometry.project(s, np.zeros(s.ambient))
-    r = X @ _flat(start) - y
+    r = dataset.forward(start) - y
     obj = float(r @ r) / n
     beta = to_coords(start)
     st = state(beta)
@@ -273,8 +278,8 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             break
 
     estimate = from_coords(beta)
-    r = X @ _flat(estimate) - y
-    grad = ((2.0 / n) * (X.T @ r)).reshape(estimate.shape)
+    r = dataset.forward(estimate) - y
+    grad = ((2.0 / n) * dataset.adjoint(r)).reshape(estimate.shape)
     fp = geometry.project(s, estimate - step * grad)
     return SolveResult(estimate=estimate, iterations=iterations,
                        objective=float(r @ r) / n, converged=converged,

@@ -613,6 +613,26 @@ def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):
         main(["mismatch", "--config", str(cfg)])
 
 
+def test_cli_sample_writes_the_lifts_of_a_lifted_config(tmp_path):
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "lifted.yaml"
+    cfg.write_text(CONFIG_YAML.replace("kind: linear", "kind: lifted_view")
+                   .replace("{kind: l1_ball, radius: beta0_l1}",
+                            "{kind: lifted_psd_fro, radius: 1.0}"))
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", str(cfg), "--out", str(out),
+                 "--n", "9"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "y," + ",".join(f"x{j}" for j in range(36))
+    config = harness.load_config(str(cfg))
+    ds = generate_dataset(config.model, config.spec, 9,
+                          derive_seed(config.master_seed, "cli-sample"))
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(table, np.column_stack([ds.outputs,
+                                                  ds.lifts().reshape(9, -1)]))
+
+
 def test_n_grid_must_increase():
     with pytest.raises(ConfigurationError):
         small_config(n_grid=(40, 40))

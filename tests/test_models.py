@@ -8,7 +8,8 @@ from scipy.stats import norm
 from subexp_lasso import geometry
 from subexp_lasso.distributions import DistributionSpec, psi_norm_estimate
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import (_MC_CHUNK, Noise, ObservationModel, TargetScale,
+from subexp_lasso.models import (_MC_CHUNK, Dataset, Noise, ObservationModel,
+                                 TargetScale,
                                  generate_dataset, lifted_target_scale,
                                  mismatch_report, sparse_vector,
                                  target_scale_mu)
@@ -59,11 +60,11 @@ def test_lifted_view_centering_identity():
     model = ObservationModel("lifted_view", beta)
     spec = DistributionSpec("gaussian", 3)
     ds = generate_dataset(model, spec, 200, 5)
-    assert ds.lifted and ds.inputs.shape == (200, 3, 3)
+    assert ds.lifted and ds.lifts().shape == (200, 3, 3)
     assert np.allclose(ds.centering, np.eye(3))
     B = np.outer(beta, beta)
-    lhs = np.einsum("nij,ij->n", ds.inputs, B)
-    raw_x = ds.inputs + np.eye(3)  # undo centering: rank-one lifts
+    lhs = np.einsum("nij,ij->n", ds.lifts(), B)
+    raw_x = ds.lifts() + np.eye(3)  # undo centering: rank-one lifts
     z2 = np.einsum("nij,ij->n", raw_x, B)
     assert np.allclose(lhs, z2 - float(beta @ beta), atol=1e-10)
 
@@ -87,6 +88,33 @@ def test_generate_dataset_determinism_and_dim_check():
     assert np.array_equal(a.outputs, b.outputs)
     with pytest.raises(ConfigurationError):
         generate_dataset(model, DistributionSpec("laplace", 4), 10, 0)
+
+
+def test_dataset_rejects_stored_lifts_by_naming_inputs():
+    model = ObservationModel("lifted_view", np.eye(3)[0])
+    spec = DistributionSpec("gaussian", 3)
+    ds = generate_dataset(model, spec, 20, 7)
+    with pytest.raises(ConfigurationError, match="inputs"):
+        Dataset(ds.lifts(), ds.outputs, spec, model, 7, centering=ds.centering)
+    with pytest.raises(ConfigurationError, match="inputs"):
+        Dataset(ds.outputs, ds.outputs, spec, model, 7)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3,), (3, 3, 1)])
+def test_dataset_rejects_a_centering_that_is_not_p_by_p(shape):
+    model = ObservationModel("lifted_view", np.eye(3)[0])
+    spec = DistributionSpec("gaussian", 3)
+    ds = generate_dataset(model, spec, 20, 8)
+    with pytest.raises(ConfigurationError, match="centering"):
+        Dataset(ds.inputs, ds.outputs, spec, model, 8, centering=np.ones(shape))
+
+
+def test_vector_dataset_has_no_lifts():
+    ds = generate_dataset(ObservationModel("linear", np.ones(3)),
+                          DistributionSpec("gaussian", 3), 5, 9)
+    assert not ds.lifted
+    with pytest.raises(ConfigurationError, match="lifted"):
+        ds.lifts()
 
 
 def test_model_validation():

@@ -11,7 +11,7 @@ from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
-from subexp_lasso.solver import (SolverConfig, empirical_risk,
+from subexp_lasso.solver import (SolverConfig, _Svec, empirical_risk,
                                  excess_decomposition, excess_risk,
                                  lipschitz_constant, rank1_extract,
                                  sign_invariant_error, solve, solve_lasso,
@@ -169,7 +169,7 @@ def test_lipschitz_constant_lifted_design_matches_svd_oracle(n):
     # p = 5 lifts flatten to d = 25 columns: both sides of n = d
     model = ObservationModel("lifted_view", np.eye(5)[0])
     ds = generate_dataset(model, DistributionSpec("gaussian", 5), n, 31)
-    X = ds.inputs.reshape(n, -1)
+    X = ds.lifts().reshape(n, -1)
     assert lipschitz_constant(X) == pytest.approx(_svd_lipschitz(X), rel=1e-12)
 
 
@@ -346,7 +346,7 @@ def lifted_interpolation_dataset(B_nat, n, seed):
     spec = DistributionSpec("gaussian", p)
     model = ObservationModel("lifted_view", np.eye(p)[0])
     ds = generate_dataset(model, spec, n, seed)
-    y = np.einsum("nij,ij->n", ds.inputs, B_nat)
+    y = np.einsum("nij,ij->n", ds.lifts(), B_nat)
     return Dataset(ds.inputs, y, spec, model, seed, centering=ds.centering)
 
 
@@ -404,7 +404,7 @@ def test_lifted_recovery_with_interpolating_outputs():
     model = ObservationModel("lifted_view", beta0)
     spec = DistributionSpec("gaussian", p)
     raw = generate_dataset(model, spec, n, 14)
-    y = np.einsum("nij,ij->n", raw.inputs, target)
+    y = np.einsum("nij,ij->n", raw.lifts(), target)
     ds = Dataset(raw.inputs, y, spec, model, 14, centering=raw.centering)
     s = geometry.lifted_psd_fro(1.5, p)
     res = solve_lifted(ds, s, SolverConfig(max_iters=40_000, tol=1e-14))
@@ -433,7 +433,7 @@ def test_svec_path_matches_full_coordinate_pgd(n):
     res = solve_lifted(ds, s, cfg)
     B = res.estimate
     assert np.array_equal(B, B.T)
-    X = ds.inputs.reshape(n, -1)
+    X = ds.lifts().reshape(n, -1)
     oracle = residual_form_mfista(X, ds.outputs, s, cfg).reshape(p, p)
     assert np.max(np.abs(B - oracle)) < 1e-8
     assert res.objective == pytest.approx(empirical_risk(ds, B), abs=1e-12)
@@ -441,6 +441,67 @@ def test_svec_path_matches_full_coordinate_pgd(n):
     grad = ((2.0 / n) * (X.T @ (X @ B.ravel() - ds.outputs))).reshape(p, p)
     fp = np.linalg.norm(geometry.project(s, B - step * grad) - B)
     assert res.fixed_point_residual == pytest.approx(fp, rel=1e-9)
+
+
+def random_lifted_dataset(p, n, seed):
+    """Laplace x scaled by a factor in [0.1, 10] and a random symmetric centering."""
+    rng = np.random.default_rng(seed)
+    x = rng.laplace(size=(n, p)) * rng.uniform(0.1, 10.0)
+    M = rng.standard_normal((p, p))
+    return Dataset(x, rng.standard_normal(n), DistributionSpec("gaussian", p),
+                   ObservationModel("lifted_view", np.eye(p)[0]), seed,
+                   centering=M + M.T)
+
+
+# n = d - 1 .. d + 1 and far on either side of d = p(p+1)/2
+lifted_shapes = st.integers(1, 6).flatmap(lambda p: st.tuples(
+    st.just(p), st.sampled_from(sorted({
+        max(1, p * (p + 1) // 2 + k) for k in (-8, -1, 0, 1, 8)}))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=lifted_shapes, seed=st.integers(0, 2 ** 32 - 1))
+def test_lifted_operator_pair_matches_the_stored_lifts(shape, seed):
+    p, n = shape
+    ds = random_lifted_dataset(p, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    B = rng.standard_normal((p, p))  # any B: the lifts need no symmetric B
+    r = rng.standard_normal(n)
+    L = ds.lifts().reshape(n, -1)
+    ax, aS = np.abs(ds.inputs), np.abs(ds.centering)
+    # entrywise bounds on the magnitudes summed, so cancellation cannot hide
+    # an error behind a small result
+    fwd_scale = ((ax @ np.abs(B)) * ax).sum(axis=1) + float(np.sum(aS * np.abs(B)))
+    adj_scale = (ax.T * np.abs(r)) @ ax + float(np.abs(r).sum()) * aS
+    fwd, adj = ds.forward(B), ds.adjoint(r)
+    assert fwd.shape == (n,) and adj.shape == (p, p)
+    assert np.all(np.abs(fwd - L @ B.ravel()) <= 1e-12 * fwd_scale)
+    assert np.all(np.abs(adj - (L.T @ r).reshape(p, p)) <= 1e-12 * adj_scale)
+    assert abs(float(fwd @ r) - float(np.sum(B * adj))) <= \
+        1e-12 * float(fwd_scale @ np.abs(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=lifted_shapes, seed=st.integers(0, 2 ** 32 - 1),
+       cut=st.floats(0.0, 1.0))
+def test_svec_lift_rows_are_bitwise_the_svec_of_the_lifts(shape, seed, cut):
+    p, n = shape
+    ds = random_lifted_dataset(p, n, seed)
+    sv = _Svec(p)
+    expected = sv.vec(ds.lifts())
+    assert np.array_equal(sv.lift_rows(ds.inputs, ds.centering), expected)
+    lo = int(cut * n)  # a row block, as the Gram form builds them
+    assert np.array_equal(sv.lift_rows(ds.inputs[lo:], ds.centering),
+                          expected[lo:])
+
+
+def test_vector_operator_pair_is_the_design_and_its_transpose():
+    rng = np.random.default_rng(19)
+    X = rng.standard_normal((7, 4))
+    ds = toy_dataset(X, np.zeros(7))
+    b, r = rng.standard_normal(4), rng.standard_normal(7)
+    assert np.array_equal(ds.forward(b), X @ b)
+    assert np.array_equal(ds.adjoint(r), X.T @ r)
 
 
 def test_solve_dispatches_on_the_dataset_kind():

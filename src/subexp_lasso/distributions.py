@@ -61,8 +61,9 @@ class DistributionSpec:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}")
         if self.p < 1:
             raise ConfigurationError("dimension p must be >= 1")
-        if not (self.scale > 0):
-            raise ConfigurationError("scale must be positive")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ConfigurationError(
+                f"scale must be finite and positive, got {self.scale!r}")
         if self.kind == "mixed":
             if self.mixing is None:
                 raise ConfigurationError("kind='mixed' requires a mixing matrix")
@@ -109,23 +110,52 @@ def coordinate_variance(kind: str, scale: float) -> float:
     raise ConfigurationError(f"unknown coordinate kind {kind!r}")
 
 
+def symmetrize(rng: np.random.Generator, magnitudes: np.ndarray,
+               scale: float) -> np.ndarray:
+    """Multiply `magnitudes` in place by scale * (+-1) with fair signs; return it.
+
+    The signs are the bits of ceil(N/8) uint8 draws made after the magnitudes,
+    one bit per entry in C order, turned into +-1 in an int8 view: the kernel
+    holds 1 byte per sign and no float64 temporary.  Every |entry| becomes
+    exactly fl(scale * |magnitude|).
+    """
+    packed = rng.integers(0, 256, size=(magnitudes.size + 7) // 8, dtype=np.uint8)
+    signs = np.unpackbits(packed, count=magnitudes.size).view(np.int8)
+    signs <<= 1
+    signs -= 1
+    magnitudes *= signs.reshape(magnitudes.shape)
+    magnitudes *= scale
+    return magnitudes
+
+
+def laplace_draws(rng: np.random.Generator, shape, b: float) -> np.ndarray:
+    """Laplace(0, b) draws: a standard-exponential magnitude times a sign bit."""
+    return symmetrize(rng, rng.standard_exponential(shape), b)
+
+
 def _draw_coordinates(rng: np.random.Generator, kind: str, scale: float,
                       shape) -> np.ndarray:
     if kind == "gaussian":
-        return scale * rng.standard_normal(shape)
+        x = rng.standard_normal(shape)
+        x *= scale
+        return x
     if kind == "rademacher":
-        return scale * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+        return symmetrize(rng, np.ones(shape), scale)
     if kind == "laplace":
         # Laplace(b) with b = scale / sqrt(2), so variance scale^2.
-        return rng.laplace(loc=0.0, scale=scale / np.sqrt(2.0), size=shape)
+        return laplace_draws(rng, shape, scale / np.sqrt(2.0))
     if kind == "symmetric_exponential":
-        signs = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-        return scale * signs * rng.standard_exponential(shape)
+        return laplace_draws(rng, shape, scale)
     raise ConfigurationError(f"unknown coordinate kind {kind!r}")
 
 
 def sample_inputs(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """n x p matrix of independent draws; bitwise-deterministic in (spec, n, seed).
+
+    Gaussian coordinates are scaled standard normals.  The symmetric laws are
+    drawn as a magnitude times one sign bit per coordinate (`symmetrize`):
+    laplace and symmetric_exponential take standard-exponential magnitudes,
+    rademacher a magnitude of 1.  A mixed spec draws its latent z this way.
 
     The spec's seed_domain label is folded into the stream derivation, so
     specs with different labels draw from unrelated streams at equal seeds.

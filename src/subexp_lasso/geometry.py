@@ -10,6 +10,7 @@ imported only by the convex-hull membership certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -116,17 +117,27 @@ def project(s: HypothesisSet, v) -> np.ndarray:
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
+@lru_cache(maxsize=16)
+def _ranks(d: int) -> np.ndarray:
+    """Read-only float vector 1, 2, ..., d."""
+    ranks = np.arange(1.0, d + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Exact sort-and-threshold Euclidean projection onto the l1 ball."""
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.max(np.nonzero(u * idx > css - radius)[0]) + 1
+    css = u.cumsum()
+    rho = (u * _ranks(v.size) > css - radius).nonzero()[0][-1] + 1
     theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    a -= theta
+    np.maximum(a, 0.0, out=a)
+    a *= np.sign(v)
+    return a
 
 
 def _simplex_weights_lsq(V: np.ndarray, target: np.ndarray,

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .distributions import (DistributionSpec, psi_norm_estimate, sample_inputs,
-                            second_moment_matrix)
+from .distributions import (DistributionSpec, laplace_draws, psi_norm_estimate,
+                            sample_inputs, second_moment_matrix)
 from .errors import ConfigurationError
 from .seeding import derive_seed, partitioned_mean, rng_for
 
@@ -43,15 +43,16 @@ class Noise:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "laplace"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        if self.level < 0:
-            raise ConfigurationError("noise level must be nonnegative")
+        if not (np.isfinite(self.level) and self.level >= 0):
+            raise ConfigurationError(
+                f"noise level must be finite and nonnegative, got {self.level!r}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "none" or self.level == 0.0:
             return np.zeros(n)
         if self.kind == "gaussian":
             return self.level * rng.standard_normal(n)
-        return rng.laplace(0.0, self.level, size=n)
+        return laplace_draws(rng, n, self.level)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from subexp_lasso.distributions import (
@@ -9,7 +11,7 @@ from subexp_lasso.distributions import (
     euclidean_scaled, frobenius_scaled, infinity_scaled, lifted_profile,
     mixed_tail_bound, mt_euclidean, mt_infinity, operator_scaled,
     profile_for, psi_norm_estimate, sample_inputs, second_moment_matrix,
-    seminorm_eval, unit_variance_scale, verify_bernstein_tail,
+    seminorm_eval, symmetrize, unit_variance_scale, verify_bernstein_tail,
     xi_norm_concentration_check, zero_norm)
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.seeding import derive_seed
@@ -69,6 +71,9 @@ def test_invalid_specs_raise_configuration_error():
         DistributionSpec("gaussian", 0)
     with pytest.raises(ConfigurationError):
         DistributionSpec("gaussian", 3, scale=-1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="scale"):
+            DistributionSpec("laplace", 3, scale=bad)
     with pytest.raises(ConfigurationError):
         DistributionSpec("mixed", 3)  # no mixing matrix
     with pytest.raises(ConfigurationError):
@@ -81,6 +86,52 @@ def test_second_moment_matrix_matches_samples():
     x = sample_inputs(spec, 200_000, 17)
     emp = x.T @ x / x.shape[0]
     assert np.max(np.abs(emp - second_moment_matrix(spec))) < 0.05
+
+
+SYMMETRIC_KINDS = ("rademacher", "laplace", "symmetric_exponential")
+
+shapes = st.one_of(st.integers(1, 70).map(lambda n: (n,)),
+                   st.tuples(st.integers(1, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=shapes, scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(13,), scale=0.7, seed=0)
+@example(shape=(3, 5), scale=2.0, seed=1)
+def test_symmetrize_keeps_every_magnitude(shape, scale, seed):
+    mags = np.random.default_rng(seed).standard_exponential(shape)
+    out = mags.copy()
+    assert symmetrize(np.random.default_rng(seed + 1), out, scale) is out
+    assert out.shape == shape
+    assert np.array_equal(np.abs(out), scale * mags)
+
+
+def test_symmetrize_signs_are_packed_bits_in_c_order():
+    # sign of entry k is bit k (most significant first) of the uint8 draws
+    rng = np.random.default_rng(5)
+    out = symmetrize(rng, np.ones((3, 7)), 1.0)
+    packed = np.random.default_rng(5).integers(0, 256, size=3, dtype=np.uint8)
+    bits = [(int(byte) >> (7 - j)) & 1 for byte in packed for j in range(8)]
+    assert np.array_equal(out.ravel(), 2.0 * np.array(bits[:21]) - 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(SYMMETRIC_KINDS), p=st.integers(1, 12),
+       n=st.integers(1, 40), scale=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_inputs_bitwise_deterministic_symmetric_laws(kind, p, n, scale,
+                                                            seed):
+    spec = DistributionSpec(kind, p, scale=scale)
+    a = sample_inputs(spec, n, seed)
+    assert a.shape == (n, p)
+    assert a.tobytes() == sample_inputs(spec, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+def test_negative_sign_fraction_within_binomial_band(kind):
+    x = sample_inputs(DistributionSpec(kind, 7), 20_001, 4)
+    frac = np.mean(x < 0)
+    assert abs(frac - 0.5) <= 5.0 * math.sqrt(0.25 / x.size)
 
 
 # ---------------------------------------------------------------------------

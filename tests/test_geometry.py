@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subexp_lasso import geometry as geo
 from subexp_lasso.distributions import (
@@ -93,6 +94,28 @@ def test_l1_projection_matches_dual_bisection_oracle():
                     hi = mid
             oracle = np.sign(v) * np.maximum(np.abs(v) - hi, 0.0)
         assert np.linalg.norm(got - oracle) < 1e-8
+
+
+def _l1_sort_threshold_oracle(v, radius):
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    rho = np.max(np.nonzero(u * idx > css - radius)[0]) + 1
+    theta = (css[rho - 1] - radius) / rho
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=arrays(float, st.integers(1, 60), elements=st.floats(-1e3, 1e3)),
+       radius=st.floats(1e-3, 1e3))
+def test_l1_projection_equals_sort_threshold_oracle(v, radius):
+    got = geo.project_l1_ball(v, radius)
+    assert got.tobytes() == _l1_sort_threshold_oracle(v, radius).tobytes()
+    slack = 4.0 * v.size * np.finfo(float).eps * (radius + np.abs(v).max())
+    assert np.abs(got).sum() <= radius + slack
 
 
 def test_lifted_projection_psd_clip_example():

@@ -124,6 +124,9 @@ def test_model_validation():
         ObservationModel("linear", np.ones(2), link="nope")
     with pytest.raises(ConfigurationError):
         Noise("gaussian", -1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="level"):
+            Noise("laplace", bad)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 # lighter members (gaussian 1.72, rademacher 1.45).
 PSI1_PROXY_TO_ORLICZ = 2.0
 
+# entries per block of unpacked sign bits in `symmetrize`; a multiple of 8
+_SIGN_BLOCK = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # Distribution specification and sampling
@@ -114,17 +117,24 @@ def symmetrize(rng: np.random.Generator, magnitudes: np.ndarray,
                scale: float) -> np.ndarray:
     """Multiply `magnitudes` in place by scale * (+-1) with fair signs; return it.
 
-    The signs are the bits of ceil(N/8) uint8 draws made after the magnitudes,
-    one bit per entry in C order, turned into +-1 in an int8 view: the kernel
-    holds 1 byte per sign and no float64 temporary.  Every |entry| becomes
-    exactly fl(scale * |magnitude|).
+    `magnitudes` must be a C-contiguous float array.  The signs are the bits
+    of ceil(N/8) uint8 draws made after the magnitudes, one bit per entry in
+    C order (most significant bit first), turned into +-1 in an int8 view,
+    one block of `_SIGN_BLOCK` entries at a time: beyond the packed draws the
+    kernel holds one block of 1-byte signs and no float64 temporary.  Every
+    |entry| becomes exactly fl(scale * |magnitude|).
     """
-    packed = rng.integers(0, 256, size=(magnitudes.size + 7) // 8, dtype=np.uint8)
-    signs = np.unpackbits(packed, count=magnitudes.size).view(np.int8)
-    signs <<= 1
-    signs -= 1
-    magnitudes *= signs.reshape(magnitudes.shape)
-    magnitudes *= scale
+    if not magnitudes.flags.c_contiguous:
+        raise ValueError("symmetrize needs a C-contiguous array")
+    flat = magnitudes.reshape(-1)
+    packed = rng.integers(0, 256, size=(flat.size + 7) // 8, dtype=np.uint8)
+    for start in range(0, flat.size, _SIGN_BLOCK):
+        block = flat[start:start + _SIGN_BLOCK]
+        signs = np.unpackbits(packed[start // 8:], count=block.size).view(np.int8)
+        signs <<= 1
+        signs -= 1
+        block *= signs
+        block *= scale
     return magnitudes
 
 

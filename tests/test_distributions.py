@@ -106,13 +106,21 @@ def test_symmetrize_keeps_every_magnitude(shape, scale, seed):
     assert np.array_equal(np.abs(out), scale * mags)
 
 
-def test_symmetrize_signs_are_packed_bits_in_c_order():
-    # sign of entry k is bit k (most significant first) of the uint8 draws
-    rng = np.random.default_rng(5)
-    out = symmetrize(rng, np.ones((3, 7)), 1.0)
-    packed = np.random.default_rng(5).integers(0, 256, size=3, dtype=np.uint8)
-    bits = [(int(byte) >> (7 - j)) & 1 for byte in packed for j in range(8)]
-    assert np.array_equal(out.ravel(), 2.0 * np.array(bits[:21]) - 1.0)
+@pytest.mark.parametrize("shape", [(3, 7), (3, 30_001)])
+def test_symmetrize_signs_are_packed_bits_in_c_order(shape):
+    # sign of entry k is bit k (most significant first) of the uint8 draws,
+    # across the blocks the kernel unpacks one at a time as well
+    size = math.prod(shape)
+    out = symmetrize(np.random.default_rng(5), np.ones(shape), 1.0)
+    packed = np.random.default_rng(5).integers(0, 256, size=(size + 7) // 8,
+                                               dtype=np.uint8)
+    bits = (packed[:, None] >> np.arange(7, -1, -1)) & 1
+    assert np.array_equal(out.ravel(), 2.0 * bits.ravel()[:size] - 1.0)
+
+
+def test_symmetrize_rejects_a_strided_array():
+    with pytest.raises(ValueError, match="contiguous"):
+        symmetrize(np.random.default_rng(0), np.ones((4, 4))[:, ::2], 1.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -121,8 +121,8 @@ def symmetrize(rng: np.random.Generator, magnitudes: np.ndarray,
     of ceil(N/8) uint8 draws made after the magnitudes, one bit per entry in
     C order (most significant bit first), turned into +-1 in an int8 view,
     one block of `_SIGN_BLOCK` entries at a time: beyond the packed draws the
-    kernel holds one block of 1-byte signs and no float64 temporary.  Every
-    |entry| becomes exactly fl(scale * |magnitude|).
+    kernel holds one block of 1-byte signs and no full-size float64
+    temporary.  Every |entry| becomes exactly fl(scale * |magnitude|).
     """
     if not magnitudes.flags.c_contiguous:
         raise ValueError("symmetrize needs a C-contiguous array")

@@ -187,17 +187,14 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
 # Closed-form complexity surrogates
 # ---------------------------------------------------------------------------
 
-def _profile_diameters(vertices: np.ndarray, g: SemiNorm, e: SemiNorm):
-    """Pairwise diameters of a vertex list under the profile semi-norms."""
-    return (geometry.pairwise_max(vertices, lambda V: seminorm_rows(g, V)),
-            geometry.pairwise_max(vertices, lambda V: seminorm_rows(e, V)))
-
-
 def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
     """Vertex-count complexity surrogates for a polytopal set:
 
     q = Delta_e log D / sqrt(n) + (Delta_g + Delta_e) sqrt(log D)
     m = Delta_e log D + Delta_g sqrt(log D)
+
+    The vertex lists of the l1 ball and the hypercube are negation-closed,
+    so `geometry.pairwise_max` reads their diameters off one row scan.
     """
     verts = geometry.vertices_of(s)
     D = verts.shape[0]
@@ -208,7 +205,8 @@ def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
     logd = np.log(D)
     if logd == 0.0:
         return 0.0, 0.0
-    dg, de = _profile_diameters(verts, profile.g_norm, profile.e_norm)
+    dg = geometry.pairwise_max(verts, lambda V: seminorm_rows(profile.g_norm, V))
+    de = geometry.pairwise_max(verts, lambda V: seminorm_rows(profile.e_norm, V))
     q = de * logd / np.sqrt(n) + (dg + de) * np.sqrt(logd)
     m = de * logd + dg * np.sqrt(logd)
     return float(q), float(m)
@@ -263,16 +261,8 @@ def finite_gamma_bound(points: geometry.Skeleton, alpha: int,
         raise ConfigurationError("skeleton must be non-empty")
     if m == 1:
         return 0.0
-    diam = _skeleton_diameter(points, lambda V: seminorm_rows(metric, V))
+    diam = geometry.pairwise_max(pts, lambda V: seminorm_rows(metric, V))
     return float(diam * np.log(m) ** (1.0 / alpha))
-
-
-def _skeleton_diameter(skeleton: geometry.Skeleton, rows_fn) -> float:
-    """max over point pairs of rows_fn(difference), for a row semi-norm."""
-    if skeleton.symmetric:
-        # for symmetric lists the diameter is attained at antipodal pairs
-        return 2.0 * float(rows_fn(skeleton.points).max())
-    return geometry.pairwise_max(skeleton.points, rows_fn)
 
 
 def dudley_sparse_bound(k: int, p: int, alpha: int) -> float:
@@ -312,8 +302,8 @@ def skeleton_q_m_proxies(skeleton: geometry.Skeleton, profile, n: int):
     g2_g = finite_gamma_bound(skeleton, 2, profile.g_norm)
     logm = np.log(m_count)
     g, e = profile.g_norm, profile.e_norm
-    diam_ge = _skeleton_diameter(
-        skeleton, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
+    diam_ge = geometry.pairwise_max(
+        skeleton.points, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
     g2_ge = diam_ge * np.sqrt(logm)
     q = g1_e / np.sqrt(n) + g2_ge
     m = g1_e + g2_g

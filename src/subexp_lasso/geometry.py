@@ -10,8 +10,7 @@ imported only by the convex-hull membership certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -222,36 +221,35 @@ def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
 
 
 def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
-    v = np.asarray(v, dtype=float)
-    if s.kind == "l1_ball":
-        return float(np.abs(v).sum()) <= s.radius + tol
-    if s.kind == "l2_ball":
-        return float(np.linalg.norm(v - s.center)) <= s.radius + tol
-    if s.kind == "hypercube":
-        return float(np.max(np.abs(v))) <= s.radius + tol
-    if s.kind == "polytope":
-        if float(np.min(np.linalg.norm(s.vertices - v, axis=1))) <= tol:
-            return True
-        return float(np.linalg.norm(project(s, v) - v)) <= tol
-    if s.kind == "lifted_psd_fro":
-        B = 0.5 * (v + v.T)
-        eigmin = float(np.linalg.eigvalsh(B)[0])
-        return (eigmin >= -tol
-                and float(np.linalg.norm(B, "fro")) <= s.radius + tol)
-    raise ConfigurationError(f"unknown set kind {s.kind!r}")
+    """Whether v (a p x p matrix for the lifted set) lies in the set."""
+    return bool(contains_rows(s, np.asarray(v, dtype=float)[None], tol)[0])
 
 
-_MASKED_KINDS = ("l1_ball", "l2_ball", "hypercube")
+def contains_rows(s: HypothesisSet, V, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """`contains` of each row of V as one boolean mask.
 
-
-def _contains_rows(s: HypothesisSet, V: np.ndarray,
-                   tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """`contains` of each row of V as one boolean mask (_MASKED_KINDS only)."""
+    Rows are vectors of length p; for the lifted set each row is a flat or
+    p x p matrix, and one batched `eigvalsh` tests the symmetrised stack.
+    Polytope rows are tested one by one: a vertex within tol, else a
+    projection within tol.
+    """
+    V = np.asarray(V, dtype=float)
     if s.kind == "l1_ball":
         return np.abs(V).sum(axis=1) <= s.radius + tol
     if s.kind == "l2_ball":
         return np.linalg.norm(V - s.center, axis=1) <= s.radius + tol
-    return np.max(np.abs(V), axis=1) <= s.radius + tol
+    if s.kind == "hypercube":
+        return np.max(np.abs(V), axis=1) <= s.radius + tol
+    if s.kind == "polytope":
+        return np.array(
+            [np.min(np.linalg.norm(s.vertices - v, axis=1)) <= tol
+             or np.linalg.norm(project(s, v) - v) <= tol for v in V], dtype=bool)
+    if s.kind == "lifted_psd_fro":
+        M = V.reshape(-1, s.p, s.p)
+        B = 0.5 * (M + M.transpose(0, 2, 1))
+        return ((np.linalg.eigvalsh(B)[:, 0] >= -tol)
+                & (np.linalg.norm(B, "fro", axis=(1, 2)) <= s.radius + tol))
+    raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +327,9 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
                             seed: int) -> DirectionSample:
     """Unit directions v with center + t v in the set.
 
-    Rejection sampling, augmented with vertex directions for polytopal sets.
-    Each batch of l1, l2 or hypercube candidates is tested with one membership
-    mask; other sets call `contains` row by row until enough are accepted.
-    An empty result signals that t exceeds the local reach in every sampled
+    Rejection sampling, augmented with vertex directions for polytopal sets;
+    each batch of candidates is tested with one `contains_rows` call.  An
+    empty result signals that t exceeds the local reach in every sampled
     direction.
     """
     center = np.asarray(center, dtype=float)
@@ -350,23 +347,19 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
         u = rng.standard_normal((batch, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         attempts += batch
-        cands = center.ravel() + t * u
-        if s.kind in _MASKED_KINDS:
-            hits = u[_contains_rows(s, cands)]
-        else:
-            hits = (row for row, cand in zip(u, cands)
-                    if contains(s, _shaped(cand, s)))
-        accepted.extend(islice(hits, n_dirs - len(accepted)))
-    for vert in _cheap_vertices(s):
+        hits = u[contains_rows(s, center.ravel() + t * u)]
+        accepted.extend(hits[:n_dirs - len(accepted)])
+    verts = _cheap_vertices(s)
+    attempts += len(verts)
+    far = []
+    for vert in verts:
         d = vert.ravel() - center
         nrm = np.linalg.norm(d)
-        if nrm <= t:
-            attempts += 1
-            continue
-        d = d / nrm
-        attempts += 1
-        if contains(s, center + t * _shaped(d, s)):
-            accepted.append(d)
+        if nrm > t:
+            far.append(d / nrm)
+    if far:
+        far = np.array(far)
+        accepted.extend(far[contains_rows(s, center + t * far)])
     rate = len(accepted) / attempts if attempts else 0.0
     dirs = np.array(accepted) if accepted else np.zeros((0, dim))
     dirs = _dedup_directions(dirs)
@@ -459,8 +452,12 @@ class Skeleton:
 
     points: np.ndarray
     covered_set: str
-    diameters: dict
-    symmetric: bool = False
+
+    @cached_property
+    def diameters(self) -> dict:
+        """Largest pairwise l2 and l-infinity distances of the points."""
+        return {"l2": pairwise_diameter(self.points, "l2"),
+                "linf": pairwise_diameter(self.points, "linf")}
 
 
 def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleton:
@@ -482,19 +479,11 @@ def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleto
     return skeleton_from_points(
         np.vstack([pts, -pts]),
         f"descent cone of the l1 ball at a {k}-sparse point, "
-        f"intersected with the sphere (p={p})", symmetric=True)
+        f"intersected with the sphere (p={p})")
 
 
-def skeleton_from_points(points, covered_set: str = "custom",
-                         symmetric: bool = False) -> Skeleton:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if symmetric:
-        diam = {"l2": 2.0 * float(np.linalg.norm(pts, axis=1).max()),
-                "linf": 2.0 * float(np.abs(pts).max())}
-    else:
-        diam = {"l2": pairwise_diameter(pts, "l2"),
-                "linf": pairwise_diameter(pts, "linf")}
-    return Skeleton(pts, covered_set, diam, symmetric=symmetric)
+def skeleton_from_points(points, covered_set: str = "custom") -> Skeleton:
+    return Skeleton(np.atleast_2d(np.asarray(points, dtype=float)), covered_set)
 
 
 def pairwise_diameter(points: np.ndarray, norm: str = "l2") -> float:
@@ -506,13 +495,20 @@ def pairwise_diameter(points: np.ndarray, norm: str = "l2") -> float:
 def pairwise_max(points, rows_fn) -> float:
     """max over i < j of rows_fn(points[i] - points[j]); 0 below two points.
 
-    rows_fn maps an (r, d) array of differences to r nonnegative values.
-    The pairs are scanned in square tiles of at most PAIR_BLOCK_BYTES of
+    rows_fn maps an (r, d) array of differences to r values of a semi-norm.
+    When the rows of points, as a multiset, equal those of -points, the
+    maximum is attained at an antipodal pair: it is 2 max rows_fn(points),
+    one rows_fn call on the m points after one row sort.  Otherwise the
+    pairs are scanned in square tiles of at most PAIR_BLOCK_BYTES of
     difference rows.
     """
     P = np.asarray(points, dtype=float)
     m, d = P.shape
-    side = max(1, int(np.sqrt(PAIR_BLOCK_BYTES / (8 * max(d, 1)))))
+    if m < 2:
+        return 0.0
+    if _negation_closed(P):
+        return 2.0 * float(rows_fn(P).max())
+    side = max(1, int(np.sqrt(PAIR_BLOCK_BYTES / (8 * d))))
     best = 0.0
     for a in range(0, m - 1, side):
         for b in range(a, m, side):
@@ -522,6 +518,16 @@ def pairwise_max(points, rows_fn) -> float:
                 vals = np.triu(vals, 1)  # the diagonal tile: keep j > i
             best = max(best, float(vals.max()))
     return best
+
+
+def _negation_closed(P: np.ndarray) -> bool:
+    """Whether the rows of P, as a multiset, equal the rows of -P (exactly).
+
+    Negation reverses the lexicographic order of rows, so -P sorted is the
+    negated reverse of P sorted: one sort decides it.
+    """
+    S = P[np.lexsort(P.T[::-1])]
+    return bool(np.array_equal(S, -S[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +558,15 @@ def certify_hull_membership(points: np.ndarray, vectors: np.ndarray,
     return worst
 
 
-def hull_membership_residual(points: np.ndarray, v: np.ndarray,
-                             assume_zero_in_hull: bool = True) -> float:
-    """Distance certificate for v against conv(points).
+def hull_membership_residual(points: np.ndarray, v: np.ndarray) -> float:
+    """Distance certificate for v against conv(points U {0}).
 
-    Finds nonnegative weights (sum <= 1 when the hull contains the origin,
-    sum = 1 otherwise) and returns the achieved residual ||P^T w - v||_2.
-    Fast path is an exact nonnegative least-squares solve; if its weights
-    overshoot the sum budget, an LP feasibility fallback runs.
+    Nonnegative least squares finds w >= 0 minimising ||P^T w - v||_2.  If
+    its weights sum to at most 1, the residual is the exact distance.  If
+    not, an LP looks for w >= 0 with sum w <= 1 and P^T w = v; when it finds
+    one, v is inside and the residual is exact again.  Otherwise the NNLS
+    weights rescaled to sum 1 give a point of the hull, and the distance to
+    it is returned: an upper bound on the distance.
     """
     from scipy.optimize import linprog, nnls
 
@@ -567,21 +574,10 @@ def hull_membership_residual(points: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     w, _ = nnls(A, v)
     total = w.sum()
-    budget = 1.0 if assume_zero_in_hull else None
-    if budget is not None and total <= budget + 1e-12:
-        scale = 1.0 if total <= budget else budget / total
-        return float(np.linalg.norm(A @ (w * scale) - v))
-    # LP feasibility: w >= 0, sum w (<=|=) 1, A w = v
-    m = A.shape[1]
-    res = linprog(c=np.zeros(m), A_eq=A, b_eq=v,
-                  A_ub=np.ones((1, m)) if assume_zero_in_hull else None,
-                  b_ub=np.ones(1) if assume_zero_in_hull else None,
-                  bounds=[(0, None)] * m, method="highs")
-    if res.status == 0:
-        w = res.x
-        if not assume_zero_in_hull:
-            s = w.sum()
-            if abs(s - 1.0) > 1e-9:
-                return np.inf
-        return float(np.linalg.norm(A @ w - v))
+    if total > 1.0 + 1e-12:
+        m = A.shape[1]
+        res = linprog(c=np.zeros(m), A_eq=A, b_eq=v, A_ub=np.ones((1, m)),
+                      b_ub=np.ones(1), bounds=[(0, None)] * m, method="highs")
+        if res.status == 0:
+            return float(np.linalg.norm(A @ res.x - v))
     return float(np.linalg.norm(A @ (w * (1.0 / max(total, 1.0))) - v))

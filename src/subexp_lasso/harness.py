@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -540,36 +540,34 @@ def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
     return builders[kind](float(radius), p)
 
 
+# YAML keys passed on to ExperimentConfig and SolverConfig, with their casts;
+# a key left out of the YAML takes the dataclass default
+_CONFIG_CASTS = {"target_rule": lambda rule: rule, "outputs": lambda out: out,
+                 "n_grid": lambda grid: tuple(int(n) for n in grid),
+                 "trials_per_n": int, "master_seed": int, "mu_budget": int,
+                 "erm_budget": int}
+_SOLVER_CASTS = {"max_iters": int, "tol": float, "track_trace": bool}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     spec = spec_from_dict(_required(d, "spec"))
     model = model_from_dict(_required(d, "model"), spec.p)
     hset = set_from_dict(_required(d, "set"), spec.p, beta0=model.beta0)
     solver_d = d.get("solver") or {}
-    known = [f.name for f in fields(solver.SolverConfig)]
-    unknown = sorted(set(solver_d) - set(known))
+    unknown = sorted(set(solver_d) - set(_SOLVER_CASTS))
     if unknown:
         raise ConfigurationError(f"unknown solver key(s) {', '.join(unknown)}; "
-                                 f"expected {', '.join(known)}")
-    scfg = solver.SolverConfig(
-        max_iters=int(solver_d.get("max_iters", 20_000)),
-        tol=float(solver_d.get("tol", 1e-12)),
-        track_trace=bool(solver_d.get("track_trace", False)))
-    target_rule = d.get("target_rule", "beta0")
-    target_vector = None
-    if isinstance(target_rule, dict):
-        target_vector = np.asarray(_required(target_rule, "target_rule.explicit"), float)
-        target_rule = "explicit"
+                                 f"expected {', '.join(_SOLVER_CASTS)}")
+    config = {key: cast(d[key]) for key, cast in _CONFIG_CASTS.items() if key in d}
+    if isinstance(config.get("target_rule"), dict):
+        config["target_vector"] = np.asarray(
+            _required(config["target_rule"], "target_rule.explicit"), float)
+        config["target_rule"] = "explicit"
     return ExperimentConfig(
-        name=d.get("name", "experiment"),
-        model=model, spec=spec, hypothesis_set=hset,
-        target_rule=target_rule, target_vector=target_vector,
-        solver_config=scfg,
-        n_grid=tuple(int(n) for n in d.get("n_grid", (200, 400, 800))),
-        trials_per_n=int(d.get("trials_per_n", 10)),
-        master_seed=int(d.get("master_seed", 0)),
-        mu_budget=int(d.get("mu_budget", 1_000_000)),
-        erm_budget=int(d.get("erm_budget", 200_000)),
-        outputs=d.get("outputs"))
+        name=d.get("name", "experiment"), model=model, spec=spec,
+        hypothesis_set=hset, solver_config=solver.SolverConfig(
+            **{key: _SOLVER_CASTS[key](value) for key, value in solver_d.items()}),
+        **config)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -355,15 +355,6 @@ def rank1_extract(B: np.ndarray) -> Rank1:
     return Rank1(max(float(w[-1]), 0.0), v, False)
 
 
-def trace_csv(result: SolveResult) -> str:
-    """Objective trace as CSV text with columns (iteration, objective)."""
-    if result.objective_trace is None:
-        raise ValueError("solve was run without track_trace")
-    lines = ["iteration,objective"]
-    lines += [f"{i},{obj!r}" for i, obj in enumerate(result.objective_trace)]
-    return "\n".join(lines) + "\n"
-
-
 def sign_invariant_error(scaled_estimate, target) -> float:
     """min{||a - b||_2, ||a + b||_2}; the natural error modulo global sign."""
     a = np.asarray(scaled_estimate, dtype=float).ravel()

@@ -11,7 +11,7 @@ from subexp_lasso.complexity import (assemble_bound, dudley_sparse_bound,
                                      small_ball_report, sparse_cone_bound)
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
-                                        profile_for, zero_norm)
+                                        infinity_scaled, profile_for, zero_norm)
 from subexp_lasso.errors import ConfigurationError
 
 
@@ -230,6 +230,31 @@ def test_polytope_complexity_l1_ball_subexponential():
                               rel=1e-12)
 
 
+def _surrogates(dg, de, D, n):
+    logd = math.log(D)
+    return (de * logd / math.sqrt(n) + (dg + de) * math.sqrt(logd),
+            de * logd + dg * math.sqrt(logd))
+
+
+@pytest.mark.parametrize("kind, p, dg_factor, de_factor", [
+    ("l1_ball", 400, 1.0, 1.0),        # vertices +-r e_j under both norms
+    ("hypercube", 16, math.sqrt(16), 1.0),  # 2^16 vertices, cube corners
+])
+def test_polytope_complexity_symmetric_vertex_lists_match_closed_forms(
+        kind, p, dg_factor, de_factor):
+    # Delta = 2 r c, times sqrt(p) for the cube's l2 diameter; neither list is
+    # within reach of the O(D^2) pair scan in test time
+    r, cg, ce, n = 0.7, 1.3, 0.4, 250
+    s = getattr(geometry, kind)(r, p)
+    prof = ConcentrationProfile(euclidean_scaled(cg), infinity_scaled(ce))
+    D = 2 * p if kind == "l1_ball" else 2 ** p
+    q, m = polytope_complexity(s, prof, n)
+    want_q, want_m = _surrogates(2 * r * cg * dg_factor, 2 * r * ce * de_factor,
+                                 D, n)
+    assert q == pytest.approx(want_q, rel=1e-12)
+    assert m == pytest.approx(want_m, rel=1e-12)
+
+
 def test_sparse_cone_bound_values():
     # boundary case k = p/2
     b = sparse_cone_bound(8, 16, 100, "(2,0)")
@@ -265,7 +290,7 @@ def test_finite_gamma_bound_examples():
     # 2p axis points of radius r under alpha = 1
     p, r = 5, 1.7
     axes = geometry.skeleton_from_points(
-        np.vstack([r * np.eye(p), -r * np.eye(p)]), "axes", symmetric=True)
+        np.vstack([r * np.eye(p), -r * np.eye(p)]), "axes")
     assert finite_gamma_bound(axes, 1, metric) == pytest.approx(
         2 * r * math.log(2 * p), rel=1e-12)
 

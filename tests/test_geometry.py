@@ -305,6 +305,44 @@ def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
     assert np.array_equal(sample.directions[:rows.shape[0]], rows)
 
 
+def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):
+    """Per-vector membership of polytope and lifted sets, from the formulas."""
+    if s.kind == "polytope":
+        if float(np.min(np.linalg.norm(s.vertices - v, axis=1))) <= tol:
+            return True
+        return float(np.linalg.norm(geo.project(s, v) - v)) <= tol
+    B = 0.5 * (v + v.T)
+    return (float(np.linalg.eigvalsh(B)[0]) >= -tol
+            and float(np.linalg.norm(B, "fro")) <= s.radius + tol)
+
+
+def test_contains_rows_polytope_matches_per_row_formulas():
+    rng = np.random.default_rng(31)
+    V = rng.standard_normal((6, 3))
+    s = geo.polytope(V)
+    w = rng.dirichlet(np.ones(6), size=20)
+    rows = np.vstack([V, V + 1e-10, w @ V, 2.5 * rng.standard_normal((20, 3)),
+                      1.001 * V])
+    want = [contains_oracle(s, v) for v in rows]
+    assert 0 < sum(want) < len(want)
+    assert geo.contains_rows(s, rows).tolist() == want
+    assert [geo.contains(s, v) for v in rows] == want
+
+
+def test_contains_rows_lifted_matches_per_row_formulas():
+    rng = np.random.default_rng(32)
+    p = 4
+    s = geo.lifted_psd_fro(1.5, p)
+    G = rng.standard_normal((30, p, p))
+    psd = G @ G.transpose(0, 2, 1) * rng.uniform(0.02, 0.5, size=(30, 1, 1))
+    mats = np.concatenate([psd, G, psd - 1e-3 * np.eye(p), np.zeros((1, p, p))])
+    want = [contains_oracle(s, B) for B in mats]
+    assert 0 < sum(want) < len(want)
+    assert geo.contains_rows(s, mats).tolist() == want
+    assert geo.contains_rows(s, mats.reshape(len(mats), -1)).tolist() == want
+    assert [geo.contains(s, B) for B in mats] == want
+
+
 def test_sphere_slice_requires_feasible_center():
     with pytest.raises(ConfigurationError):
         geo.sphere_slice_directions(geo.l1_ball(1.0, 3), np.ones(3), 0.1, 10, 0)
@@ -423,6 +461,23 @@ def test_hull_membership_detects_outside_point():
     assert outside > 0.4
 
 
+def test_hull_membership_residual_is_zero_inside_hull_with_origin():
+    # conv{0, e1, e2} contains (0.25, 0.25): NNLS weights sum to 0.5
+    pts = np.eye(2)
+    assert geo.hull_membership_residual(pts, np.array([0.25, 0.25])) < 1e-12
+
+
+def test_hull_membership_residual_bounds_the_distance_from_above():
+    # NNLS weights (3, 0.5) overshoot the sum budget and the LP is infeasible,
+    # so the rescaled weights (6/7, 1/7) give an upper bound on the distance
+    # sqrt(4.25) from (3, 0.5) to e1, the nearest point of conv{0, e1, e2}
+    got = geo.hull_membership_residual(np.eye(2), np.array([3.0, 0.5]))
+    assert got == pytest.approx(math.hypot(3.0 - 6.0 / 7.0, 0.5 - 1.0 / 7.0),
+                                rel=1e-12)
+    assert got == pytest.approx(2.1724, abs=1e-4)
+    assert got >= math.sqrt(4.25)
+
+
 # ---------------------------------------------------------------------------
 # Batched semi-norms and the pairwise-max kernel
 # ---------------------------------------------------------------------------
@@ -494,6 +549,81 @@ def test_pairwise_max_crosses_default_tile():
     want = _reference_pair_max(pts, lambda v: float(np.linalg.norm(v)))
     assert got == pytest.approx(want, rel=1e-13)
     assert geo.pairwise_max(pts[:1], lambda V: np.ones(len(V))) == 0.0
+
+
+def _integer_seminorms():
+    """Every semi-norm kind; integer mixing matrices keep the mt_* kinds exact."""
+    M = np.array([[1.0, -2.0, 0.0], [3.0, 1.0, -1.0], [0.0, 2.0, 2.0],
+                  [-1.0, 0.0, 3.0]])
+    return [zero_norm(), euclidean_scaled(1.3), infinity_scaled(0.6),
+            mt_euclidean(M, 0.9), mt_infinity(M, 2.0), frobenius_scaled(1.1),
+            operator_scaled(0.7)]
+
+
+def _spied_pairwise_max(points, desc):
+    """pairwise_max under desc, and the shapes of the rows it evaluated."""
+    shapes = []
+
+    def rows_fn(V):
+        shapes.append(V.shape)
+        return seminorm_rows(desc, V)
+
+    return geo.pairwise_max(points, rows_fn), shapes
+
+
+def _pair_oracle(points, desc):
+    return _reference_pair_max(
+        points, lambda v: float(seminorm_rows(desc, v[None])[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                     min_size=1, max_size=6),
+       zeros=st.integers(0, 2), data=st.data())
+def test_pairwise_max_on_negation_closed_lists_equals_double_loop(rows, zeros,
+                                                                  data):
+    # integer coordinates: every sum and product before the final square root
+    # is exact, so the one-row scan and the pair scan round the same reals
+    P = np.array(rows, dtype=float)
+    pts = np.vstack([P, -P, np.zeros((zeros, 4))])
+    pts = pts[data.draw(st.permutations(range(len(pts))))]
+    for desc in _integer_seminorms():
+        got, shapes = _spied_pairwise_max(pts, desc)
+        assert shapes == [pts.shape]  # one call on the points themselves
+        want = _pair_oracle(pts, desc)
+        if desc.kind == "operator":
+            # on a tie ||X + Y|| = 2 max ||X|| the SVD of X + Y rounds on its
+            # own: X = [[-1, 1], [1, -1]] and Y = [[0, 2], [2, 0]] have norm 2
+            # and ||X + Y|| computes to 4 + 1 ulp, so the pair scan can read
+            # an ulp or two above the antipodal value
+            assert want >= got
+            assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
+        else:
+            assert got == want
+
+
+_HALF = np.array([[1.0, -2.0, 0.0, 3.0], [2.0, 2.0, -1.0, 0.0],
+                  [0.0, 1.0, 4.0, -1.0], [-3.0, 0.0, 1.0, 1.0]])
+_CLOSED = np.vstack([_HALF, -_HALF])
+
+
+def _nudged(i):
+    """_CLOSED with its i-th coordinate (row-major) one ulp up."""
+    pts = _CLOSED.copy()
+    pts.flat[i] = np.nextafter(pts.flat[i], np.inf)
+    return pts
+
+
+@pytest.mark.parametrize("pts", [
+    _nudged(0), _nudged(14), _nudged(31),
+    np.vstack([_CLOSED, _CLOSED[:1]]),  # one row more often than its negation
+], ids=["ulp-first", "ulp-middle", "ulp-last", "multiplicity"])
+def test_pairwise_max_off_symmetry_takes_the_pair_scan(pts):
+    m = pts.shape[0]
+    for desc in _integer_seminorms():
+        got, shapes = _spied_pairwise_max(pts, desc)
+        assert shapes == [(m * m, 4)]  # one tile of all pair differences
+        assert got == pytest.approx(_pair_oracle(pts, desc), rel=1e-13)
 
 
 def test_seminorm_rows_errors():

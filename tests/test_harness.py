@@ -2,7 +2,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -600,6 +600,20 @@ def test_config_solver_keys_reach_solver_config(tmp_path):
     path.write_text(CONFIG_YAML.replace("solver: {max_iters: 4000, tol: 1.0e-12}",
                                         "solver:"))
     assert harness.load_config(str(path)).solver_config == SolverConfig()
+
+
+def test_config_with_only_required_keys_takes_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text("spec: {kind: laplace, p: 6}\n"
+                    "model: {kind: linear, beta0_rule: {k: 2, seed: 4}}\n"
+                    "set: {kind: l1_ball, radius: beta0_l1}\n")
+    config = harness.load_config(str(path))
+    for obj in (config, config.solver_config):
+        for f in fields(obj):
+            if f.default is not MISSING:
+                assert getattr(obj, f.name) == f.default, f.name
+            elif f.default_factory is not MISSING:
+                assert getattr(obj, f.name) == f.default_factory(), f.name
 
 
 def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):

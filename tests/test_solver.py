@@ -571,23 +571,6 @@ def test_sign_invariant_error_examples():
         == pytest.approx(math.sqrt(2.0))
 
 
-def test_trace_csv_roundtrip():
-    rng = np.random.default_rng(19)
-    X = rng.standard_normal((20, 3))
-    ds = toy_dataset(X, rng.standard_normal(20))
-    res = solve_lasso(ds, geometry.l1_ball(0.5, 3),
-                      SolverConfig(max_iters=500, tol=1e-12, track_trace=True))
-    from subexp_lasso.solver import trace_csv
-    text = trace_csv(res)
-    lines = text.strip().splitlines()
-    assert lines[0] == "iteration,objective"
-    vals = [float(line.split(",")[1]) for line in lines[1:]]
-    assert vals == res.objective_trace
-    plain = solve_lasso(ds, geometry.l1_ball(0.5, 3), SolverConfig(max_iters=50))
-    with pytest.raises(ValueError):
-        trace_csv(plain)
-
-
 def test_excess_risk_helper():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((20, 4))

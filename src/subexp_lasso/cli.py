@@ -134,8 +134,8 @@ def cmd_complexity(args) -> int:
     try:
         q, m = cx.polytope_complexity(s, profile_for(config.spec),
                                       config.n_grid[0])
-    except ConfigurationError:  # no finite vertex list: l2 ball, large cube
-        pass
+    except ConfigurationError as exc:  # no vertex list: l2 ball, large cube
+        print(f"polytope surrogates skipped: {exc}", file=sys.stderr)
     else:
         rows.append(["polytope-q", f"{q:.6g}", "-", "-"])
         rows.append(["polytope-m", f"{m:.6g}", "-", "-"])

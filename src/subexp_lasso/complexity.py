@@ -193,8 +193,10 @@ def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
     q = Delta_e log D / sqrt(n) + (Delta_g + Delta_e) sqrt(log D)
     m = Delta_e log D + Delta_g sqrt(log D)
 
-    The vertex lists of the l1 ball and the hypercube are negation-closed,
-    so `geometry.pairwise_max` reads their diameters off one row scan.
+    Both diameters come from one `geometry.pairwise_max` call, so the
+    vertex list is checked for negation closure once; the lists of the l1
+    ball and the hypercube are closed, and their diameters are read off one
+    row scan.
     """
     verts = geometry.vertices_of(s)
     D = verts.shape[0]
@@ -205,8 +207,8 @@ def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
     logd = np.log(D)
     if logd == 0.0:
         return 0.0, 0.0
-    dg = geometry.pairwise_max(verts, lambda V: seminorm_rows(profile.g_norm, V))
-    de = geometry.pairwise_max(verts, lambda V: seminorm_rows(profile.e_norm, V))
+    dg, de = geometry.pairwise_max(verts, lambda V: np.column_stack(
+        [seminorm_rows(profile.g_norm, V), seminorm_rows(profile.e_norm, V)]))
     q = de * logd / np.sqrt(n) + (dg + de) * np.sqrt(logd)
     m = de * logd + dg * np.sqrt(logd)
     return float(q), float(m)

@@ -492,32 +492,35 @@ def pairwise_diameter(points: np.ndarray, norm: str = "l2") -> float:
     return pairwise_max(points, lambda V: seminorm_rows(metric, V))
 
 
-def pairwise_max(points, rows_fn) -> float:
-    """max over i < j of rows_fn(points[i] - points[j]); 0 below two points.
+def pairwise_max(points, rows_fn):
+    """max over i < j of rows_fn(points[i] - points[j]); 0.0 below two points.
 
-    rows_fn maps an (r, d) array of differences to r values of a semi-norm.
-    When the rows of points, as a multiset, equal those of -points, the
-    maximum is attained at an antipodal pair: it is 2 max rows_fn(points),
-    one rows_fn call on the m points after one row sort.  Otherwise the
-    pairs are scanned in square tiles of at most PAIR_BLOCK_BYTES of
-    difference rows.
+    rows_fn maps an (r, d) array of differences to r values of a semi-norm,
+    or to an (r, k) array of k semi-norms, whose k maxima are then returned
+    as an array.  When the rows of points, as a multiset, equal those of
+    -points, each maximum is attained at an antipodal pair: it is
+    2 max rows_fn(points), one rows_fn call on the m points after one row
+    sort.  Otherwise the pairs are scanned in square tiles of at most
+    PAIR_BLOCK_BYTES of difference rows.
     """
     P = np.asarray(points, dtype=float)
     m, d = P.shape
     if m < 2:
         return 0.0
     if _negation_closed(P):
-        return 2.0 * float(rows_fn(P).max())
-    side = max(1, int(np.sqrt(PAIR_BLOCK_BYTES / (8 * d))))
-    best = 0.0
-    for a in range(0, m - 1, side):
-        for b in range(a, m, side):
-            diffs = P[a:a + side, None, :] - P[None, b:b + side, :]
-            vals = rows_fn(diffs.reshape(-1, d)).reshape(diffs.shape[:2])
-            if a == b:
-                vals = np.triu(vals, 1)  # the diagonal tile: keep j > i
-            best = max(best, float(vals.max()))
-    return best
+        best = 2.0 * rows_fn(P).max(axis=0)
+    else:
+        side = max(1, int(np.sqrt(PAIR_BLOCK_BYTES / (8 * d))))
+        best = 0.0
+        for a in range(0, m - 1, side):
+            for b in range(a, m, side):
+                diffs = P[a:a + side, None, :] - P[None, b:b + side, :]
+                vals = rows_fn(diffs.reshape(-1, d))
+                vals = vals.reshape(diffs.shape[:2] + vals.shape[1:])
+                if a == b:  # the diagonal tile: keep j > i
+                    vals[np.tril_indices(vals.shape[0])] = 0.0
+                best = np.maximum(best, vals.max(axis=(0, 1)))
+    return float(best) if np.ndim(best) == 0 else best
 
 
 def _negation_closed(P: np.ndarray) -> bool:

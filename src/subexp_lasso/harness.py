@@ -187,16 +187,22 @@ class ExperimentResult:
 
 def _solve_cell(config: ExperimentConfig, beta_nat: np.ndarray, n: int,
                 trial: int) -> TrialRecord:
+    """One trial's record; a ConfigurationError is re-raised, from the
+    original, with the cell's experiment, n, trial and seed in its message."""
     seed = derive_seed(config.master_seed, f"{config.name}:n={n}", trial)
-    dataset = generate_dataset(config.model, config.spec, n, seed)
-    t0 = time.perf_counter()
-    res = solver.solve(dataset, config.hypothesis_set, config.solver_config)
-    if dataset.lifted:
-        lam, vec, _ = solver.rank1_extract(res.estimate)
-        err = solver.sign_invariant_error(lam * vec, beta_nat)
-    else:
-        err = float(np.linalg.norm(res.estimate - beta_nat))
-    ms = 1000.0 * (time.perf_counter() - t0)
+    try:
+        dataset = generate_dataset(config.model, config.spec, n, seed)
+        t0 = time.perf_counter()
+        res = solver.solve(dataset, config.hypothesis_set, config.solver_config)
+        if dataset.lifted:
+            lam, vec, _ = solver.rank1_extract(res.estimate)
+            err = solver.sign_invariant_error(lam * vec, beta_nat)
+        else:
+            err = float(np.linalg.norm(res.estimate - beta_nat))
+        ms = 1000.0 * (time.perf_counter() - t0)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"experiment {config.name!r}, n={n}, "
+                                 f"trial={trial}, seed={seed}: {exc}") from exc
     return TrialRecord(config.name, n, trial, err, ms, res.converged, seed,
                        res.iterations)
 
@@ -324,11 +330,13 @@ class PhaseTransitionResult:
     n_grid: tuple
     success: np.ndarray         # |k_grid| x |n_grid| success fractions
     threshold_rule: str
+    max_error: np.ndarray       # |k_grid| x |n_grid| largest trial errors
 
 
 def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
                          success_threshold: Optional[float] = None) -> PhaseTransitionResult:
-    """Fraction of trials with error below threshold per (k, n) cell.
+    """Fraction of trials with error below threshold, and the largest trial
+    error, per (k, n) cell.
 
     For each sparsity k a fresh unit-norm k-sparse target is drawn and the
     l1 ball is tuned to it; the default threshold is 1e-3 times the target
@@ -360,7 +368,8 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
         len(k_grid), len(n_grid), config.trials_per_n)
     hits = np.count_nonzero(errors < np.array(thresholds)[:, None, None], axis=2)
     rule = "auto" if success_threshold is None else "explicit"
-    return PhaseTransitionResult(k_grid, n_grid, hits / config.trials_per_n, rule)
+    return PhaseTransitionResult(k_grid, n_grid, hits / config.trials_per_n,
+                                 rule, errors.max(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +426,8 @@ def _emit_records(records, fmt: str) -> str:
 def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
     if fmt == "jsonl":
         lines = [json.dumps({"k": k, "n": n,
-                             "success": float(result.success[i, j])})
+                             "success": float(result.success[i, j]),
+                             "max_error": float(result.max_error[i, j])})
                  for i, k in enumerate(result.k_grid)
                  for j, n in enumerate(result.n_grid)]
         return "\n".join(lines) + "\n"

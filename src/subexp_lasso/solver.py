@@ -17,11 +17,11 @@ z = beta + ((t - 1) / t') (beta - beta_prev), and with tol = config.tol
 
 The decrease test is what stops a noisy problem with an active constraint:
 there the step length bottoms out at projection rounding times a nonzero
-multiplier, 1e-10 to 1e-9, far above a tol of 1e-14.  Accepted iterates
-strictly lower the objective, so the estimate (the last accepted iterate)
-is the lowest-objective one; the objective trace holds the objective of the
-accepted iterate after each step.  The loop runs in one of two forms, chosen
-by the shape of the n x d design X:
+multiplier, 1e-10 to 1e-9, far above a tol of 1e-14.  Accepted iterates,
+subspace steps included, strictly lower the objective, so the estimate (the
+last accepted iterate) is the lowest-objective one; the objective trace
+holds the objective of the accepted iterate after each step.  The loop runs
+in one of two forms, chosen by the shape of the n x d design X:
 
 * Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once and
   L = 2 lambda_max(G) comes from that same G.  An iteration costs one d x d
@@ -30,7 +30,17 @@ by the shape of the n x d design X:
   delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
   ||y||^2 / n would cancel catastrophically near zero risk.
 * Direct form (n < d).  The loop keeps the residual X beta - y of the
-  accepted iterate: two products with X per iteration.
+  accepted iterate: two products with X per iteration.  Over an l1 ball it
+  also takes a subspace step every SUBSPACE_EVERY accepted steps: on the
+  support S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, when
+  |S| < n, u = lstsq(X[:, S], y) (zero off S) is projected onto the set
+  and replaces beta only if it strictly lowers the objective, after which
+  the momentum restarts (z = beta, t = 1).  Where the solution has zero
+  residual the constraint multiplier is zero and the gradient steps only
+  gain a fixed ratio each; when S holds the support of such a solution and
+  X[:, S] has full column rank, u is that solution up to rounding (after
+  Nutini, Schmidt and Hare, Optim. Letters 2019, on the active set that
+  proximal gradient identifies).
 
 Both stored states (G beta, or X beta - y) are affine in beta, so the state
 at z is recombined from those of beta and beta_prev with no extra product.
@@ -89,6 +99,7 @@ class SolveResult:
     converged: bool
     objective_trace: Optional[list] = None
     fixed_point_residual: float = np.nan
+    subspace_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +140,8 @@ def excess_risk(dataset: Dataset, beta, beta_nat) -> float:
 # ---------------------------------------------------------------------------
 
 GRAM_BLOCK_BYTES = 1 << 21  # bytes of design rows per block when forming G
+SUBSPACE_EVERY = 10  # accepted steps between two subspace steps
+SUBSPACE_THRESHOLD = 1e-3  # support: |beta_j| >= this times max |beta|
 
 
 def _top_eigenvalue(gram: np.ndarray) -> float:
@@ -237,6 +250,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             return obj - obj_next, obj_next
     step = 1.0 / lip if lip > 0 else 1.0
     tol = config.tol
+    subspace = n < d and s.kind == "l1_ball"
 
     start = geometry.project(s, np.zeros(s.ambient))
     r = dataset.forward(start) - y
@@ -248,7 +262,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     z, st_z, t, momentum = beta, st, 1.0, False
     trace = [obj] if config.track_trace else None
     converged = False
-    iterations = 0
+    iterations = accepted = subspace_steps = 0
 
     for iterations in range(1, config.max_iters + 1):
         cand = to_coords(geometry.project(
@@ -272,6 +286,16 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             st_z = st_cand + coef * (st_cand - st)
             beta, st, obj = cand, st_cand, obj_cand
             t, momentum = t_next, coef > 0.0
+            accepted += 1
+            if subspace and accepted % SUBSPACE_EVERY == 0:
+                u = _subspace_point(Xc, y, s, beta)
+                if u is not None:
+                    st_u = state(u)
+                    dec_u, obj_u = decrease(obj, beta, st, u, st_u)
+                    if dec_u > 0:
+                        beta, st, obj = u, st_u, obj_u
+                        z, st_z, t, momentum = beta, st, 1.0, False
+                        subspace_steps += 1
         if trace is not None:
             trace.append(obj)
         if converged:
@@ -284,7 +308,22 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     return SolveResult(estimate=estimate, iterations=iterations,
                        objective=float(r @ r) / n, converged=converged,
                        objective_trace=trace,
-                       fixed_point_residual=float(np.linalg.norm(fp - estimate)))
+                       fixed_point_residual=float(np.linalg.norm(fp - estimate)),
+                       subspace_steps=subspace_steps)
+
+
+def _subspace_point(X, y, s, beta):
+    """project(u) for the least-squares u on the columns S of beta's support,
+    S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, u zero off S; None
+    when S has at least n columns.  S holds the argmax of |beta|, so it is
+    never empty."""
+    mag = np.abs(beta)
+    S = np.flatnonzero(mag >= SUBSPACE_THRESHOLD * mag.max())
+    if S.size >= X.shape[0]:
+        return None
+    u = np.zeros_like(beta)
+    u[S] = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+    return geometry.project(s, u)
 
 
 def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
@@ -295,7 +334,10 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
     lowest-objective one among those accepted (see the module docstring).
     `converged` is True when the last step moved by <= tol, or when a step
     without momentum lowered the objective by <= tol relative; `iterations`
-    counts every projected step, dropped ones included.
+    counts the projected-gradient steps only, dropped ones included.  For
+    n < d over an l1 ball the loop also tries a least-squares step on the
+    identified support every SUBSPACE_EVERY accepted steps;
+    `subspace_steps` counts those it accepted (always 0 otherwise).
     """
     if s.is_matrix_set:
         raise ConfigurationError("use solve_lifted for the matrix set")

@@ -11,7 +11,8 @@ from subexp_lasso.complexity import (assemble_bound, dudley_sparse_bound,
                                      small_ball_report, sparse_cone_bound)
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
-                                        infinity_scaled, profile_for, zero_norm)
+                                        infinity_scaled, profile_for,
+                                        seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
 
 
@@ -253,6 +254,31 @@ def test_polytope_complexity_symmetric_vertex_lists_match_closed_forms(
                                  D, n)
     assert q == pytest.approx(want_q, rel=1e-12)
     assert m == pytest.approx(want_m, rel=1e-12)
+
+
+def _two_scan_surrogates(s, prof, n):
+    """q and m with one pairwise_max call per semi-norm."""
+    verts = geometry.vertices_of(s)
+    dg = geometry.pairwise_max(verts, lambda V: seminorm_rows(prof.g_norm, V))
+    de = geometry.pairwise_max(verts, lambda V: seminorm_rows(prof.e_norm, V))
+    return _surrogates(dg, de, verts.shape[0], n)
+
+
+@pytest.mark.parametrize("s", [
+    geometry.l1_ball(0.7, 400), geometry.hypercube(0.5, 8),
+    geometry.hypercube(0.5, 12),
+    geometry.polytope([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5], [3.0, 1.0, 0.0],
+                       [-1.0, 2.0, 1.0]]),  # not negation-closed: pair scan
+], ids=["l1-400", "cube-8", "cube-12", "polytope"])
+def test_polytope_complexity_decides_negation_closure_once(s, monkeypatch):
+    prof = profile_for(DistributionSpec("laplace", s.p))
+    want = _two_scan_surrogates(s, prof, 200)
+    calls = []
+    closed = geometry._negation_closed
+    monkeypatch.setattr(geometry, "_negation_closed",
+                        lambda P: calls.append(P.shape) or closed(P))
+    assert polytope_complexity(s, prof, 200) == want  # bitwise
+    assert len(calls) == 1
 
 
 def test_sparse_cone_bound_values():

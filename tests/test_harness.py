@@ -226,8 +226,10 @@ def test_phase_transition_extremes_and_monotonicity():
 
 
 def phase_oracle(k_grid, n_grid, config):
-    """The (k, n, trial) solve loop written out: seeds pt:k=<k>:n=<n>."""
+    """The (k, n, trial) solve loop written out: seeds pt:k=<k>:n=<n>.
+    Returns the success fractions and the largest trial errors."""
     success = np.zeros((len(k_grid), len(n_grid)))
+    max_error = np.zeros_like(success)
     for i, k in enumerate(k_grid):
         beta0 = sparse_vector(config.spec.p, k,
                               derive_seed(config.master_seed, "pt-beta0", i))
@@ -238,14 +240,15 @@ def phase_oracle(k_grid, n_grid, config):
         thr = (1e-3 * float(np.linalg.norm(beta0))
                if noise.kind == "none" or noise.level == 0.0 else noise.level)
         for j, n in enumerate(n_grid):
-            hits = 0
+            errors = []
             for trial in range(config.trials_per_n):
                 seed = derive_seed(config.master_seed, f"pt:k={k}:n={n}", trial)
                 res = solve_lasso(generate_dataset(model, config.spec, n, seed),
                                   s, config.solver_config)
-                hits += float(np.linalg.norm(res.estimate - beta0)) < thr
-            success[i, j] = hits / config.trials_per_n
-    return success
+                errors.append(float(np.linalg.norm(res.estimate - beta0)))
+            success[i, j] = sum(e < thr for e in errors) / config.trials_per_n
+            max_error[i, j] = max(errors)
+    return success, max_error
 
 
 @pytest.mark.parametrize("noise", [Noise(), Noise("gaussian", 0.05)],
@@ -260,15 +263,39 @@ def test_phase_transition_equals_inline_loop(noise, monkeypatch):
         solver_config=SolverConfig(max_iters=500, tol=1e-12),
         n_grid=(10,), trials_per_n=3, master_seed=23)
     k_grid, n_grid = (1, 4), (4, 10, 20)
-    oracle = phase_oracle(k_grid, n_grid, config)
+    oracle, max_error = phase_oracle(k_grid, n_grid, config)
     assert 0.0 < oracle.mean() < 1.0  # both outcomes occur on this grid
     monkeypatch.delenv("SUBEXP_LASSO_THREADS", raising=False)
     serial = harness.run_phase_transition(k_grid, n_grid, config)
     assert np.array_equal(serial.success, oracle)
+    assert np.array_equal(serial.max_error, max_error)
     assert serial.threshold_rule == "auto"
     monkeypatch.setenv("SUBEXP_LASSO_THREADS", "2")
     threaded = harness.run_phase_transition(k_grid, n_grid, config)
     assert np.array_equal(threaded.success, oracle)
+    assert np.array_equal(threaded.max_error, max_error)
+    # the jsonl lines carry each cell's largest error, repr-exact
+    lines = [json.loads(ln) for ln in harness.emit(serial, "jsonl").splitlines()]
+    assert [(c["k"], c["n"]) for c in lines] == [(k, n) for k in k_grid
+                                                 for n in n_grid]
+    assert [c["max_error"] for c in lines] == max_error.ravel().tolist()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cell_failures_name_their_cell(threads, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConfigurationError("broken solve")
+
+    monkeypatch.setattr(harness.solver, "solve", broken)
+    monkeypatch.setenv("SUBEXP_LASSO_THREADS", threads)
+    config = small_config(n_grid=(20, 40), trials_per_n=2)
+    with pytest.raises(ConfigurationError) as info:
+        harness.run_error_curve(config)
+    seed = derive_seed(config.master_seed, "unit:n=20", 0)
+    assert str(info.value) == (f"experiment 'unit', n=20, trial=0, "
+                               f"seed={seed}: broken solve")
+    assert isinstance(info.value.__cause__, ConfigurationError)
+    assert str(info.value.__cause__) == "broken solve"
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +572,12 @@ def test_cli_complexity_without_vertex_list(tmp_path, capsys):
     cfg.write_text(CONFIG_YAML.replace("{kind: l1_ball, radius: beta0_l1}",
                                        "{kind: l2_ball, radius: 1.0}"))
     assert main(["complexity", "--config", str(cfg)]) == 0
-    text = capsys.readouterr().out
+    captured = capsys.readouterr()
+    text = captured.out
     assert "gaussian" in text and "exponential" in text
     assert "polytope" not in text
+    assert captured.err == ("polytope surrogates skipped: l2_ball has no "
+                            "finite vertex representation\n")
 
 
 def test_cli_complexity_raises_real_errors(tmp_path, monkeypatch):

@@ -11,7 +11,8 @@ from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
-from subexp_lasso.solver import (SolverConfig, _Svec, empirical_risk,
+from subexp_lasso.solver import (SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
+                                 SolverConfig, _Svec, empirical_risk,
                                  excess_decomposition, excess_risk,
                                  lipschitz_constant, rank1_extract,
                                  sign_invariant_error, solve, solve_lasso,
@@ -232,7 +233,10 @@ def test_converged_means_a_short_step_or_a_flat_momentum_free_step(
 def test_tol_controls_the_final_fixed_point_residual():
     # noiseless n = 150 < p = 200 l1 instance: the objective falls by a fixed
     # ratio per step, so a relative-decrease stop ran the same 668 iterations
-    # at every tol; the step-length stop lets tol set the final residual
+    # at every tol; the step-length stop lets tol set the final residual.  A
+    # subspace step can land on the exact solution, after which a tighter tol
+    # costs no further iteration, so the two tight tols may tie; they must
+    # then both sit at the solution, to rounding
     beta0 = sparse_vector(200, 10, seed=0)
     ds = generate_dataset(ObservationModel("linear", beta0),
                           DistributionSpec("gaussian", 200), 150, 100)
@@ -244,14 +248,20 @@ def test_tol_controls_the_final_fixed_point_residual():
     assert all(r.converged for r in results)
     assert all(fp <= tol for fp, tol in zip(fps, tols))
     assert fps[0] >= fps[1] >= fps[2]
-    assert results[0].iterations < results[1].iterations < results[2].iterations
+    assert results[0].iterations < results[1].iterations <= results[2].iterations
+    for r in results[1:]:
+        assert np.linalg.norm(r.estimate - beta0) <= 1e-13
+        assert r.objective <= 1e-28
 
 
-def residual_form_mfista(X, y, s, cfg):
+def residual_form_mfista(X, y, s, cfg, subspace=False):
     """Reference monotone FISTA in the residual form, with the solver's
     decisions: each candidate's residual is a fresh product with X, the
     extrapolated point's residual is recombined from the two stored ones, and
-    a decrease is a difference of residual-form objectives."""
+    a decrease is a difference of residual-form objectives.  With `subspace`,
+    every SUBSPACE_EVERY accepted steps it also tries the projected
+    least-squares point on the thresholded support, keeps it when it lowers
+    the objective, and then restarts the momentum."""
     n, d = X.shape
     shape = (s.p, s.p) if s.is_matrix_set else (d,)
     step = 1.0 / lipschitz_constant(X)
@@ -259,6 +269,7 @@ def residual_form_mfista(X, y, s, cfg):
     r = X @ beta - y
     obj = float(r @ r) / n
     z, r_z, t, momentum = beta, r, 1.0, False
+    accepted = 0
     for _ in range(cfg.max_iters):
         grad = (2.0 / n) * (X.T @ r_z)
         cand = geometry.project(s, (z - step * grad).reshape(shape)).ravel()
@@ -275,6 +286,19 @@ def residual_form_mfista(X, y, s, cfg):
         coef = (t - 1.0) / t_next
         z, r_z = cand + coef * (cand - beta), r_cand + coef * (r_cand - r)
         beta, r, obj, t, momentum = cand, r_cand, obj_cand, t_next, coef > 0.0
+        accepted += 1
+        if not subspace or accepted % SUBSPACE_EVERY:
+            continue
+        S = np.flatnonzero(np.abs(beta) >= SUBSPACE_THRESHOLD * np.abs(beta).max())
+        if not 0 < S.size < n:
+            continue
+        u = np.zeros(d)
+        u[S] = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+        u = geometry.project(s, u)
+        r_u = X @ u - y
+        if float(r_u @ r_u) / n < obj:
+            beta, r, obj = u, r_u, float(r_u @ r_u) / n
+            z, r_z, t, momentum = beta, r, 1.0, False
     return beta
 
 
@@ -291,7 +315,8 @@ def test_gram_form_matches_residual_form_oracle(d, offset, seed, kind, radius,
     # Gram form and the oracle round a decrease differently, so a decrease
     # within rounding of tol * obj can send them down different branches:
     # over instances drawn like these, 4 in 12,000 left the oracle by more
-    # than 1e-8 at tol = 1e-12, and none in 24,000 at ORACLE_TOL
+    # than 1e-8 at tol = 1e-12, and none in 24,000 at ORACLE_TOL.  The direct
+    # form over an l1 ball also takes subspace steps, so the oracle does too
     rng = np.random.default_rng(seed)
     n = d + offset
     X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
@@ -299,7 +324,80 @@ def test_gram_form_matches_residual_form_oracle(d, offset, seed, kind, radius,
     s = SET_MAKERS[kind](radius, d)
     cfg = SolverConfig(max_iters=max_iters, tol=ORACLE_TOL)
     res = solve_lasso(toy_dataset(X, y), s, cfg)
-    assert np.max(np.abs(res.estimate - residual_form_mfista(X, y, s, cfg))) < 1e-8
+    oracle = residual_form_mfista(X, y, s, cfg, subspace=kind == "l1" and n < d)
+    assert np.max(np.abs(res.estimate - oracle)) < 1e-8
+
+
+# rounding of a least-squares residual, as a multiple of eps ||y|| / sqrt(n):
+# over 1,500 instances drawn like those below (d up to 60), the objective of
+# a solve that took subspace steps exceeded plain MFISTA's by at most
+# 688 eps^2 ||y||^2 / n, each time where MFISTA had landed on the target to
+# rounding or exactly (objective 0.0, for k = 1 on a vertex of the ball)
+SUBSPACE_ROUNDING = 2.0 ** 8 * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(8, 40), n_frac=st.floats(0.34, 0.99),
+       k_frac=st.floats(0.0, 0.25), seed=st.integers(0, 2 ** 32 - 1))
+def test_subspace_steps_reach_the_noiseless_solution(d, n_frac, k_frac, seed):
+    # noiseless n < d instances with the target on the l1 ball: the direct
+    # form takes subspace steps, plain MFISTA (the residual-form reference)
+    # does not
+    n = max(2, min(d - 1, int(n_frac * d)))
+    k = max(1, int(k_frac * n))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    beta0 = np.zeros(d)
+    beta0[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+    y = X @ beta0
+    s = geometry.l1_ball(float(np.abs(beta0).sum()), d)
+    cfg = SolverConfig(max_iters=20_000, tol=1e-14)
+    res = solve_lasso(toy_dataset(X, y), s, cfg)
+    r = X @ residual_form_mfista(X, y, s, cfg) - y
+    floor = SUBSPACE_ROUNDING ** 2 * float(y @ y) / n
+    assert res.objective <= max(float(r @ r) / n, floor)
+    if res.converged:
+        assert res.fixed_point_residual <= cfg.tol
+    # phase-sparse-like: k <= n / 8 (k = 1 converges before the tenth step)
+    if 2 <= k and 8 * k <= n:
+        assert res.subspace_steps > 0
+
+
+def test_noisy_subspace_steps_lower_the_objective_and_follow_the_reference():
+    # noisy n < d instance: the projected least-squares point is accepted
+    # early (2 steps here) and dropped later, when the iterate beats it; the
+    # 60-step iterate shows the momentum restart after an accepted step
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 80))
+    beta0 = np.zeros(80)
+    beta0[:5] = rng.standard_normal(5)
+    y = X @ beta0 + 0.1 * rng.standard_normal(40)
+    s = geometry.l1_ball(float(np.abs(beta0).sum()), 80)
+    for max_iters in (60, 5_000):
+        cfg = SolverConfig(max_iters=max_iters, tol=1e-12, track_trace=True)
+        res = solve_lasso(toy_dataset(X, y), s, cfg)
+        assert res.subspace_steps > 0
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        oracle = residual_form_mfista(X, y, s, cfg, subspace=True)
+        assert np.max(np.abs(res.estimate - oracle)) < 1e-8
+
+
+def test_subspace_steps_only_in_the_direct_form_over_an_l1_ball():
+    rng = np.random.default_rng(21)
+    beta0 = np.zeros(12)
+    beta0[:2] = (0.6, -0.4)
+    X = rng.standard_normal((40, 12))
+    gram = solve_lasso(toy_dataset(X, X @ beta0), geometry.l1_ball(1.0, 12))
+    X = rng.standard_normal((30, 60))
+    cube = solve_lasso(toy_dataset(X, X @ np.pad(beta0, (0, 48))),
+                       geometry.hypercube(0.6, 60))
+    u = rng.standard_normal(6)
+    # p = 6 lifts have d = 21 svec coordinates: n = 15 runs the direct form
+    ds = lifted_interpolation_dataset(np.outer(u, u) / (u @ u), 15, 22)
+    lifted = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 6))
+    assert gram.iterations > SUBSPACE_EVERY and gram.subspace_steps == 0
+    assert cube.iterations > SUBSPACE_EVERY and cube.subspace_steps == 0
+    assert lifted.iterations > SUBSPACE_EVERY and lifted.subspace_steps == 0
 
 
 def test_gram_form_noiseless_recovery_reaches_rounding_level():

@@ -293,22 +293,25 @@ def skeleton_q_m_proxies(skeleton: geometry.Skeleton, profile, n: int):
     q = gamma_1(e) / sqrt(n) + gamma_2(g + e)
     m = gamma_1(e) + gamma_2(g)
 
-    with each gamma replaced by its diameter-log bound.
+    with each gamma replaced by its diameter-log bound, in the arithmetic of
+    `finite_gamma_bound`; one `geometry.pairwise_max` call takes all three
+    diameters, so the skeleton is checked for negation closure once.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     m_count = skeleton.points.shape[0]
     if m_count <= 1:
         return 0.0, 0.0
-    g1_e = finite_gamma_bound(skeleton, 1, profile.e_norm)
-    g2_g = finite_gamma_bound(skeleton, 2, profile.g_norm)
-    logm = np.log(m_count)
     g, e = profile.g_norm, profile.e_norm
-    diam_ge = geometry.pairwise_max(
-        skeleton.points, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
-    g2_ge = diam_ge * np.sqrt(logm)
-    q = g1_e / np.sqrt(n) + g2_ge
-    m = g1_e + g2_g
+
+    def rows(V):
+        rg, re = seminorm_rows(g, V), seminorm_rows(e, V)
+        return np.column_stack([re, rg, rg + re])
+
+    diam_e, diam_g, diam_ge = geometry.pairwise_max(skeleton.points, rows)
+    logm = np.log(m_count)
+    q = diam_e * logm / np.sqrt(n) + diam_ge * np.sqrt(logm)
+    m = diam_e * logm + diam_g * logm ** 0.5
     return float(q), float(m)
 
 

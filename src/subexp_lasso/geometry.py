@@ -327,10 +327,11 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
                             seed: int) -> DirectionSample:
     """Unit directions v with center + t v in the set.
 
-    Rejection sampling, augmented with vertex directions for polytopal sets;
-    each batch of candidates is tested with one `contains_rows` call.  An
-    empty result signals that t exceeds the local reach in every sampled
-    direction.
+    Rejection sampling, augmented with vertex directions for polytopal sets.
+    A batch of candidates is tested with `contains_rows` in slices as long
+    as the count still missing, so no row past the n_dirs-th acceptance is
+    tested.  An empty result signals that t exceeds the local reach in every
+    sampled direction.
     """
     center = np.asarray(center, dtype=float)
     if not contains(s, center):
@@ -347,8 +348,11 @@ def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
         u = rng.standard_normal((batch, dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         attempts += batch
-        hits = u[contains_rows(s, center.ravel() + t * u)]
-        accepted.extend(hits[:n_dirs - len(accepted)])
+        start = 0
+        while start < batch and len(accepted) < n_dirs:
+            rows = u[start:start + n_dirs - len(accepted)]
+            accepted.extend(rows[contains_rows(s, center.ravel() + t * rows)])
+            start += rows.shape[0]
     verts = _cheap_vertices(s)
     attempts += len(verts)
     far = []
@@ -393,18 +397,6 @@ def cone_directions(s: HypothesisSet, apex, n_dirs: int, seed: int) -> Direction
     if not dirs:
         return DirectionSample(np.zeros((0, dim)), degenerate=True)
     return DirectionSample(_dedup_directions(np.array(dirs)))
-
-
-def span_sphere_directions(s: HypothesisSet, n_dirs: int, seed: int) -> np.ndarray:
-    """Unit directions in span(K - K); used to probe non-degeneracy."""
-    basis = span_basis(s)
-    if basis.shape[1] == 0:
-        return np.zeros((0, basis.shape[0]))
-    rng = rng_for(seed, "span-sphere")
-    g = rng.standard_normal((n_dirs, basis.shape[1]))
-    dirs = g @ basis.T
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return dirs
 
 
 def _shaped(v: np.ndarray, s: HypothesisSet):

@@ -8,14 +8,15 @@ linearly: the deviation (psi_1 proxy of y - <x, beta>), the global covariance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .distributions import (DistributionSpec, laplace_draws, psi_norm_estimate,
-                            sample_inputs, second_moment_matrix)
+from .distributions import (DistributionSpec, coordinate_variance, laplace_draws,
+                            psi_norm_estimate, sample_inputs,
+                            second_moment_matrix)
 from .errors import ConfigurationError
 from .seeding import derive_seed, partitioned_mean, rng_for
 
@@ -157,24 +158,21 @@ def generate_dataset(model: ObservationModel, spec: DistributionSpec, n: int,
     if model.p != spec.p:
         raise ConfigurationError("model/spec dimension mismatch")
     x = sample_inputs(spec, n, derive_seed(seed, "inputs"))
-    noise_rng = rng_for(seed, "noise")
-    nu = model.noise.draw(noise_rng, n)
-    z = x @ model.beta0
-    f = LINKS[model.link]
+    y = _outputs(model, x @ model.beta0, seed)
+    centering = (lift_centering(spec, seed, calibration_size)
+                 if model.kind == "lifted_view" else None)
+    return Dataset(x, y, spec, model, seed, centering=centering)
 
+
+def _outputs(model: ObservationModel, z: np.ndarray, seed: int) -> np.ndarray:
+    """The model's outputs at the indices z_i = <x_i, beta0>, with the noise
+    stream of `seed`."""
+    nu = model.noise.draw(rng_for(seed, "noise"), z.size)
     if model.kind == "linear":
-        y = z + nu
-        return Dataset(x, y, spec, model, seed)
+        return z + nu
     if model.kind == "single_index":
-        y = f(z) + nu
-        return Dataset(x, y, spec, model, seed)
-    if model.kind in ("quadratic", "lifted_view"):
-        y = (z + nu) ** 2
-        if model.kind == "quadratic":
-            return Dataset(x, y, spec, model, seed)
-        return Dataset(x, y, spec, model, seed,
-                       centering=lift_centering(spec, seed, calibration_size))
-    raise ConfigurationError(f"unknown model kind {model.kind!r}")
+        return LINKS[model.link](z) + nu
+    return (z + nu) ** 2
 
 
 def lift_centering(spec: DistributionSpec, seed: int,
@@ -207,17 +205,30 @@ def _mc_scale(mc_budget: int, seed: int, domain: str, chunk) -> TargetScale:
     return TargetScale(float(mean), float(se), mc_budget)
 
 
+def _latent_restriction(spec: DistributionSpec, *vectors):
+    """(T, sub, [w_T, ...]): each b enters as <x, b> = <z_T, w_T>, w = M^T b
+    for a mixed spec (x = M z) and w = b otherwise, T the union of their
+    supports, z_T drawn by sub: the |T|-dimensional spec of the same law,
+    scale and seed_domain (None for an empty T)."""
+    mixed = spec.kind == "mixed"
+    ws = [spec.mixing.T @ b if mixed else b for b in vectors]
+    T = np.flatnonzero(np.any(ws, axis=0))
+    sub = (DistributionSpec(spec.base_kind if mixed else spec.kind, T.size,
+                            spec.scale, seed_domain=spec.seed_domain)
+           if T.size else None)
+    return T, sub, [w[T] for w in ws]
+
+
 def target_scale_mu(model: ObservationModel, spec: DistributionSpec,
                     mc_budget: int, seed: int) -> TargetScale:
     """MC estimate of mu = E[f(<x, b0>) <x, b0>] / ||b0||^2 for single-index models.
 
-    Only the coordinates on the support S of w enter <x, b0> = <z, w>, where
-    w = b0 and z = x, or w = M^T b0 and x = M z for mixed specs.  Each chunk
-    therefore draws z_S from a |S|-dimensional spec of the same coordinate
-    law, scale and seed_domain and returns f(<z_S, w_S>) <z_S, w_S> / ||b0||^2.
-    The estimate depends on (law, scale, seed_domain, w_S in coordinate
-    order, link, budget, seed) only: padding b0 with zero coordinates leaves
-    it bitwise unchanged.  An empty support gives the exact mu = 0.
+    Draws only what enters <x, b0> = <z_S, w_S>, S the latent support of b0
+    (`_latent_restriction`): for gaussian coordinates (a mixed spec's base
+    included) its exact marginal N(0, scale^2 ||w_S||^2), as a 1-dimensional
+    spec's coordinate times ||w_S||; for the other laws z_S.  Padding b0 with
+    zero coordinates leaves the estimate bitwise unchanged; an empty support
+    gives the exact mu = 0.
     """
     if model.kind != "single_index":
         raise ConfigurationError("target_scale_mu applies to single_index models")
@@ -226,16 +237,13 @@ def target_scale_mu(model: ObservationModel, spec: DistributionSpec,
     f = LINKS[model.link]
     b0 = model.beta0
     nsq = float(b0 @ b0)
-    mixed = spec.kind == "mixed"
-    w = spec.mixing.T @ b0 if mixed else b0
-    support = np.flatnonzero(w)
-    if support.size == 0:
+    _, sub, (w_s,) = _latent_restriction(spec, b0)
+    if sub is None:
         # <x, b0> = 0 almost surely, and f(0) * 0 = 0 for every link
         return _mc_scale(mc_budget, seed, "target-scale-mu",
                          lambda rng, m: np.zeros(m))
-    w_s = w[support]
-    sub = DistributionSpec(spec.base_kind if mixed else spec.kind, support.size,
-                           spec.scale, seed_domain=spec.seed_domain)
+    if sub.kind == "gaussian":
+        sub, w_s = replace(sub, p=1), np.array([np.linalg.norm(w_s)])
 
     def chunk(rng, m):
         z = sample_inputs(sub, m, rng.integers(2 ** 63)) @ w_s
@@ -278,6 +286,14 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
                     n_dirs: int = 512) -> MismatchReport:
     """Estimate the mismatch deviation/covariance of beta_nat under the model.
 
+    Only z_T is drawn, T the latent support of beta0 and beta_nat
+    (`_latent_restriction`): each chunk is `generate_dataset`'s stream on the
+    sub-model (beta0 pulled back to T) and sub-spec, the noise alone for an
+    empty T.  The draws give the terms of x_T xi, x_T = z_T, or for a mixed
+    spec the part M_{:,T} z_T of every coordinate.  The rest of x is centered
+    and independent of (z_T, xi): its mean term is exactly 0, and E[(x_j xi)^2]
+    gains var E[xi^2] (times sum_{k not in T} M_jk^2 for a mixed spec).
+
     rho_local is a supremum over a sampled direction set (slice directions
     for t > 0, cone directions for t = 0, vertex differences included for
     polytopal sets), hence a lower bound on the true supremum.
@@ -291,37 +307,12 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
     if beta_nat.shape != (spec.p,):
         raise ConfigurationError("beta_nat dimension mismatch")
 
-    mean_vec = np.zeros(spec.p)
-    sq_vec = np.zeros(spec.p)
-    xi_samples = []
-    collected = 0
-    done = 0
-    idx = 0
-    while done < mc_budget:
-        m = min(_MC_CHUNK, mc_budget - done)
-        ds = generate_dataset(model, spec, m, derive_seed(seed, "mismatch", idx))
-        xi = ds.outputs - ds.inputs @ beta_nat
-        contrib = ds.inputs * xi[:, None]
-        mean_vec += contrib.sum(axis=0)
-        contrib *= contrib
-        sq_vec += contrib.sum(axis=0)
-        if collected < _SIGMA_SAMPLE_CAP:
-            take = min(m, _SIGMA_SAMPLE_CAP - collected)
-            xi_samples.append(xi[:take])
-            collected += take
-        done += m
-        idx += 1
-    mean_vec /= mc_budget
-    var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
-    se_vec = np.sqrt(var_vec / mc_budget)
+    mean_vec, se_vec, on, xi = _xi_moments(model, spec, beta_nat, mc_budget, seed)
     mc_std_error = float(np.sqrt(np.mean(se_vec ** 2)))
+    sigma = psi_norm_estimate(xi, alpha=1).value
+    rho_global = float(np.linalg.norm(mean_vec[on]))
 
-    sigma = psi_norm_estimate(np.concatenate(xi_samples), alpha=1).value
-    rho_global = float(np.linalg.norm(mean_vec))
-
-    rho_local = None
-    used = 0
-    exceeds = False
+    rho_local, used, exceeds = None, 0, False
     if hypothesis_set is not None and t is not None:
         if t < 0:
             raise ConfigurationError("t must be nonnegative")
@@ -333,7 +324,7 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
                 hypothesis_set, beta_nat, t, n_dirs,
                 derive_seed(seed, "mismatch-dirs"))
         if sample.directions.shape[0] == 0:
-            exceeds = t is not None and t > 0
+            exceeds = t > 0
         else:
             rho_local = float(np.max(sample.directions @ mean_vec))
             used = sample.directions.shape[0]
@@ -342,6 +333,39 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
                           rho_local=rho_local, mc_std_error=mc_std_error,
                           budget=mc_budget, directions_used=used,
                           scale_exceeds_diameter=exceeds)
+
+
+def _xi_moments(model: ObservationModel, spec: DistributionSpec,
+                beta_nat: np.ndarray, mc_budget: int, seed: int):
+    """`mismatch_report`'s estimate of E[xi x] with its standard errors, the
+    coordinates `on` with sampled terms (the estimate is exactly 0 off them)
+    and the first _SIGMA_SAMPLE_CAP draws of xi."""
+    mixed = spec.kind == "mixed"
+    T, sub, (w_t, v_t) = _latent_restriction(spec, model.beta0, beta_nat)
+    on = slice(None) if mixed else T
+    mean_vec, sq_vec = np.zeros(spec.p), np.zeros(spec.p)
+    xi_sq, xi_samples = 0.0, []
+    for idx, done in enumerate(range(0, mc_budget, _MC_CHUNK)):
+        m = min(_MC_CHUNK, mc_budget - done)
+        chunk_seed = derive_seed(seed, "mismatch", idx)
+        # the stream of generate_dataset on the sub-model and sub-spec
+        z = (np.zeros((m, 0)) if sub is None
+             else sample_inputs(sub, m, derive_seed(chunk_seed, "inputs")))
+        xi = _outputs(model, z @ w_t, chunk_seed) - z @ v_t
+        contrib = z @ spec.mixing[:, T].T if mixed else z
+        contrib *= xi[:, None]
+        mean_vec[on] += contrib.sum(axis=0)
+        contrib *= contrib
+        sq_vec[on] += contrib.sum(axis=0)
+        xi_sq += float(xi @ xi)
+        xi_samples.append(xi[:max(_SIGMA_SAMPLE_CAP - done, 0)])
+    var = coordinate_variance(spec.base_kind if mixed else spec.kind, spec.scale)
+    off = (np.square(np.delete(spec.mixing, T, axis=1)).sum(axis=1) if mixed
+           else np.isin(np.arange(spec.p), T, invert=True))
+    sq_vec += var * xi_sq * off
+    mean_vec /= mc_budget
+    var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
+    return mean_vec, np.sqrt(var_vec / mc_budget), on, np.concatenate(xi_samples)
 
 
 def sparse_vector(p: int, k: int, seed: int, norm: str = "l2") -> np.ndarray:

@@ -337,7 +337,10 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
     counts the projected-gradient steps only, dropped ones included.  For
     n < d over an l1 ball the loop also tries a least-squares step on the
     identified support every SUBSPACE_EVERY accepted steps;
-    `subspace_steps` counts those it accepted (always 0 otherwise).
+    `subspace_steps` counts those it accepted (always 0 otherwise).  An
+    accepted subspace step restarts the momentum, so a run cut by max_iters
+    may end at a higher objective than plain MFISTA reaches in as many
+    steps.
     """
     if s.is_matrix_set:
         raise ConfigurationError("use solve_lifted for the matrix set")

@@ -362,6 +362,34 @@ def test_skeleton_q_m_proxies():
     assert q_big < q
 
 
+def _three_scan_proxies(sk, prof, n):
+    """skeleton_q_m_proxies with one pairwise_max call per diameter."""
+    g, e = prof.g_norm, prof.e_norm
+    g1_e = finite_gamma_bound(sk, 1, e)
+    g2_g = finite_gamma_bound(sk, 2, g)
+    diam_ge = geometry.pairwise_max(
+        sk.points, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
+    q = g1_e / np.sqrt(n) + diam_ge * np.sqrt(np.log(sk.points.shape[0]))
+    return float(q), float(g1_e + g2_g)
+
+
+@pytest.mark.parametrize("sk, kind", [
+    (geometry.sparse_skeleton_sampler(5, 40, 2000, 3), "laplace"),
+    (geometry.sparse_skeleton_sampler(2, 6, 100, 26), "gaussian"),
+    (geometry.skeleton_from_points(np.random.default_rng(27).standard_normal(
+        (300, 7))), "symmetric_exponential"),  # not negation-closed
+], ids=["sparse-40", "sparse-6", "gaussian-cloud"])
+def test_skeleton_q_m_proxies_check_negation_closure_once(sk, kind, monkeypatch):
+    prof = profile_for(DistributionSpec(kind, sk.points.shape[1]))
+    want = _three_scan_proxies(sk, prof, 300)
+    calls = []
+    closed = geometry._negation_closed
+    monkeypatch.setattr(geometry, "_negation_closed",
+                        lambda P: calls.append(P.shape) or closed(P))
+    assert skeleton_q_m_proxies(sk, prof, 300) == want  # bitwise
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Bound assembly
 # ---------------------------------------------------------------------------
@@ -435,6 +463,7 @@ def test_bound_assembly_pipeline_from_estimated_ingredients():
     # end to end: profile -> skeleton proxies -> small ball -> mismatch ->
     # assembled sample-size condition and error level
     from subexp_lasso.models import ObservationModel, mismatch_report, sparse_vector
+    from subexp_lasso.seeding import rng_for
 
     p, k, n = 30, 3, 2_000
     spec = DistributionSpec("laplace", p)
@@ -446,7 +475,9 @@ def test_bound_assembly_pipeline_from_estimated_ingredients():
     sk = geometry.sparse_skeleton_sampler(k, p, 2_000, seed=91)
     q_proxy, m_proxy = skeleton_q_m_proxies(sk, prof, n)
 
-    dirs = geometry.span_sphere_directions(s, 128, seed=92)
+    # unit directions in span(s - s), the whole space for the l1 ball
+    dirs = rng_for(92, "span-sphere").standard_normal((128, p))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     sb = small_ball_report(spec, dirs, "paley_zygmund", 40_000, 93)
     assert not sb.degenerate
 

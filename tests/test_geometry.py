@@ -305,6 +305,21 @@ def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
     assert np.array_equal(sample.directions[:rows.shape[0]], rows)
 
 
+def test_sphere_slice_tests_no_row_past_the_last_acceptance(monkeypatch):
+    # the octahedron 0.7 (+-e_j): every candidate that is not a vertex costs
+    # one projection, and the per-row oracle stops at the 40th acceptance
+    # after 202 projections in all (the center check and the 6 vertex
+    # directions included); testing whole batches ran 263
+    s = geo.polytope(np.vstack([np.eye(3), -np.eye(3)]) * 0.7)
+    calls = []
+    project = geo.project
+    monkeypatch.setattr(geo, "project", lambda *a: calls.append(1) or project(*a))
+    sample = geo.sphere_slice_directions(s, np.zeros(3), 0.5, 40, 11)
+    assert len(calls) <= 202
+    rows = slice_rows_oracle(s, np.zeros(3), 0.5, 40, 11)
+    assert np.array_equal(sample.directions[:rows.shape[0]], rows)
+
+
 def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):
     """Per-vector membership of polytope and lifted sets, from the formulas."""
     if s.kind == "polytope":

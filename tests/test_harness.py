@@ -593,20 +593,33 @@ def test_cli_complexity_raises_real_errors(tmp_path, monkeypatch):
         cli.main(["complexity", "--config", str(cfg)])
 
 
+# what `import subexp_lasso.cli` adds to a fresh interpreter that has
+# imported numpy and yaml: the package and these standard-library modules
+CLI_IMPORTS = sorted([
+    "__future__", "_blake2", "_csv", "_hashlib", "_json", "argparse", "copy",
+    "csv", "dataclasses", "gettext", "hashlib", "json", "json.decoder",
+    "json.encoder", "json.scanner", "subexp_lasso", "subexp_lasso.cli",
+    "subexp_lasso.complexity", "subexp_lasso.distributions",
+    "subexp_lasso.errors", "subexp_lasso.geometry", "subexp_lasso.harness",
+    "subexp_lasso.models", "subexp_lasso.seeding", "subexp_lasso.solver"])
+
+
 def test_cli_import_loads_no_scipy():
+    # a new import shows here: scipy anywhere, or any module past the list
     import subprocess
     import sys
 
     import subexp_lasso
 
     src = os.path.dirname(os.path.dirname(subexp_lasso.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import subexp_lasso.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, yaml; "
+            "before = set(sys.modules); import subexp_lasso.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[1] == str(CLI_IMPORTS)
 
 
 @pytest.mark.parametrize("extra", ["step_rule: backtracking",

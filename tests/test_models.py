@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from subexp_lasso import geometry
+from subexp_lasso import geometry, models
 from subexp_lasso.distributions import DistributionSpec, psi_norm_estimate
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (_MC_CHUNK, Dataset, Noise, ObservationModel,
-                                 TargetScale,
+                                 TargetScale, _xi_moments,
                                  generate_dataset, lifted_target_scale,
                                  mismatch_report, sparse_vector,
                                  target_scale_mu)
-from subexp_lasso.seeding import derive_seed
+from subexp_lasso.seeding import derive_seed, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,34 @@ def test_mu_identity_link_is_the_coordinate_variance(spec, variance):
     assert abs(mu.value - expected) <= 4 * mu.std_error
 
 
+@pytest.mark.parametrize("spec", [
+    DistributionSpec("gaussian", 4, 1.3),
+    DistributionSpec("mixed", 4, 0.9, base_kind="gaussian",
+                     mixing=np.random.default_rng(5).standard_normal((4, 6))),
+])
+def test_gaussian_mu_matches_the_gauss_hermite_oracle(spec, monkeypatch):
+    # <x, b0> ~ N(0, s^2) with s = scale ||w||, so mu = E[tanh(s Z) s Z] /
+    # ||b0||^2, by 80-node Gauss-Hermite quadrature; the estimate draws that
+    # one marginal
+    beta0 = np.array([0.6, 0.0, -0.8, 0.5])
+    w = spec.mixing.T @ beta0 if spec.kind == "mixed" else beta0
+    s = spec.scale * np.linalg.norm(w)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    oracle = (weights @ (np.tanh(s * nodes) * s * nodes)
+              / np.sqrt(2 * np.pi) / float(beta0 @ beta0))
+    dims = []
+    sample = models.sample_inputs
+
+    def recording(sub, n, seed):
+        dims.append(sub.p)
+        return sample(sub, n, seed)
+
+    monkeypatch.setattr(models, "sample_inputs", recording)
+    mu = _mu(beta0, spec, 200_000, 37)
+    assert abs(mu.value - oracle) <= 4 * mu.std_error
+    assert set(dims) == {1}
+
+
 def test_mu_is_exactly_zero_when_the_mixing_annihilates_beta0():
     M = np.array([[1.0, 2.0], [-1.0, -2.0], [0.0, 3.0]])
     spec = DistributionSpec("mixed", 3, mixing=M)
@@ -361,9 +389,10 @@ def test_mismatch_scale_equivariance():
     assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=0.05)
 
 
-def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
-    """(sigma, rho_global, mc_std_error) accumulated with a fresh squared
-    array per chunk, as mismatch_report did before squaring in place."""
+def _full_draw_mismatch(model, spec, beta_nat, mc_budget, seed):
+    """(sigma, rho_global, mc_std_error) of the full-draw estimator: every
+    chunk draws all p coordinates with generate_dataset and averages x xi
+    coordinate by coordinate."""
     mean_vec = np.zeros(spec.p)
     sq_vec = np.zeros(spec.p)
     xis = []
@@ -385,6 +414,66 @@ def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
             float(np.linalg.norm(mean_vec)), float(np.sqrt(np.mean(se_vec ** 2))))
 
 
+def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
+    """(sigma, rho_global, mc_std_error) of mismatch_report's stream, out of
+    place: each chunk is generate_dataset on the sub-model (beta0 pulled
+    back to the latent support T of beta0 and beta_nat) and the
+    |T|-dimensional spec of the same law; x's T-part is z_T, or M_{:,T} z_T
+    for a mixed spec, and the rest of x enters in closed form."""
+    mixed = spec.kind == "mixed"
+    M = spec.mixing
+    w = M.T @ model.beta0 if mixed else model.beta0
+    v = M.T @ beta_nat if mixed else beta_nat
+    T = np.flatnonzero((w != 0) | (v != 0))
+    kind = spec.base_kind if mixed else spec.kind
+    sub_spec = DistributionSpec(kind, T.size, spec.scale,
+                                seed_domain=spec.seed_domain)
+    sub_model = ObservationModel(model.kind, w[T], link=model.link,
+                                 noise=model.noise)
+    on = np.arange(spec.p) if mixed else T
+    mean_on = np.zeros(on.size)
+    sq_on = np.zeros(on.size)
+    xi_sq = 0.0
+    xis = []
+    done = idx = 0
+    while done < mc_budget:
+        m = min(_MC_CHUNK, mc_budget - done)
+        ds = generate_dataset(sub_model, sub_spec, m,
+                              derive_seed(seed, "mismatch", idx))
+        xi = ds.outputs - ds.inputs @ v[T]
+        x_on = ds.inputs @ M[:, T].T if mixed else ds.inputs
+        contrib = x_on * xi[:, None]
+        mean_on += contrib.sum(axis=0)
+        sq_on += (contrib ** 2).sum(axis=0)
+        xi_sq += float(xi @ xi)
+        xis.append(xi)
+        done += m
+        idx += 1
+    var = spec.scale ** 2  # laplace coordinates
+    if mixed:
+        off_latent = np.setdiff1d(np.arange(M.shape[1]), T)
+        off = (M[:, off_latent] ** 2).sum(axis=1)
+    else:
+        off = np.ones(spec.p)
+        off[T] = 0.0
+    mean_vec = np.zeros(spec.p)
+    mean_vec[on] = mean_on / mc_budget
+    sq_vec = var * xi_sq * off
+    sq_vec[on] += sq_on
+    var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
+    se_vec = np.sqrt(var_vec / mc_budget)
+    return (psi_norm_estimate(np.concatenate(xis), alpha=1).value,
+            float(np.linalg.norm(mean_on / mc_budget)),
+            float(np.sqrt(np.mean(se_vec ** 2))))
+
+
+# a mixed spec whose target leaves latent coordinates 3 and 4 off T: rows 0-1
+# of M, where beta0 and beta_nat live, load only on latent coordinates 0-2
+_MIXING = np.random.default_rng(36).standard_normal((6, 5))
+_MIXING[:2, 3:] = 0.0
+_MIXED = DistributionSpec("mixed", 6, 0.8, mixing=_MIXING, base_kind="laplace")
+
+
 @pytest.mark.parametrize("budget", [5_000, _MC_CHUNK + 3_000])
 def test_mismatch_accumulator_matches_the_out_of_place_reference(budget):
     beta0 = np.array([0.8, 0.0, -0.6, 0.0])
@@ -395,6 +484,83 @@ def test_mismatch_accumulator_matches_the_out_of_place_reference(budget):
     rep = mismatch_report(model, spec, beta_nat, mc_budget=budget, seed=35)
     assert (rep.sigma, rep.rho_global, rep.mc_std_error) == \
         _mismatch_reference(model, spec, beta_nat, budget, 35)
+    beta0 = np.array([0.8, -0.6, 0.0, 0.0, 0.0, 0.0])
+    model = ObservationModel("single_index", beta0, link="tanh",
+                             noise=Noise("laplace", 0.3))
+    beta_nat = np.array([0.3, 0.2, 0.0, 0.0, 0.0, 0.0])
+    rep = mismatch_report(model, _MIXED, beta_nat, mc_budget=budget, seed=35)
+    assert (rep.sigma, rep.rho_global, rep.mc_std_error) == \
+        _mismatch_reference(model, _MIXED, beta_nat, budget, 35)
+
+
+@pytest.mark.parametrize("spec, beta0, beta_nat", [
+    (DistributionSpec("laplace", 8), [0.8, 0, 0, -0.6, 0, 0, 0, 0],
+     [0.4, 0, 0, -0.3, 0, 0.2, 0, 0]),
+    (_MIXED, [0.8, -0.6, 0, 0, 0, 0], [0.3, 0.2, 0, 0, 0, 0]),
+])
+def test_mismatch_agrees_with_the_full_draw_estimator(spec, beta0, beta_nat):
+    # xi has one law under both estimators, so sigma has one law too; each
+    # coordinate's mean square of x xi has one expectation, sampled in full
+    # by the oracle and partly in closed form by mismatch_report.  Compare
+    # the means of 8 seeds of each within 4 standard errors of the gap.
+    model = ObservationModel("single_index", np.array(beta0, dtype=float),
+                             link="tanh", noise=Noise("laplace", 0.3))
+    beta_nat = np.array(beta_nat, dtype=float)
+    new = np.array([[r.sigma, r.mc_std_error] for r in (
+        mismatch_report(model, spec, beta_nat, mc_budget=20_000, seed=s)
+        for s in range(40, 48))])
+    old = np.array([_full_draw_mismatch(model, spec, beta_nat, 20_000, s)[::2]
+                    for s in range(40, 48)])
+    gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / 8)
+    assert np.all(gap <= 4 * se)
+
+
+def test_mismatch_with_an_empty_latent_support_draws_the_noise_only():
+    # M^T b0 = 0 and beta_nat = 0: xi = (0 + nu)^2 for a quadratic model, so
+    # E[xi x] = 0 exactly and E[(x_j xi)^2] = var ||M_j||^2 E[xi^2]
+    M = np.array([[1.0, 2.0], [-1.0, -2.0], [0.0, 3.0]])
+    spec = DistributionSpec("mixed", 3, 0.5, mixing=M, base_kind="laplace")
+    model = ObservationModel("quadratic", np.array([1.0, 1.0, 0.0]),
+                             noise=Noise("gaussian", 0.4))
+    rep = mismatch_report(model, spec, np.zeros(3), mc_budget=4_000, seed=38)
+    xi = model.noise.draw(rng_for(derive_seed(38, "mismatch", 0), "noise"),
+                          4_000) ** 2
+    se = np.sqrt(0.25 * (M ** 2).sum(axis=1) * float(xi @ xi) / 4_000 / 4_000)
+    assert rep.rho_global == 0.0
+    assert rep.sigma == psi_norm_estimate(xi, alpha=1).value
+    assert rep.mc_std_error == pytest.approx(np.sqrt(np.mean(se ** 2)),
+                                             rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 4), pad=st.integers(1, 6),
+       kind=st.sampled_from(COORDINATE_KINDS),
+       model_kind=st.sampled_from(["linear", "single_index", "quadratic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mismatch_depends_only_on_the_latent_support(k, pad, kind, model_kind,
+                                                     seed):
+    # zero coordinates of beta0 and beta_nat, inserted anywhere, draw
+    # nothing: sigma and rho_global stay bitwise equal, and the estimated
+    # E[xi x] is exactly 0 on them
+    rng = np.random.default_rng(seed)
+    b0 = rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k)
+    b_nat = rng.uniform(-1.0, 1.0, k) * (rng.uniform(size=k) < 0.7)
+    noise = Noise("laplace", 0.2)
+    spec = DistributionSpec(kind, k, 0.8, seed_domain="pad")
+    base = mismatch_report(ObservationModel(model_kind, b0, link="tanh",
+                                            noise=noise),
+                           spec, b_nat, mc_budget=1_000, seed=seed)
+    p = k + pad
+    positions = np.sort(rng.choice(p, k, replace=False))
+    padded0, padded_nat = np.zeros(p), np.zeros(p)
+    padded0[positions], padded_nat[positions] = b0, b_nat
+    model = ObservationModel(model_kind, padded0, link="tanh", noise=noise)
+    spec = DistributionSpec(kind, p, 0.8, seed_domain="pad")
+    rep = mismatch_report(model, spec, padded_nat, mc_budget=1_000, seed=seed)
+    assert (rep.sigma, rep.rho_global) == (base.sigma, base.rho_global)
+    mean_vec = _xi_moments(model, spec, padded_nat, 1_000, seed)[0]
+    assert np.all(np.delete(mean_vec, positions) == 0.0)
 
 
 def test_mismatch_rejects_lifted_model_by_kind():

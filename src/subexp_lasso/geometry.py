@@ -2,9 +2,9 @@
 
 Sets are immutable values; every operation here is a pure function of its
 arguments.  Projections are exact (closed form) for l1/l2 balls and
-hypercubes and for the PSD-intersect-Frobenius-ball set; polytope
-projection solves the simplex-weight least-squares subproblem.  scipy is
-imported only by the convex-hull membership certificate.
+hypercubes and for the PSD-intersect-Frobenius-ball set.  Polytope
+projection and the distance to a convex hull share one nearest-point
+kernel, Wolfe's minimum-norm-point algorithm (`_nearest_weights`).
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def project(s: HypothesisSet, v) -> np.ndarray:
     if s.kind == "hypercube":
         return np.clip(v, -s.radius, s.radius)
     if s.kind == "polytope":
-        w = _simplex_weights_lsq(s.vertices, v)
-        return s.vertices.T @ w
+        return s.vertices.T @ _nearest_weights(s.vertices, v)
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
@@ -139,67 +138,59 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return a
 
 
-def _simplex_weights_lsq(V: np.ndarray, target: np.ndarray,
-                         tol: float = 1e-10) -> np.ndarray:
-    """argmin_w ||V^T w - target||_2 over the simplex.
+def _nearest_weights(P: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Convex weights w (one per row of P) of the point P^T w of conv(P)
+    nearest to v, by Wolfe's minimum-norm-point algorithm ("Finding the
+    nearest point in a polytope", Math. Programming 11, 1976) on P - v.
 
-    Active-set iteration in the style of nonnegative least squares: solve
-    the equality-constrained problem on the working support, step back to
-    the feasible boundary when weights go negative, and expand the support
-    while the stationarity condition is violated.
+    From the row nearest to v, a major cycle adds the row q of P - v that
+    minimises <q, x> to the corral S.  It stops once x.x - <q, x> <= 1e-12
+    max |q|^2 (at once for one row, or v on a row), once x stops shortening,
+    at p + 1 rows, or after 4 m + 40 cycles.  A minor cycle moves x to the
+    minimiser of aff(S), with weights from B = pinv(D^T) for the rows D of
+    P[S] minus its first (updated per added row, rebuilt after a drop);
+    while a weight is <= 0 it steps there until a weight reaches 0, and
+    drops that row.
     """
-    A = V.T  # p x D, columns are vertices
-    D = V.shape[0]
-    if D == 1:
-        return np.ones(1)
-    scale = max(float(np.abs(A).max()), float(np.abs(target).max()), 1.0)
-
-    def kkt_solve(idx):
-        # min ||A_S u - target|| s.t. sum u = 1 via the KKT system
-        As = A[:, idx]
-        k = len(idx)
-        M = np.zeros((k + 1, k + 1))
-        M[:k, :k] = 2.0 * As.T @ As
-        M[:k, k] = 1.0
-        M[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * As.T @ target, [1.0]])
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        return sol[:k]
-
-    start = int(np.argmin(np.linalg.norm(A - target[:, None], axis=0)))
-    support = [start]
-    w = np.zeros(D)
-    w[start] = 1.0
-    for _ in range(4 * D + 40):
-        u = kkt_solve(support)
-        inner = 0
-        while np.min(u) < -1e-13 and inner < 2 * D + 10:
-            ws = w[support]
-            neg = u < ws  # candidates limiting the step toward u
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(neg & (u <= 0), ws / (ws - u), np.inf)
-            alpha = float(np.min(ratios))
-            ws = ws + alpha * (u - ws)
-            ws[ws < 1e-14] = 0.0
-            keep = ws > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(u))] = True
-                ws[keep] = 1.0
-            w[:] = 0.0
-            for j, val in zip(np.array(support)[keep], ws[keep]):
-                w[j] = val
-            support = list(np.array(support)[keep])
-            u = kkt_solve(support)
-            inner += 1
-        w[:] = 0.0
-        w[support] = np.maximum(u, 0.0)
-        w /= w.sum()
-        grad = 2.0 * (A.T @ (A @ w - target))
-        mu = -float(np.mean(grad[support]))
-        j_best = int(np.argmin(grad))
-        if grad[j_best] >= -mu - tol * scale ** 2 or j_best in support:
+    Q = P - v
+    sq = np.einsum("ij,ij->i", Q, Q)
+    tol, p = 1e-12 * sq.max(), P.shape[1]
+    S, lam = [int(sq.argmin())], np.ones(1)
+    x, xx = Q[S[0]], sq[S[0]]
+    D, B = np.empty((p, p)), np.empty((p, p))
+    for _ in range(4 * P.shape[0] + 40):
+        g = Q @ x
+        i, k = int(g.argmin()), len(S) - 1
+        if xx - g[i] <= tol or i in S or k == p:
             break
-        support.append(j_best)
+        d = D[k] = P[i] - P[S[0]]
+        Bd = B[:k] @ d
+        r = d - Bd @ D[:k]
+        B[k] = r / (r @ r)
+        B[:k] -= Bd[:, None] * B[k]
+        S.append(i)
+        lam = np.concatenate((lam, [0.0]))
+        while True:
+            t = B[:len(S) - 1] @ -Q[S[0]]
+            a = np.concatenate(([1.0 - t.sum()], t))
+            if a.min() > 0.0:
+                break
+            step = np.where(a <= 0.0, lam / np.maximum(lam - a, np.finfo(float).tiny),
+                            np.inf)
+            j = int(step.argmin())
+            lam = lam + step[j] * (a - lam)
+            keep = lam > 0.0
+            keep[j] = False
+            S, lam = [s for s, kept in zip(S, keep) if kept], lam[keep]
+            D[:len(S) - 1] = P[S[1:]] - P[S[0]]
+            B[:len(S) - 1] = np.linalg.pinv(D[:len(S) - 1].T)
+        lam = a
+        x = Q[S[0]] + t @ D[:len(S) - 1]
+        if not x @ x < xx:
+            break
+        xx = x @ x
+    w = np.zeros(P.shape[0])
+    w[S] = lam
     return w
 
 
@@ -447,9 +438,12 @@ class Skeleton:
 
     @cached_property
     def diameters(self) -> dict:
-        """Largest pairwise l2 and l-infinity distances of the points."""
-        return {"l2": pairwise_diameter(self.points, "l2"),
-                "linf": pairwise_diameter(self.points, "linf")}
+        """Largest pairwise l2 and l-infinity distances of the points, both
+        from one `pairwise_max` call (0.0 below two points)."""
+        l2, linf = euclidean_scaled(1.0), infinity_scaled(1.0)
+        best = pairwise_max(self.points, lambda V: np.column_stack(
+            [seminorm_rows(l2, V), seminorm_rows(linf, V)])) + np.zeros(2)
+        return {"l2": float(best[0]), "linf": float(best[1])}
 
 
 def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleton:
@@ -531,48 +525,30 @@ def _negation_closed(P: np.ndarray) -> bool:
 
 def certify_hull_membership(points: np.ndarray, vectors: np.ndarray,
                             tol: float = 1e-6, prefilter: int = 500) -> float:
-    """Max membership residual of many vectors against conv(points).
+    """Largest distance from the vectors to conv(points U {0}), exact when
+    it exceeds tol.
 
-    Each vector is first checked against its `prefilter` most-correlated
-    atoms (a residual below tol on a subset certifies membership in the full
-    hull); only failures fall back to the full atom list.
+    Each vector is measured first against the hull of its `prefilter`
+    most-correlated atoms, which lies inside the full hull, and against
+    every atom only when it is farther than tol from that.  A result within
+    tol bounds every distance from above.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    m = points.shape[0]
+    cut = points.shape[0] > prefilter
     worst = 0.0
     for v in vectors:
-        if m > prefilter:
-            scores = points @ v
-            top = np.argpartition(scores, -prefilter)[-prefilter:]
-            r = hull_membership_residual(points[top], v)
-            if r > tol:
-                r = hull_membership_residual(points, v)
-        else:
+        top = (np.argpartition(points @ v, -prefilter)[-prefilter:] if cut
+               else slice(None))
+        r = hull_membership_residual(points[top], v)
+        if r > tol and cut:
             r = hull_membership_residual(points, v)
         worst = max(worst, r)
     return worst
 
 
 def hull_membership_residual(points: np.ndarray, v: np.ndarray) -> float:
-    """Distance certificate for v against conv(points U {0}).
-
-    Nonnegative least squares finds w >= 0 minimising ||P^T w - v||_2.  If
-    its weights sum to at most 1, the residual is the exact distance.  If
-    not, an LP looks for w >= 0 with sum w <= 1 and P^T w = v; when it finds
-    one, v is inside and the residual is exact again.  Otherwise the NNLS
-    weights rescaled to sum 1 give a point of the hull, and the distance to
-    it is returned: an upper bound on the distance.
-    """
-    from scipy.optimize import linprog, nnls
-
-    A = points.T  # p x m
-    v = np.asarray(v, dtype=float)
-    w, _ = nnls(A, v)
-    total = w.sum()
-    if total > 1.0 + 1e-12:
-        m = A.shape[1]
-        res = linprog(c=np.zeros(m), A_eq=A, b_eq=v, A_ub=np.ones((1, m)),
-                      b_ub=np.ones(1), bounds=[(0, None)] * m, method="highs")
-        if res.status == 0:
-            return float(np.linalg.norm(A @ res.x - v))
-    return float(np.linalg.norm(A @ (w * (1.0 / max(total, 1.0))) - v))
+    """The exact distance from v to conv(points U {0}), up to the stopping
+    gap of `_nearest_weights`, which runs on the points with the origin
+    appended as a row."""
+    P = np.vstack([points, np.zeros(points.shape[1])])
+    return float(np.linalg.norm(P.T @ _nearest_weights(P, v) - v))

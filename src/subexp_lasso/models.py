@@ -153,14 +153,13 @@ class Dataset:
 
 
 def generate_dataset(model: ObservationModel, spec: DistributionSpec, n: int,
-                     seed: int, calibration_size: int = 100_000) -> Dataset:
+                     seed: int) -> Dataset:
     """Deterministic dataset for (model, spec, n, seed)."""
     if model.p != spec.p:
         raise ConfigurationError("model/spec dimension mismatch")
     x = sample_inputs(spec, n, derive_seed(seed, "inputs"))
     y = _outputs(model, x @ model.beta0, seed)
-    centering = (lift_centering(spec, seed, calibration_size)
-                 if model.kind == "lifted_view" else None)
+    centering = lift_centering(spec) if model.kind == "lifted_view" else None
     return Dataset(x, y, spec, model, seed, centering=centering)
 
 
@@ -175,14 +174,9 @@ def _outputs(model: ObservationModel, z: np.ndarray, seed: int) -> np.ndarray:
     return (z + nu) ** 2
 
 
-def lift_centering(spec: DistributionSpec, seed: int,
-                   calibration_size: int = 100_000) -> np.ndarray:
-    """Second moment E[x x^T]: analytic for the closed-form laws, empirical
-    (independent calibration sample) for mixed specs."""
-    if spec.kind != "mixed":
-        return second_moment_matrix(spec)
-    calib = sample_inputs(spec, calibration_size, derive_seed(seed, "lift-calibration"))
-    return (calib.T @ calib) / calibration_size
+def lift_centering(spec: DistributionSpec) -> np.ndarray:
+    """The exact second moment E[x x^T] (var M M^T for a mixed spec)."""
+    return second_moment_matrix(spec)
 
 
 # ---------------------------------------------------------------------------

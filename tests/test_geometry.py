@@ -173,8 +173,6 @@ def test_projection_non_expansiveness():
     for trial in range(100):
         p = int(rng.integers(2, 7))
         s = random_set(rng, p)
-        if s.kind == "polytope":
-            continue  # inner solve precision dominates; covered by optimality
         u = 4.0 * rng.standard_normal(p)
         v = 4.0 * rng.standard_normal(p)
         lhs = np.linalg.norm(geo.project(s, u) - geo.project(s, v))
@@ -422,6 +420,22 @@ def test_sparse_skeleton_constructive_properties():
     assert skel.diameters["l2"] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("skel", [
+    geo.sparse_skeleton_sampler(3, 10, 400, seed=1),
+    geo.skeleton_from_points(np.random.default_rng(12).standard_normal((150, 6))),
+    geo.skeleton_from_points([[1.0, -2.0]]),
+], ids=["negation-closed", "open-cloud", "one-point"])
+def test_skeleton_diameters_take_one_pairwise_scan(skel, monkeypatch):
+    want = {"l2": geo.pairwise_diameter(skel.points, "l2"),
+            "linf": geo.pairwise_diameter(skel.points, "linf")}
+    calls = []
+    closed = geo._negation_closed
+    monkeypatch.setattr(geo, "_negation_closed",
+                        lambda P: calls.append(P.shape) or closed(P))
+    assert skel.diameters == want  # bitwise
+    assert len(calls) == (skel.points.shape[0] > 1)
+
+
 def test_sparse_skeleton_k_equals_p():
     skel = geo.sparse_skeleton_sampler(4, 4, 200, seed=2)
     assert skel.diameters["l2"] == pytest.approx(6.0)
@@ -477,20 +491,65 @@ def test_hull_membership_detects_outside_point():
 
 
 def test_hull_membership_residual_is_zero_inside_hull_with_origin():
-    # conv{0, e1, e2} contains (0.25, 0.25): NNLS weights sum to 0.5
+    # conv{0, e1, e2} contains (0.25, 0.25) = (e1 + e2) / 4 + 0 / 2
     pts = np.eye(2)
     assert geo.hull_membership_residual(pts, np.array([0.25, 0.25])) < 1e-12
 
 
-def test_hull_membership_residual_bounds_the_distance_from_above():
-    # NNLS weights (3, 0.5) overshoot the sum budget and the LP is infeasible,
-    # so the rescaled weights (6/7, 1/7) give an upper bound on the distance
-    # sqrt(4.25) from (3, 0.5) to e1, the nearest point of conv{0, e1, e2}
+def test_hull_membership_residual_is_the_exact_distance():
+    # the nearest point of conv{0, e1, e2} to (3, 0.5) is e1, at sqrt(4.25)
     got = geo.hull_membership_residual(np.eye(2), np.array([3.0, 0.5]))
-    assert got == pytest.approx(math.hypot(3.0 - 6.0 / 7.0, 0.5 - 1.0 / 7.0),
-                                rel=1e-12)
-    assert got == pytest.approx(2.1724, abs=1e-4)
-    assert got >= math.sqrt(4.25)
+    assert got == pytest.approx(math.sqrt(4.25), rel=1e-12)
+
+
+vertex_lists = st.integers(1, 5).flatmap(lambda p: st.tuples(
+    arrays(np.float64, st.tuples(st.integers(1, 8), st.just(p)),
+           elements=st.floats(-4, 4, allow_subnormal=False)),
+    arrays(np.float64, p, elements=st.floats(-20, 20, allow_subnormal=False)),
+    st.sampled_from(["plain", "duplicated", "collinear"])))
+
+
+def _with_degeneracy(V, how):
+    """The vertex list with its first row repeated, or with a midpoint and
+    an extrapolated point of its first two rows appended."""
+    if how == "duplicated":
+        return np.vstack([V, V[:1], V])
+    if how == "collinear" and V.shape[0] >= 2:
+        return np.vstack([V, 0.5 * (V[0] + V[1]), 3.0 * V[1] - 2.0 * V[0]])
+    return V
+
+
+def _assert_nearest(atoms, v, pi):
+    """pi is the nearest point of conv(atoms) to v: no atom lies past it."""
+    scale = max(1.0, float(np.max(np.sum((atoms - v) ** 2, axis=1))))
+    assert float(np.max((atoms - pi) @ (v - pi))) <= 1e-9 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_lists)
+def test_nearest_point_kernel_satisfies_the_optimality_oracle(case):
+    V, v, how = case
+    V = _with_degeneracy(V, how)
+    w = geo._nearest_weights(V, v)
+    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    pi = geo.project(geo.polytope(V), v)
+    assert np.array_equal(pi, V.T @ w)
+    _assert_nearest(V, v, pi)
+    atoms = np.vstack([V, np.zeros(V.shape[1])])
+    w0 = geo._nearest_weights(atoms, v)
+    _assert_nearest(atoms, v, atoms.T @ w0)
+    assert geo.hull_membership_residual(V, v) == np.linalg.norm(atoms.T @ w0 - v)
+
+
+def test_nearest_point_kernel_returns_at_once_on_a_vertex():
+    # a single vertex, or v on a vertex, takes no step: the weights are one-hot
+    rng = np.random.default_rng(8)
+    V = rng.standard_normal((7, 4))
+    assert np.array_equal(geo._nearest_weights(V[:1], 5.0 * rng.standard_normal(4)),
+                          [1.0])
+    for j in range(7):
+        assert np.array_equal(geo._nearest_weights(V, V[j]), np.eye(7)[j])
+        assert np.array_equal(geo.project(geo.polytope(V), V[j]), V[j])
 
 
 # ---------------------------------------------------------------------------

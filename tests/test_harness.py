@@ -622,6 +622,56 @@ def test_cli_import_loads_no_scipy():
     assert out[1] == str(CLI_IMPORTS)
 
 
+SCIPY_BLOCKED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+import subexp_lasso.cli as cli
+from subexp_lasso import geometry
+
+square = geometry.polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+assert np.allclose(geometry.project(square, np.array([2.0, 0.5])), [1.0, 0.5])
+assert geometry.certify_hull_membership(np.eye(2), [[0.2, 0.3]]) < 1e-12
+cfg, out = sys.argv[2], sys.argv[3]
+for args in (["sample", "--n", "15"], ["solve"], ["mismatch"], ["complexity"],
+             ["certificate", "--scale", "0.5"],
+             ["experiment", "--format", "csv"]):
+    assert cli.main([args[0], "--config", cfg, "--out", f"{out}/{args[0]}"]
+                    + args[1:]) == 0
+assert cli.main(["report", f"{out}/experiment", "--out", f"{out}/report"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_every_cli_command_runs_with_scipy_blocked(tmp_path):
+    # an import hook refuses scipy: the runtime needs numpy and PyYAML only
+    import subprocess
+    import sys
+
+    import subexp_lasso
+
+    src = os.path.dirname(os.path.dirname(subexp_lasso.__file__))
+    cfg = tmp_path / "exp.yaml"
+    cross = np.vstack([np.eye(6), -np.eye(6)]) * 2.0  # holds beta0, l1 norm 1.29
+    cfg.write_text(CONFIG_YAML.replace(
+        "{kind: l1_ball, radius: beta0_l1}",
+        f"{{kind: polytope, vertices: {cross.tolist()}}}"))
+    out = subprocess.run([sys.executable, "-I", "-c", SCIPY_BLOCKED_RUN, src,
+                          str(cfg), str(tmp_path)],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]"]
+    assert "decay_slope" in (tmp_path / "report").read_text()
+
+
 @pytest.mark.parametrize("extra", ["step_rule: backtracking",
                                    "restart_count: 3", "seed: 0"])
 def test_config_rejects_unknown_solver_keys(tmp_path, extra):

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from subexp_lasso import geometry, models
-from subexp_lasso.distributions import DistributionSpec, psi_norm_estimate
+from subexp_lasso.distributions import (DistributionSpec, psi_norm_estimate,
+                                        second_moment_matrix)
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (_MC_CHUNK, Dataset, Noise, ObservationModel,
                                  TargetScale, _xi_moments,
@@ -69,14 +70,13 @@ def test_lifted_view_centering_identity():
     assert np.allclose(lhs, z2 - float(beta @ beta), atol=1e-10)
 
 
-def test_lifted_view_mixed_uses_empirical_centering():
+def test_lifted_view_mixed_uses_the_exact_centering():
     M = np.array([[1.0, 0.2], [0.0, 1.0]])
     spec = DistributionSpec("mixed", 2, mixing=M, base_kind="laplace")
     model = ObservationModel("lifted_view", np.array([1.0, 0.0]))
-    ds = generate_dataset(model, spec, 100, 6, calibration_size=50_000)
-    exact = M @ M.T
-    assert np.max(np.abs(ds.centering - exact)) < 0.1
-    assert not np.allclose(ds.centering, exact)  # calibration is empirical
+    ds = generate_dataset(model, spec, 100, 6)
+    assert np.array_equal(ds.centering, second_moment_matrix(spec))
+    assert np.allclose(ds.centering, M @ M.T)
 
 
 def test_generate_dataset_determinism_and_dim_check():

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -59,6 +60,28 @@ def thread_count(cli_value: Optional[int] = None) -> int:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+def _grid(name: str, values) -> tuple:
+    """values as a tuple of ints, checked and never truncated: a non-empty,
+    strictly increasing sequence of integers >= 1 (bools are not integers
+    here).  Anything else raises a ConfigurationError naming `name`."""
+    try:
+        grid = tuple(values)
+    except TypeError as exc:
+        raise ConfigurationError(f"{name} must be a list of integers") from exc
+    if not grid:
+        raise ConfigurationError(f"{name} must not be empty")
+    bad = [v for v in grid
+           if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    if bad:
+        raise ConfigurationError(f"{name} entries must be integers, got {bad[0]!r}")
+    grid = tuple(int(v) for v in grid)
+    if any(v < 1 for v in grid):
+        raise ConfigurationError(f"{name} entries must be >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError(f"{name} must be strictly increasing")
+    return grid
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -76,11 +99,7 @@ class ExperimentConfig:
     outputs: Optional[str] = None
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if any(b >= a for a, b in zip(grid[1:], grid[:-1])):
-            raise ConfigurationError("n_grid must be strictly increasing")
-        if any(n < 1 for n in grid):
-            raise ConfigurationError("n_grid entries must be >= 1")
+        grid = _grid("n_grid", self.n_grid)
         if self.trials_per_n < 1:
             raise ConfigurationError("trials_per_n must be >= 1")
         for name in ("mu_budget", "erm_budget"):
@@ -344,8 +363,7 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
     the error-curve cells of a config named "pt:k=<k>", solved by
     `_run_cells` on thread_count() workers.
     """
-    k_grid = tuple(int(k) for k in k_grid)
-    n_grid = tuple(int(n) for n in n_grid)
+    k_grid, n_grid = _grid("k_grid", k_grid), _grid("n_grid", n_grid)
     noise = config.model.noise
     cells, thresholds = [], []
     for i, k in enumerate(k_grid):
@@ -553,7 +571,7 @@ def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
 # YAML keys passed on to ExperimentConfig and SolverConfig, with their casts;
 # a key left out of the YAML takes the dataclass default
 _CONFIG_CASTS = {"target_rule": lambda rule: rule, "outputs": lambda out: out,
-                 "n_grid": lambda grid: tuple(int(n) for n in grid),
+                 "n_grid": lambda grid: _grid("n_grid", grid),
                  "trials_per_n": int, "master_seed": int, "mu_budget": int,
                  "erm_budget": int}
 _SOLVER_CASTS = {"max_iters": int, "tol": float, "track_trace": bool}

@@ -9,11 +9,19 @@ exactly 1/L, with L = 2 lambda_max(X^T X) / n, from the extrapolated point
 z = beta + ((t - 1) / t') (beta - beta_prev), and with tol = config.tol
 
 * a step that moved by at most tol (||cand - z|| <= tol) ends the loop,
-  keeping cand if it lowers the objective;
+  keeping cand if it lowers the objective; a momentum step that moved by
+  at most tol but does not lower the objective falls to the next rule;
 * otherwise a candidate that lowers the objective by at most tol * obj is
   dropped: after a momentum step the loop restarts from beta without
   momentum (t = 1, z = beta), after a step without momentum it ends;
-* any other candidate is accepted.
+* any other candidate is accepted.  When it came from a momentum step and
+  <z - cand, cand - beta> > 0, the step from z turned against the
+  direction of travel, and the momentum restarts as well: t = 1 before the
+  next coefficient, so the next step starts from cand itself (the gradient
+  restart of O'Donoghue and Candes, Found. Comput. Math. 2015; svec is an
+  isometry, so for lifted data this is the Frobenius inner product).
+
+SolveResult.restarts counts both kinds of restart.
 
 The decrease test is what stops a noisy problem with an active constraint:
 there the step length bottoms out at projection rounding times a nonzero
@@ -33,7 +41,9 @@ in one of two forms, chosen by the shape of the n x d design X:
   accepted iterate: two products with X per iteration.  Over an l1 ball it
   also takes a subspace step every SUBSPACE_EVERY accepted steps: on the
   support S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, when
-  |S| < n, u = lstsq(X[:, S], y) (zero off S) is projected onto the set
+  |S| < n, the least-squares point u on the columns S (zero off S; from
+  the normal equations by Cholesky, refined once, and skipped when they
+  are singular to half precision) is projected onto the set
   and replaces beta only if it strictly lowers the objective, after which
   the momentum restarts (z = beta, t = 1).  Where the solution has zero
   residual the constraint multiplier is zero and the gradient steps only
@@ -100,6 +110,7 @@ class SolveResult:
     objective_trace: Optional[list] = None
     fixed_point_residual: float = np.nan
     subspace_steps: int = 0
+    restarts: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +273,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     z, st_z, t, momentum = beta, st, 1.0, False
     trace = [obj] if config.track_trace else None
     converged = False
-    iterations = accepted = subspace_steps = 0
+    iterations = accepted = subspace_steps = restarts = 0
 
     for iterations in range(1, config.max_iters + 1):
         cand = to_coords(geometry.project(
@@ -270,19 +281,26 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         st_cand = state(cand)
         dec, obj_cand = decrease(obj, beta, st, cand, st_cand)
         moved = cand - z
-        if math.sqrt(float(moved @ moved)) <= tol:
+        if math.sqrt(float(moved @ moved)) <= tol and (dec > 0 or not momentum):
             if dec > 0:
                 beta, obj = cand, obj_cand
             converged = True
         elif dec <= tol * max(obj, 1e-300):
             if momentum:
                 z, st_z, t, momentum = beta, st, 1.0, False
+                restarts += 1
             else:
                 converged = True
         else:
+            travel = cand - beta
+            if momentum and float(moved @ travel) < 0.0:
+                # <z - cand, cand - beta> > 0: the step turned against the
+                # direction of travel, so the next z is cand itself
+                t = 1.0
+                restarts += 1
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             coef = (t - 1.0) / t_next
-            z = cand + coef * (cand - beta)
+            z = cand + coef * travel
             st_z = st_cand + coef * (st_cand - st)
             beta, st, obj = cand, st_cand, obj_cand
             t, momentum = t_next, coef > 0.0
@@ -309,20 +327,37 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
                        objective=float(r @ r) / n, converged=converged,
                        objective_trace=trace,
                        fixed_point_residual=float(np.linalg.norm(fp - estimate)),
-                       subspace_steps=subspace_steps)
+                       subspace_steps=subspace_steps, restarts=restarts)
 
 
 def _subspace_point(X, y, s, beta):
     """project(u) for the least-squares u on the columns S of beta's support,
-    S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, u zero off S; None
-    when S has at least n columns.  S holds the argmax of |beta|, so it is
-    never empty."""
+    S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, u zero off S: the
+    normal equations A u_S = X_S^T y, A = X_S^T X_S, by Cholesky and one
+    step of iterative refinement (without it the rounding of forming A can
+    keep a noiseless solve far above lstsq's objective).  None when S has at
+    least n columns, or when a Cholesky pivot squared is at most sqrt(eps)
+    max_j A_jj, so that cond(A) >= 1 / sqrt(eps), as with a repeated
+    column.  S holds the argmax of |beta|, so it is never empty."""
     mag = np.abs(beta)
     S = np.flatnonzero(mag >= SUBSPACE_THRESHOLD * mag.max())
     if S.size >= X.shape[0]:
         return None
+    XS = X[:, S]
+    A = XS.T @ XS
+    try:
+        chol = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    if np.diag(chol).min() ** 2 <= np.finfo(float).eps ** 0.5 * A.diagonal().max():
+        return None
+
+    def normal_solve(b):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, XS.T @ b))
+
     u = np.zeros_like(beta)
-    u[S] = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+    u[S] = normal_solve(y)
+    u[S] += normal_solve(y - XS @ u[S])
     return geometry.project(s, u)
 
 
@@ -332,15 +367,19 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
 
     Starts at project(0) and returns the last accepted iterate, the
     lowest-objective one among those accepted (see the module docstring).
-    `converged` is True when the last step moved by <= tol, or when a step
-    without momentum lowered the objective by <= tol relative; `iterations`
-    counts the projected-gradient steps only, dropped ones included.  For
-    n < d over an l1 ball the loop also tries a least-squares step on the
-    identified support every SUBSPACE_EVERY accepted steps;
-    `subspace_steps` counts those it accepted (always 0 otherwise).  An
-    accepted subspace step restarts the momentum, so a run cut by max_iters
-    may end at a higher objective than plain MFISTA reaches in as many
-    steps.
+    `converged` is True when the last step moved by <= tol and either
+    lowered the objective or had no momentum, or when a step without
+    momentum lowered the objective by <= tol relative; `iterations` counts
+    the projected-gradient steps only, dropped ones included.  The momentum
+    restarts after a momentum step that the decrease test drops, and after
+    an accepted momentum step that turned against the direction of travel
+    (<z - cand, cand - beta> > 0); `restarts` counts both.  For n < d over
+    an l1 ball the loop also tries a least-squares step on the identified
+    support every SUBSPACE_EVERY accepted steps; `subspace_steps` counts
+    those it accepted (always 0 otherwise), and each restarts the momentum
+    too.  Any of these restarts can send a run that max_iters cuts short
+    down a slower path, so such a run may end at a higher objective than
+    plain MFISTA reaches in as many steps.
     """
     if s.is_matrix_set:
         raise ConfigurationError("use solve_lifted for the matrix set")

@@ -745,6 +745,41 @@ def test_n_grid_must_increase():
         small_config(n_grid=(40, 40))
 
 
+# grids that used to run truncated (120.7 as 120, True as 1) or empty
+BAD_GRIDS = [((120.7,), "entries must be integers"), ((True,), "entries must be integers"),
+             ((), "must not be empty"), (5, "must be a list of integers"),
+             ((20, 20.5), "entries must be integers"), ((0, 5), "entries must be >= 1"),
+             ((40, 20), "must be strictly increasing")]
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRIDS)
+def test_bad_n_grid_is_rejected_by_name(tmp_path, grid, message):
+    with pytest.raises(ConfigurationError, match=f"n_grid {message}"):
+        small_config(n_grid=grid)
+    path = tmp_path / "exp.yaml"
+    yaml_grid = list(grid) if isinstance(grid, tuple) else grid
+    path.write_text(CONFIG_YAML.replace("n_grid: [20, 40, 80]",
+                                        f"n_grid: {json.dumps(yaml_grid)}"))
+    with pytest.raises(ConfigurationError, match=f"n_grid {message}"):
+        harness.load_config(str(path))
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRIDS)
+def test_bad_phase_transition_grids_are_rejected_by_name(grid, message):
+    config = small_config(n_grid=(10,), trials_per_n=1)
+    for k_grid, n_grid, name in (((1, 2), grid, "n_grid"), (grid, (10,), "k_grid")):
+        with pytest.raises(ConfigurationError, match=f"{name} {message}"):
+            harness.run_phase_transition(k_grid, n_grid, config)
+
+
+def test_integer_grids_of_any_integer_type_are_accepted():
+    config = small_config(n_grid=[np.int64(20), 40])
+    assert config.n_grid == (20, 40) and all(type(n) is int for n in config.n_grid)
+    res = harness.run_phase_transition(np.array([1]), (np.int32(10),),
+                                       small_config(n_grid=(10,), trials_per_n=1))
+    assert res.k_grid == (1,) and res.n_grid == (10,)
+
+
 def test_cli_datasets_come_from_the_command_streams(tmp_path):
     # solve and certificate (and sample, through the same helper) draw --n
     # points (default: the first n_grid entry) seeded by "cli-<command>"

@@ -12,7 +12,8 @@ from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
 from subexp_lasso.solver import (SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
-                                 SolverConfig, _Svec, empirical_risk,
+                                 SolverConfig, _Svec, _subspace_point,
+                                 empirical_risk,
                                  excess_decomposition, excess_risk,
                                  lipschitz_constant, rank1_extract,
                                  sign_invariant_error, solve, solve_lasso,
@@ -257,11 +258,13 @@ def test_tol_controls_the_final_fixed_point_residual():
 def residual_form_mfista(X, y, s, cfg, subspace=False):
     """Reference monotone FISTA in the residual form, with the solver's
     decisions: each candidate's residual is a fresh product with X, the
-    extrapolated point's residual is recombined from the two stored ones, and
-    a decrease is a difference of residual-form objectives.  With `subspace`,
-    every SUBSPACE_EVERY accepted steps it also tries the projected
-    least-squares point on the thresholded support, keeps it when it lowers
-    the objective, and then restarts the momentum."""
+    extrapolated point's residual is recombined from the two stored ones, a
+    decrease is a difference of residual-form objectives, and an accepted
+    momentum step with <z - cand, cand - beta> > 0 sets t = 1, so that the
+    next step starts from cand itself.  With `subspace`, every
+    SUBSPACE_EVERY accepted steps it also tries the projected least-squares
+    point (by lstsq) on the thresholded support, keeps it when it lowers the
+    objective, and then restarts the momentum."""
     n, d = X.shape
     shape = (s.p, s.p) if s.is_matrix_set else (d,)
     step = 1.0 / lipschitz_constant(X)
@@ -275,13 +278,15 @@ def residual_form_mfista(X, y, s, cfg, subspace=False):
         cand = geometry.project(s, (z - step * grad).reshape(shape)).ravel()
         r_cand = X @ cand - y
         obj_cand = float(r_cand @ r_cand) / n
-        if np.linalg.norm(cand - z) <= cfg.tol:
+        if np.linalg.norm(cand - z) <= cfg.tol and (obj_cand < obj or not momentum):
             return cand if obj_cand < obj else beta
         if obj - obj_cand <= cfg.tol * max(obj, 1e-300):
             if not momentum:
                 return beta
             z, r_z, t, momentum = beta, r, 1.0, False
             continue
+        if momentum and float((z - cand) @ (cand - beta)) > 0.0:
+            t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         coef = (t - 1.0) / t_next
         z, r_z = cand + coef * (cand - beta), r_cand + coef * (r_cand - r)
@@ -380,6 +385,48 @@ def test_noisy_subspace_steps_lower_the_objective_and_follow_the_reference():
         assert np.all(np.diff(res.objective_trace) <= 0.0)
         oracle = residual_form_mfista(X, y, s, cfg, subspace=True)
         assert np.max(np.abs(res.estimate - oracle)) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), ratio=st.integers(4, 10), extra=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_subspace_point_is_the_least_squares_point_on_a_well_conditioned_support(
+        k, ratio, extra, seed):
+    # n >= 4 |S| Gaussian rows keep X_S well conditioned, so the normal
+    # equations lose only a few digits; the ball is wide enough that the
+    # projection is the identity
+    n, d = ratio * k, ratio * k + extra + 1
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    S = np.sort(rng.choice(d, k, replace=False))
+    beta = np.zeros(d)
+    beta[S] = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 2.0, k)
+    reference = np.zeros(d)
+    reference[S] = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+    s = geometry.l1_ball(10.0 * float(np.abs(reference).sum()) + 1.0, d)
+    u = _subspace_point(X, y, s, beta)
+    assert u is not None
+    assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_subspace_point_skips_a_repeated_column():
+    # X_S with a repeated column: the normal equations are singular, so the
+    # step is skipped (whether or not the Cholesky factorisation notices),
+    # and a solve over such a design runs to the end without an error
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((30, 60))
+    beta = np.zeros(60)
+    beta[[3, 7, 11, 19]] = (1.0, -0.5, 0.8, 0.3)
+    s = geometry.l1_ball(5.0, 60)
+    y = X @ beta
+    assert _subspace_point(X, y, s, beta) is not None
+    for twin in (7, 11, 19):
+        Xd = X.copy()
+        Xd[:, twin] = Xd[:, 3]
+        assert _subspace_point(Xd, y, s, beta) is None
+        res = solve_lasso(toy_dataset(Xd, Xd @ beta), geometry.l1_ball(2.6, 60))
+        assert res.converged and np.isfinite(res.objective)
 
 
 def test_subspace_steps_only_in_the_direct_form_over_an_l1_ball():
@@ -591,6 +638,50 @@ def test_svec_lift_rows_are_bitwise_the_svec_of_the_lifts(shape, seed, cut):
     lo = int(cut * n)  # a row block, as the Gram form builds them
     assert np.array_equal(sv.lift_rows(ds.inputs[lo:], ds.centering),
                           expected[lo:])
+
+
+def lifted_interior_dataset(p, n, seed):
+    """random_lifted_dataset's x and centering, with outputs from a positive
+    definite target plus noise 0.1: the solution lies inside the PSD cone"""
+    ds = random_lifted_dataset(p, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    A = rng.standard_normal((p, p))
+    B_nat = A @ A.T + np.eye(p)
+    y = ds.forward(B_nat) + 0.1 * rng.standard_normal(n)
+    return (Dataset(ds.inputs, y, ds.spec, ds.model, seed, centering=ds.centering),
+            B_nat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=lifted_shapes, seed=st.integers(0, 2 ** 32 - 1),
+       interior=st.booleans(), radius=st.floats(0.05, 3.0))
+def test_lifted_objective_trace_does_not_increase(shape, seed, interior, radius):
+    p, n = shape
+    if interior:
+        ds, B_nat = lifted_interior_dataset(p, n, seed)
+        radius *= float(np.linalg.norm(B_nat))
+    else:
+        ds = random_lifted_dataset(p, n, seed)
+    res = solve_lifted(ds, geometry.lifted_psd_fro(radius, p),
+                       SolverConfig(max_iters=500, tol=1e-12, track_trace=True))
+    trace = np.array(res.objective_trace)
+    assert len(trace) == res.iterations + 1
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(trace[:-1], 1.0))
+    assert 0 <= res.restarts <= res.iterations
+
+
+def test_lifted_gram_form_restarts_on_an_ill_conditioned_instance():
+    # n = d + 1 just above d = p(p+1)/2 = 10 runs the Gram form with G of
+    # condition number 264; the target is inside the ball, so near it the
+    # problem is an ill-conditioned quadratic, where momentum overshoots
+    p = 4
+    ds, B_nat = lifted_interior_dataset(p, 11, 1)
+    X = _Svec(p).lift_rows(ds.inputs, ds.centering)
+    assert np.linalg.cond(X.T @ X) > 100.0
+    res = solve_lifted(ds, geometry.lifted_psd_fro(10.0 * float(np.linalg.norm(B_nat)), p),
+                       SolverConfig(max_iters=3_000, tol=1e-12, track_trace=True))
+    assert res.converged and res.restarts > 0
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
 
 
 def test_vector_operator_pair_is_the_design_and_its_transpose():

@@ -472,12 +472,6 @@ def skeleton_from_points(points, covered_set: str = "custom") -> Skeleton:
     return Skeleton(np.atleast_2d(np.asarray(points, dtype=float)), covered_set)
 
 
-def pairwise_diameter(points: np.ndarray, norm: str = "l2") -> float:
-    """Exact max pairwise distance of a point list (l2, else l-infinity)."""
-    metric = euclidean_scaled(1.0) if norm == "l2" else infinity_scaled(1.0)
-    return pairwise_max(points, lambda V: seminorm_rows(metric, V))
-
-
 def pairwise_max(points, rows_fn):
     """max over i < j of rows_fn(points[i] - points[j]); 0.0 below two points.
 

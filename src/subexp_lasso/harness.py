@@ -60,18 +60,23 @@ def thread_count(cli_value: Optional[int] = None) -> int:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer of any integral type; bools are not
+    integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _grid(name: str, values) -> tuple:
     """values as a tuple of ints, checked and never truncated: a non-empty,
-    strictly increasing sequence of integers >= 1 (bools are not integers
-    here).  Anything else raises a ConfigurationError naming `name`."""
+    strictly increasing sequence of integers >= 1.  Anything else raises a
+    ConfigurationError naming `name`."""
     try:
         grid = tuple(values)
     except TypeError as exc:
         raise ConfigurationError(f"{name} must be a list of integers") from exc
     if not grid:
         raise ConfigurationError(f"{name} must not be empty")
-    bad = [v for v in grid
-           if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    bad = [v for v in grid if not _is_integer(v)]
     if bad:
         raise ConfigurationError(f"{name} entries must be integers, got {bad[0]!r}")
     grid = tuple(int(v) for v in grid)
@@ -568,13 +573,35 @@ def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
     return builders[kind](float(radius), p)
 
 
-# YAML keys passed on to ExperimentConfig and SolverConfig, with their casts;
-# a key left out of the YAML takes the dataclass default
-_CONFIG_CASTS = {"target_rule": lambda rule: rule, "outputs": lambda out: out,
-                 "n_grid": lambda grid: _grid("n_grid", grid),
-                 "trials_per_n": int, "master_seed": int, "mu_budget": int,
-                 "erm_budget": int}
-_SOLVER_CASTS = {"max_iters": int, "tol": float, "track_trace": bool}
+def _integer(key: str):
+    """A check that passes an integer on as an int and rejects anything
+    else (a float, a bool, a string) with a ConfigurationError naming key."""
+    def check(value):
+        if not _is_integer(value):
+            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return check
+
+
+def _boolean(key: str):
+    """A check that passes a bool on and rejects anything else (the string
+    "false" included) with a ConfigurationError naming key."""
+    def check(value):
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+        return value
+    return check
+
+
+# YAML keys passed on to ExperimentConfig and SolverConfig, with their checks;
+# a key left out of the YAML takes the dataclass default.  tol is converted
+# with float, because PyYAML reads 1e-14 (no decimal point) as a string.
+_CONFIG_CHECKS = {"target_rule": lambda rule: rule, "outputs": lambda out: out,
+                  "n_grid": lambda grid: _grid("n_grid", grid),
+                  **{key: _integer(key) for key in ("trials_per_n", "master_seed",
+                                                    "mu_budget", "erm_budget")}}
+_SOLVER_CHECKS = {"max_iters": _integer("solver.max_iters"), "tol": float,
+                  "track_trace": _boolean("solver.track_trace")}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -582,11 +609,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     model = model_from_dict(_required(d, "model"), spec.p)
     hset = set_from_dict(_required(d, "set"), spec.p, beta0=model.beta0)
     solver_d = d.get("solver") or {}
-    unknown = sorted(set(solver_d) - set(_SOLVER_CASTS))
+    unknown = sorted(set(solver_d) - set(_SOLVER_CHECKS))
     if unknown:
         raise ConfigurationError(f"unknown solver key(s) {', '.join(unknown)}; "
-                                 f"expected {', '.join(_SOLVER_CASTS)}")
-    config = {key: cast(d[key]) for key, cast in _CONFIG_CASTS.items() if key in d}
+                                 f"expected {', '.join(_SOLVER_CHECKS)}")
+    config = {key: check(d[key]) for key, check in _CONFIG_CHECKS.items() if key in d}
     if isinstance(config.get("target_rule"), dict):
         config["target_vector"] = np.asarray(
             _required(config["target_rule"], "target_rule.explicit"), float)
@@ -594,7 +621,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         name=d.get("name", "experiment"), model=model, spec=spec,
         hypothesis_set=hset, solver_config=solver.SolverConfig(
-            **{key: _SOLVER_CASTS[key](value) for key, value in solver_d.items()}),
+            **{key: _SOLVER_CHECKS[key](value) for key, value in solver_d.items()}),
         **config)
 
 

@@ -5,8 +5,12 @@ the matrix estimator (over the PSD-intersect-Frobenius-ball set, with
 centered rank-one lifts as inputs).  The sets are convex, so a single start
 at project(0) suffices.  The loop is monotone FISTA (Beck and Teboulle,
 IEEE TIP 2009) with restarts: each step is a projected gradient step of
-exactly 1/L, with L = 2 lambda_max(X^T X) / n, from the extrapolated point
-z = beta + ((t - 1) / t') (beta - beta_prev), and with tol = config.tol
+1/L' from the extrapolated point z = beta + ((t - 1) / t') (beta - beta_prev),
+where L = 2 lambda_max(X^T X) / n is the Lipschitz constant of the gradient.
+L' = L exactly when the matrix whose top eigenvalue gives L (G below, or
+X X^T) has side below CERTIFY_MIN_DIM; at or above it L <= L' <= (1 +
+CERTIFY_DELTA) L, certified by one Cholesky (see _top_eigenvalue).
+SolveResult.step is the step 1/L' the loop used.  With tol = config.tol
 
 * a step that moved by at most tol (||cand - z|| <= tol) ends the loop,
   keeping cand if it lowers the objective; a momentum step that moved by
@@ -32,7 +36,7 @@ holds the objective of the accepted iterate after each step.  The loop runs
 in one of two forms, chosen by the shape of the n x d design X:
 
 * Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once and
-  L = 2 lambda_max(G) comes from that same G.  An iteration costs one d x d
+  L' comes from that same G.  An iteration costs one d x d
   matvec, grad = 2 (G beta - c).  The objective is tracked as the exact
   starting objective minus the decreases delta^T (G beta + G beta' - 2 c),
   delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
@@ -62,9 +66,9 @@ every iterate are symmetric, so the iterates and L are those of the
 full-coordinate (d = p^2) problem in exact arithmetic, with d = p(p+1)/2.
 The lifts are never stored: the svec rows are built from the raw sample x
 and the centering E one block at a time, (x[:, rows] * x[:, cols] -
-E[rows, cols]) * weights.  In the Gram form the blocks accumulate G and c;
-in the direct form they make the n x d svec design once, half the size of
-the n x p^2 lifts.
+E[rows, cols]) * weights.  In the Gram form the blocks, built into one
+reused pair of buffers, accumulate G and c; in the direct form they make
+the n x d svec design once, half the size of the n x p^2 lifts.
 
 Either way the starting objective, and the returned objective and
 fixed-point residual (recomputed once from the true residual of the
@@ -111,6 +115,7 @@ class SolveResult:
     fixed_point_residual: float = np.nan
     subspace_steps: int = 0
     restarts: int = 0
+    step: float = np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +160,108 @@ SUBSPACE_EVERY = 10  # accepted steps between two subspace steps
 SUBSPACE_THRESHOLD = 1e-3  # support: |beta_j| >= this times max |beta|
 
 
+CERTIFY_MIN_DIM = 256  # matrix side from which L' is certified, not exact
+CERTIFY_DELTA = 1e-3  # the certified L' is at most (1 + CERTIFY_DELTA) L
+LANCZOS_STEPS = 64  # cap on the Lanczos steps, and on the stored basis rows
+LANCZOS_CHECK_EVERY = 4  # Lanczos steps between two eigh calls on T
+
+
 def _top_eigenvalue(gram: np.ndarray) -> float:
+    """An upper bound alpha on lambda_max of the symmetric PSD matrix gram,
+    with lambda_max <= alpha <= (1 + CERTIFY_DELTA) lambda_max (the upper
+    bound up to the rounding of theta below).
+
+    Below side CERTIFY_MIN_DIM, alpha = max(lambda_max, 0) from one eigvalsh.
+    At or above it, alpha = theta (1 + CERTIFY_DELTA) for the top Ritz value
+    theta <= lambda_max of _lanczos_top, once one Cholesky of
+    alpha (1 - margin) I - gram succeeds, margin = 2 (d + 2)^2 eps.  A
+    floating-point Cholesky of a symmetric A that runs to completion gives
+    A + E = R^T R with ||E||_2 <= gamma_(d+1) / (1 - gamma_(d+1)) trace(A)
+    (Demmel's bound, as used by Rump, "Verification of positive
+    definiteness", BIT 2006), and trace(A) <= d alpha, so margin covers E,
+    the rounding of the shift, and underflow for theta > tiny / eps: then
+    lambda_max < alpha.  For a smaller theta (gram = 0 included), or when
+    the Cholesky fails (theta missed the top of the spectrum), alpha falls
+    back to eigvalsh.
+
+    CERTIFY_MIN_DIM is the measured crossover (2-core host, BLAS on one
+    thread, CPU time of the certificate over one eigvalsh, one Cholesky and
+    no fallback each time): 0.74-1.6 for X X^T of Gaussian X at side
+    128-160 and 0.66-0.88 at 192-256; 0.55-1.1 at d = 136, 0.49-0.6 at
+    190-231 and 0.4-0.81 at 253-300 for lifted Grams (n = d to 4d).  At
+    d = 465 (p = 30) 4-8 against 12-14 ms; at d = 1830 (p = 60, n = 4000)
+    0.17-0.19 against 0.58-0.67 s.
+    """
+    d = gram.shape[0]
+    if d >= CERTIFY_MIN_DIM:
+        eps = np.finfo(float).eps
+        theta = _lanczos_top(gram)
+        if theta > np.finfo(float).tiny / eps:
+            alpha = theta * (1.0 + CERTIFY_DELTA)
+            shifted = np.negative(gram)
+            shifted.flat[::d + 1] += alpha * (1.0 - 2.0 * (d + 2) ** 2 * eps)
+            try:
+                np.linalg.cholesky(shifted)
+                return alpha
+            except np.linalg.LinAlgError:
+                pass
     return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
-def lipschitz_constant(X: np.ndarray) -> float:
-    """Exact Lipschitz constant 2 lambda_max(X^T X) / n of the risk gradient.
+def _lanczos_start(d: int) -> np.ndarray:
+    """The fixed unit start vector of _lanczos_top: normalized standard
+    normal draws from seed 0, so that no structure of the data (a constant
+    or an alternating direction) can be orthogonal to it by design."""
+    q = np.random.default_rng(0).standard_normal(d)
+    return q / math.sqrt(float(q @ q))
 
-    One eigvalsh of the smaller Gram matrix: X^T X when n >= d, else X X^T.
-    The solver's Gram form takes the same value as 2 lambda_max(G) from its
+
+def _lanczos_top(gram: np.ndarray) -> float:
+    """The top Ritz value of gram from Lanczos with full reorthogonalization
+    (two classical Gram-Schmidt passes per step) from _lanczos_start.
+
+    It stops once the top Ritz pair's residual beta_k |s_k| is at most
+    CERTIFY_DELTA theta / 4, or on breakdown, or after LANCZOS_STEPS steps;
+    the basis holds at most that many rows.  An eigh of the tridiagonal T
+    costs about as much as a step at d = 465, so the residual is tested
+    every LANCZOS_CHECK_EVERY steps, and at once when beta_k is at most
+    CERTIFY_DELTA / 4 times the largest diagonal entry of T, a lower bound
+    on theta, so that such a step (a breakdown included) passes the test.
+    """
+    d = gram.shape[0]
+    steps = min(LANCZOS_STEPS, d)
+    basis = np.empty((steps, d))
+    tri = np.zeros((steps, steps))
+    q = _lanczos_start(d)
+    quarter = 0.25 * CERTIFY_DELTA
+    top_diag = 0.0  # so that beta = 0 always ends the loop
+    for k in range(steps):
+        basis[k] = q
+        w = gram @ q
+        tri[k, k] = float(q @ w)
+        top_diag = max(top_diag, tri[k, k])
+        done = basis[:k + 1]
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
+        beta = math.sqrt(float(w @ w))
+        if (beta <= quarter * top_diag or k + 1 == steps
+                or (k + 1) % LANCZOS_CHECK_EVERY == 0):
+            vals, vecs = np.linalg.eigh(tri[:k + 1, :k + 1])
+            if beta * abs(vecs[-1, -1]) <= quarter * vals[-1] or beta == 0.0:
+                break
+        if k + 1 < steps:
+            tri[k, k + 1] = tri[k + 1, k] = beta
+            q = w / beta
+    return float(vals[-1])
+
+
+def lipschitz_constant(X: np.ndarray) -> float:
+    """The Lipschitz constant 2 lambda_max(X^T X) / n of the risk gradient,
+    from the smaller Gram matrix: X^T X when n >= d, else X X^T.
+
+    Exact (one eigvalsh) when that matrix has side below CERTIFY_MIN_DIM;
+    at or above it a certified L' with L <= L' <= (1 + CERTIFY_DELTA) L (see
+    _top_eigenvalue).  The solver's Gram form takes the same value from its
     G = X^T X / n; for lifted designs that G is in svec coordinates, which
     leaves lambda_max unchanged because svec preserves the inner products of
     symmetric matrices.
@@ -187,11 +285,18 @@ class _Svec:
         v *= self.weights
         return v
 
-    def lift_rows(self, x: np.ndarray, centering: np.ndarray) -> np.ndarray:
+    def lift_rows(self, x: np.ndarray, centering: np.ndarray,
+                  out: Optional[tuple] = None) -> np.ndarray:
         """svec of the centered lifts x_i x_i^T - centering of the rows of x:
-        the products of vec(lifts) in the same order, so bitwise equal."""
-        v = x[:, self.rows]
-        v *= x[:, self.cols]
+        the products of vec(lifts) in the same order, so bitwise equal.
+        With out, a pair of buffers of at least len(x) rows and dim columns,
+        the two gathers land in their leading rows and the result is a view
+        of the first."""
+        m = x.shape[0]
+        v, w = ((np.empty((m, self.dim)), np.empty((m, self.dim))) if out is None
+                else (out[0][:m], out[1][:m]))
+        np.take(x, self.rows, axis=1, out=v, mode="clip")
+        v *= np.take(x, self.cols, axis=1, out=w, mode="clip")
         v -= centering[self.rows, self.cols]
         v *= self.weights
         return v
@@ -218,21 +323,24 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         sv = _Svec(s.p)
         d, to_coords, from_coords = sv.dim, sv.vec, sv.mat
 
-        def rows(lo, hi):
-            return sv.lift_rows(x[lo:hi], dataset.centering)
+        def rows(lo, hi, out=None):
+            return sv.lift_rows(x[lo:hi], dataset.centering, out)
     else:
         d, to_coords, from_coords = x.shape[1], _flat, _flat
 
-        def rows(lo, hi):
+        def rows(lo, hi, out=None):
             return x[lo:hi]
 
     if n >= d:
-        block = max(1, GRAM_BLOCK_BYTES // (8 * d))
+        block = min(n, max(1, GRAM_BLOCK_BYTES // (8 * d)))
         G, c = np.zeros((d, d)), np.zeros(d)
+        # the lifted blocks are built into one pair of buffers, reused
+        out = (np.empty((block, d)), np.empty((block, d))) if dataset.lifted else None
         for lo in range(0, n, block):
-            V = rows(lo, lo + block)
+            V = rows(lo, lo + block, out)
             G += V.T @ V
             c += V.T @ y[lo:lo + block]
+        del out, V  # freed before the certificate's Cholesky allocates
         G /= n
         c /= n
         lip = 2.0 * _top_eigenvalue(G)
@@ -327,7 +435,8 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
                        objective=float(r @ r) / n, converged=converged,
                        objective_trace=trace,
                        fixed_point_residual=float(np.linalg.norm(fp - estimate)),
-                       subspace_steps=subspace_steps, restarts=restarts)
+                       subspace_steps=subspace_steps, restarts=restarts,
+                       step=step)
 
 
 def _subspace_point(X, y, s, beta):

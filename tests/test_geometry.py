@@ -26,6 +26,13 @@ def random_set(rng, p):
     return geo.polytope(rng.standard_normal((rng.integers(3, 9), p)))
 
 
+def pairwise_diameter(points, norm="l2"):
+    """Exact max pairwise distance of a point list (l2, else l-infinity):
+    the oracle for Skeleton.diameters."""
+    metric = euclidean_scaled(1.0) if norm == "l2" else infinity_scaled(1.0)
+    return geo.pairwise_max(points, lambda V: seminorm_rows(metric, V))
+
+
 def sample_feasible(rng, s, m):
     """Vectorized feasible points for the oracle property tests."""
     p = s.p
@@ -426,8 +433,8 @@ def test_sparse_skeleton_constructive_properties():
     geo.skeleton_from_points([[1.0, -2.0]]),
 ], ids=["negation-closed", "open-cloud", "one-point"])
 def test_skeleton_diameters_take_one_pairwise_scan(skel, monkeypatch):
-    want = {"l2": geo.pairwise_diameter(skel.points, "l2"),
-            "linf": geo.pairwise_diameter(skel.points, "linf")}
+    want = {"l2": pairwise_diameter(skel.points, "l2"),
+            "linf": pairwise_diameter(skel.points, "linf")}
     calls = []
     closed = geo._negation_closed
     monkeypatch.setattr(geo, "_negation_closed",
@@ -619,7 +626,7 @@ def test_pairwise_max_crosses_default_tile():
     d = 4
     side = int(np.sqrt(geo.PAIR_BLOCK_BYTES / (8 * d)))
     pts = rng.standard_normal((side + 7, d))
-    got = geo.pairwise_diameter(pts, "l2")
+    got = pairwise_diameter(pts, "l2")
     want = _reference_pair_max(pts, lambda v: float(np.linalg.norm(v)))
     assert got == pytest.approx(want, rel=1e-13)
     assert geo.pairwise_max(pts[:1], lambda V: np.ones(len(V))) == 0.0

@@ -401,6 +401,15 @@ def test_config_yaml_load_and_run(tmp_path):
     ("{k: 2, seed: 4}", "{seed: 4}", "'model.beta0_rule.k'"),
     ("target_rule: beta0", "target_rule: {}", "'target_rule.explicit'"),
     ("n_grid: [20, 40, 80]", "n_grid: [0, 5, 10]", "n_grid entries must be >= 1"),
+    # scalar keys are checked, not cast: these ran as 2, 1, a raw ValueError,
+    # 2 and track_trace=True
+    ("trials_per_n: 2\n", "trials_per_n: 2.7\n", "trials_per_n must be an integer, got 2.7"),
+    ("master_seed: 9\n", "master_seed: true\n", "master_seed must be an integer, got True"),
+    ("master_seed: 9\n", "master_seed: 9\nmu_budget: \"1.5e3\"\n",
+     "mu_budget must be an integer, got '1.5e3'"),
+    ("{max_iters: 4000,", "{max_iters: 2.5,", "solver.max_iters must be an integer, got 2.5"),
+    ("tol: 1.0e-12}", "tol: 1.0e-12, track_trace: \"false\"}",
+     "solver.track_trace must be true or false, got 'false'"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML

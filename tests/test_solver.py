@@ -11,8 +11,10 @@ from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
-from subexp_lasso.solver import (SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
-                                 SolverConfig, _Svec, _subspace_point,
+from subexp_lasso.solver import (CERTIFY_DELTA, CERTIFY_MIN_DIM,
+                                 SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
+                                 SolverConfig, _lanczos_start, _Svec,
+                                 _subspace_point, _top_eigenvalue,
                                  empirical_risk,
                                  excess_decomposition, excess_risk,
                                  lipschitz_constant, rank1_extract,
@@ -183,6 +185,109 @@ def test_lipschitz_constant_zero_design_and_unit_step():
     res = solve_lasso(ds, geometry.l1_ball(1.0, 3), SolverConfig(max_iters=10))
     assert res.converged and np.array_equal(res.estimate, np.zeros(3))
     assert res.objective == 1.0
+
+
+# the certified bound exceeds (1 + CERTIFY_DELTA) lambda_max only by the
+# rounding of the Ritz value, about d eps (8e-14 at d = 351)
+RITZ_ROUNDING = 1e-12
+
+
+def assert_certified(got, lam):
+    assert lam <= got <= (1.0 + CERTIFY_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+
+
+def svec_gram(ds):
+    V = _Svec(ds.inputs.shape[1]).lift_rows(ds.inputs, ds.centering)
+    return V.T @ V / ds.n
+
+
+# lifted Grams of side d = p(p+1)/2 from 276 to 351, n from d to 4d; the
+# centered laws put the top of G at a Marchenko-Pastur edge, the uncentered
+# lifts give it a separated top eigenvalue
+lifted_gram_cases = st.integers(23, 26).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(p * (p + 1) // 2, 2 * p * (p + 1)),
+    st.sampled_from(["gaussian", "laplace", "uncentered"])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=lifted_gram_cases, seed=st.integers(0, 2 ** 32 - 1))
+def test_certified_lifted_step_is_within_delta_of_the_eigvalsh_oracle(case, seed):
+    p, n, law = case
+    if law == "uncentered":
+        ds = random_lifted_dataset(p, n, seed)
+    else:
+        ds = generate_dataset(ObservationModel("lifted_view", np.eye(p)[0]),
+                              DistributionSpec(law, p), n, seed)
+    G = svec_gram(ds)
+    assert G.shape[0] >= CERTIFY_MIN_DIM
+    assert_certified(_top_eigenvalue(G), float(np.linalg.eigvalsh(G)[-1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(CERTIFY_MIN_DIM, CERTIFY_MIN_DIM + 64), extra=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(0.0, 2.0))
+def test_certified_direct_form_lipschitz_is_within_delta_of_the_eigvalsh_oracle(
+        n, extra, seed, shift):
+    # n < d: lipschitz_constant certifies the top of the n x n X X^T
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n + extra)) + shift
+    lam = float(np.linalg.eigvalsh(X @ X.T)[-1])
+    assert_certified(lipschitz_constant(X) * n / 2.0, lam)
+
+
+def spy_linalg(monkeypatch):
+    """The names of the eigh, eigvalsh and cholesky calls made, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    return calls
+
+
+def test_certified_top_eigenvalue_edge_cases(monkeypatch):
+    d = CERTIFY_MIN_DIM + 44
+    calls = spy_linalg(monkeypatch)
+    # G = 0: Lanczos breaks down at once with theta = 0, which only
+    # eigvalsh's 0 can bound within (1 + delta)
+    assert _top_eigenvalue(np.zeros((d, d))) == 0.0
+    assert calls == ["eigh", "eigvalsh"]
+    # G = c I: Lanczos breaks down at once, and one Cholesky certifies
+    calls.clear()
+    assert_certified(_top_eigenvalue(2.5 * np.eye(d)), 2.5)
+    assert calls == ["eigh", "cholesky"]
+    # G = I + 10 u u^T with u orthogonal to the start vector: Lanczos sees
+    # only the eigenvalue 1, the Cholesky fails, and one eigvalsh gives 11
+    q = _lanczos_start(d)
+    u = np.random.default_rng(5).standard_normal(d)
+    u -= (u @ q) * q
+    u /= np.linalg.norm(u)
+    calls.clear()
+    assert_certified(_top_eigenvalue(np.eye(d) + 10.0 * np.outer(u, u)),
+                     11.0 * (1.0 - RITZ_ROUNDING))
+    assert calls == ["eigh", "cholesky", "eigvalsh"]
+
+
+def test_solve_result_reports_the_step():
+    rng = np.random.default_rng(3)
+    # below CERTIFY_MIN_DIM: exactly 1/L
+    X = rng.standard_normal((40, 6))
+    res = solve_lasso(toy_dataset(X, rng.standard_normal(40)),
+                      geometry.l1_ball(1.0, 6))
+    assert res.step == pytest.approx(1.0 / lipschitz_constant(X), rel=1e-12)
+    # a lifted Gram of side 276: 1/L' with L <= L' <= (1 + delta) L
+    ds = generate_dataset(ObservationModel("lifted_view", np.eye(23)[0]),
+                          DistributionSpec("gaussian", 23), 400, 7)
+    res = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 23),
+                       SolverConfig(max_iters=50))
+    assert_certified(0.5 / res.step, float(np.linalg.eigvalsh(svec_gram(ds))[-1]))
+    # L = 0 (zero lifts at side 276): the step falls back to 1.0
+    zero = Dataset(np.zeros((300, 23)), np.ones(300), ds.spec, ds.model, 0,
+                   centering=np.zeros((23, 23)))
+    res = solve_lifted(zero, geometry.lifted_psd_fro(1.0, 23),
+                       SolverConfig(max_iters=10))
+    assert res.step == 1.0 and np.array_equal(res.estimate, np.zeros((23, 23)))
 
 
 SET_MAKERS = {"l1": geometry.l1_ball, "l2": geometry.l2_ball,

@@ -84,7 +84,7 @@ def _dataset(args, config: harness.ExperimentConfig, command: str):
     """The dataset of `command`: --n draws (default: the first n_grid entry)
     seeded from the master seed's "cli-<command>" stream."""
     return generate_dataset(config.model, config.spec,
-                            args.n or config.n_grid[0],
+                            config.n_grid[0] if args.n is None else args.n,
                             derive_seed(config.master_seed, f"cli-{command}"))
 
 

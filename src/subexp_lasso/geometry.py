@@ -79,12 +79,6 @@ def lifted_psd_fro(radius: float, p: int) -> HypothesisSet:
     return HypothesisSet("lifted_psd_fro", float(radius), int(p))
 
 
-def load_vertices(path) -> HypothesisSet:
-    """Polytope from a text file: one vertex per line, whitespace-separated."""
-    V = np.atleast_2d(np.loadtxt(path, dtype=float))
-    return polytope(V)
-
-
 def _check_radius(r):
     if not (r > 0):
         raise ConfigurationError("radius/halfwidth must be positive")

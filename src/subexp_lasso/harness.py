@@ -66,7 +66,7 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _grid(name: str, values) -> tuple:
+def _grid(values, name: str) -> tuple:
     """values as a tuple of ints, checked and never truncated: a non-empty,
     strictly increasing sequence of integers >= 1.  Anything else raises a
     ConfigurationError naming `name`."""
@@ -104,10 +104,8 @@ class ExperimentConfig:
     outputs: Optional[str] = None
 
     def __post_init__(self):
-        grid = _grid("n_grid", self.n_grid)
-        if self.trials_per_n < 1:
-            raise ConfigurationError("trials_per_n must be >= 1")
-        for name in ("mu_budget", "erm_budget"):
+        grid = _grid(self.n_grid, "n_grid")
+        for name in ("trials_per_n", "mu_budget", "erm_budget"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.target_rule not in TARGET_RULES:
@@ -124,30 +122,22 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    spec = config.spec
-    model = config.model
-    s = config.hypothesis_set
+    """The config in schema keys, so that config_from_dict rebuilds it;
+    `outputs`, where the results go, is left out."""
+    spec, model, s = config.spec, config.model, config.hypothesis_set
+    rule = ({"explicit": np.asarray(config.target_vector).tolist()}
+            if config.target_rule == "explicit" else config.target_rule)
     return {
-        "name": config.name,
-        "spec": {"kind": spec.kind, "p": spec.p, "scale": spec.scale,
-                 "base_kind": spec.base_kind,
-                 "mixing": None if spec.mixing is None else spec.mixing.tolist(),
-                 "seed_domain": spec.seed_domain},
-        "model": {"kind": model.kind, "beta0": model.beta0.tolist(),
-                  "link": model.link,
-                  "noise": {"kind": model.noise.kind, "level": model.noise.level}},
-        "set": {"kind": s.kind, "radius": s.radius, "p": s.p,
+        "name": config.name, "target_rule": rule, "n_grid": list(config.n_grid),
+        **{key: getattr(config, key)
+           for key in ("trials_per_n", "master_seed", "mu_budget", "erm_budget")},
+        "spec": {**asdict(spec),
+                 "mixing": None if spec.mixing is None else spec.mixing.tolist()},
+        "model": {**asdict(model), "beta0": model.beta0.tolist()},
+        "set": {"kind": s.kind, "radius": s.radius,
                 "center": None if s.center is None else s.center.tolist(),
                 "vertices": None if s.vertices is None else s.vertices.tolist()},
-        "target_rule": config.target_rule,
-        "target_vector": None if config.target_vector is None
-                         else np.asarray(config.target_vector).tolist(),
         "solver": asdict(config.solver_config),
-        "n_grid": list(config.n_grid),
-        "trials_per_n": config.trials_per_n,
-        "master_seed": config.master_seed,
-        "mu_budget": config.mu_budget,
-        "erm_budget": config.erm_budget,
     }
 
 
@@ -368,7 +358,7 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
     the error-curve cells of a config named "pt:k=<k>", solved by
     `_run_cells` on thread_count() workers.
     """
-    k_grid, n_grid = _grid("k_grid", k_grid), _grid("n_grid", n_grid)
+    k_grid, n_grid = _grid(k_grid, "k_grid"), _grid(n_grid, "n_grid")
     noise = config.model.noise
     cells, thresholds = [], []
     for i, k in enumerate(k_grid):
@@ -479,6 +469,11 @@ def format_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one reader per RESULT_COLUMNS entry; `converged` is true or false only
+_CELL_READERS = (str, int, int, float, float, {"true": True, "false": False}.__getitem__,
+                 int, lambda cell: int(cell) if cell else None)
+
+
 def parse_records_csv(text_or_path) -> list:
     """Inverse of the csv emitter; returns TrialRecord objects.
 
@@ -500,13 +495,18 @@ def parse_records_csv(text_or_path) -> list:
     if tuple(header) not in (RESULT_COLUMNS, RESULT_COLUMNS[:-1]):
         raise ConfigurationError("unexpected result CSV header")
     records = []
-    for row in reader:
-        if not row:
-            continue
-        records.append(TrialRecord(row[0], int(row[1]), int(row[2]),
-                                   float(row[3]), float(row[4]),
-                                   row[5] == "true", int(row[6]),
-                                   int(row[7]) if row[7:] and row[7] else None))
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise ConfigurationError(f"records CSV line {reader.line_num}: "
+                                     f"{len(row)} fields, expected {len(header)}")
+        cells = []
+        for column, read, cell in zip(header, _CELL_READERS, row):
+            try:
+                cells.append(read(cell))
+            except (KeyError, ValueError) as exc:
+                raise ConfigurationError(f"records CSV line {reader.line_num}, column "
+                                         f"{column}: cannot read {cell!r}") from exc
+        records.append(TrialRecord(*cells))
     return records
 
 
@@ -514,115 +514,118 @@ def parse_records_csv(text_or_path) -> list:
 # Declarative configs (YAML)
 # ---------------------------------------------------------------------------
 
-def _required(d, path: str):
-    """d[key] for the last key of a dotted path; raises naming the path."""
-    value = (d or {}).get(path.rsplit(".", 1)[-1])
-    if value is None:
-        raise ConfigurationError(f"config is missing required key {path!r}")
-    return value
+def _fail(key: str, what: str, value):
+    raise ConfigurationError(f"{key} must be {what}, got {value!r}")
 
 
-def spec_from_dict(d: dict) -> DistributionSpec:
-    mixing = d.get("mixing")
-    if isinstance(mixing, str):
-        mixing = np.loadtxt(mixing)
-    return DistributionSpec(kind=_required(d, "spec.kind"),
-                            p=int(_required(d, "spec.p")),
-                            scale=float(d.get("scale", 1.0)),
-                            mixing=None if mixing is None else np.asarray(mixing, float),
-                            base_kind=d.get("base_kind", "laplace"),
-                            seed_domain=d.get("seed_domain", "inputs"))
+def _str(value, key: str) -> str:
+    return value if isinstance(value, str) else _fail(key, "a string", value)
 
 
-def model_from_dict(d: dict, p: int) -> ObservationModel:
-    beta0 = d.get("beta0")
-    if beta0 is None:
-        rule = d.get("beta0_rule")
-        if not rule:
-            raise ConfigurationError("model needs beta0 or beta0_rule")
-        beta0 = sparse_vector(p, int(_required(rule, "model.beta0_rule.k")),
-                              int(rule.get("seed", 0)),
-                              rule.get("norm", "l2"))
-    noise_d = d.get("noise", {"kind": "none"})
-    noise = Noise(noise_d.get("kind", "none"), float(noise_d.get("level", 0.0)))
-    return ObservationModel(_required(d, "model.kind"), np.asarray(beta0, dtype=float),
-                            d.get("link", "identity"), noise)
+def _int(value, key: str) -> int:
+    return int(value) if _is_integer(value) else _fail(key, "an integer", value)
 
 
-def set_from_dict(d: dict, p: int, beta0=None) -> geometry.HypothesisSet:
-    kind = _required(d, "set.kind")
-    if kind == "polytope":
-        if "vertices_file" in d:
-            return geometry.load_vertices(d["vertices_file"])
-        return geometry.polytope(np.asarray(_required(d, "set.vertices"), dtype=float))
-    builders = {"l1_ball": geometry.l1_ball, "hypercube": geometry.hypercube,
-                "lifted_psd_fro": geometry.lifted_psd_fro,
-                "l2_ball": lambda r, p: geometry.l2_ball(r, p, d.get("center"))}
-    if kind not in builders:
-        raise ConfigurationError(f"unknown set kind {kind!r}")
-    radius = _required(d, "set.radius")
-    if isinstance(radius, str):
-        if beta0 is None:
-            raise ConfigurationError(f"radius rule {radius!r} needs beta0")
-        if radius == "beta0_l1":
-            radius = float(np.abs(beta0).sum())
-        elif radius == "beta0_l2":
-            radius = float(np.linalg.norm(beta0))
-        else:
-            raise ConfigurationError(f"unknown radius rule {radius!r}")
-    return builders[kind](float(radius), p)
+def _bool(value, key: str) -> bool:
+    return value if isinstance(value, bool) else _fail(key, "true or false", value)
 
 
-def _integer(key: str):
-    """A check that passes an integer on as an int and rejects anything
-    else (a float, a bool, a string) with a ConfigurationError naming key."""
-    def check(value):
-        if not _is_integer(value):
-            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    return check
+def _float(value, key: str) -> float:
+    """A real number, bools excluded, or a numeric string: PyYAML reads
+    1e-14 (no decimal point) as a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    try:
+        return float(value) if isinstance(value, str) else _fail(key, "a number", value)
+    except ValueError:
+        return _fail(key, "a number", value)
 
 
-def _boolean(key: str):
-    """A check that passes a bool on and rejects anything else (the string
-    "false" included) with a ConfigurationError naming key."""
-    def check(value):
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{key} must be true or false, got {value!r}")
-        return value
-    return check
+def _array(value, key: str) -> np.ndarray:
+    """A float array: an inline (nested) list whose entries pass `_float`,
+    or the path of a text file with one whitespace-separated row per line."""
+    if isinstance(value, str):
+        try:
+            return np.loadtxt(value, dtype=float)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{key}: cannot read {value!r}: {exc}") from exc
+    if not isinstance(value, list):
+        _fail(key, "a list of numbers or a file path", value)
+    cells = np.array(value, dtype=object)
+    return np.array([_float(v, key) for v in cells.ravel()]).reshape(cells.shape)
 
 
-# YAML keys passed on to ExperimentConfig and SolverConfig, with their checks;
-# a key left out of the YAML takes the dataclass default.  tol is converted
-# with float, because PyYAML reads 1e-14 (no decimal point) as a string.
-_CONFIG_CHECKS = {"target_rule": lambda rule: rule, "outputs": lambda out: out,
-                  "n_grid": lambda grid: _grid("n_grid", grid),
-                  **{key: _integer(key) for key in ("trials_per_n", "master_seed",
-                                                    "mu_budget", "erm_budget")}}
-_SOLVER_CHECKS = {"max_iters": _integer("solver.max_iters"), "tol": float,
-                  "track_trace": _boolean("solver.track_trace")}
+# Every YAML key: a check (value, dotted key) -> value, or a nested section.
+# Keys left out take the dataclass defaults; a null value counts as left out.
+_SCHEMA = {
+    "name": _str, "n_grid": _grid, "outputs": _str,
+    "target_rule": lambda value, key: (_checked(value, {"explicit": _array}, key)
+                                       if isinstance(value, dict) else _str(value, key)),
+    **dict.fromkeys(("trials_per_n", "master_seed", "mu_budget", "erm_budget"), _int),
+    "spec": {"kind": _str, "p": _int, "scale": _float, "mixing": _array,
+             "base_kind": _str, "seed_domain": _str},
+    "model": {"kind": _str, "beta0": _array, "link": _str,
+              "beta0_rule": {"k": _int, "seed": _int, "norm": _str},
+              "noise": {"kind": _str, "level": _float}},
+    "set": {"kind": _str, "center": _array, "vertices": _array, "vertices_file": _array,
+            "radius": lambda value, key: (value if value in ("beta0_l1", "beta0_l2")
+                                          else _float(value, key))},
+    "solver": {"max_iters": _int, "tol": _float, "track_trace": _bool},
+}
+_REQUIRED = {"spec", "model", "set", "spec.kind", "spec.p", "model.kind",
+             "model.beta0_rule.k", "set.kind", "target_rule.explicit"}
+
+
+def _checked(d, schema: dict, path: str = "") -> dict:
+    """The non-null entries of mapping d, each passed through its schema
+    entry.  An unknown key, a missing required key or a value of the wrong
+    type raises a ConfigurationError naming the dotted key."""
+    if not isinstance(d, dict):
+        _fail(path or "config", "a mapping", d)
+    prefix = f"{path}." if path else ""
+    unknown = [prefix + str(key) for key in d if key not in schema]
+    if unknown:
+        raise ConfigurationError(f"unknown config key(s) {', '.join(unknown)}; "
+                                 f"expected one of {', '.join(schema)}")
+    for key in schema:
+        if prefix + key in _REQUIRED and d.get(key) is None:
+            raise ConfigurationError(f"config is missing required key '{prefix}{key}'")
+    return {key: _checked(value, schema[key], prefix + key)
+            if isinstance(schema[key], dict) else schema[key](value, prefix + key)
+            for key, value in d.items() if value is not None}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    spec = spec_from_dict(_required(d, "spec"))
-    model = model_from_dict(_required(d, "model"), spec.p)
-    hset = set_from_dict(_required(d, "set"), spec.p, beta0=model.beta0)
-    solver_d = d.get("solver") or {}
-    unknown = sorted(set(solver_d) - set(_SOLVER_CHECKS))
-    if unknown:
-        raise ConfigurationError(f"unknown solver key(s) {', '.join(unknown)}; "
-                                 f"expected {', '.join(_SOLVER_CHECKS)}")
-    config = {key: check(d[key]) for key, check in _CONFIG_CHECKS.items() if key in d}
-    if isinstance(config.get("target_rule"), dict):
-        config["target_vector"] = np.asarray(
-            _required(config["target_rule"], "target_rule.explicit"), float)
-        config["target_rule"] = "explicit"
-    return ExperimentConfig(
-        name=d.get("name", "experiment"), model=model, spec=spec,
-        hypothesis_set=hset, solver_config=solver.SolverConfig(
-            **{key: _SOLVER_CHECKS[key](value) for key, value in solver_d.items()}),
-        **config)
+    c = _checked(d, _SCHEMA)
+    spec = DistributionSpec(**c.pop("spec"))
+    m, s = c.pop("model"), c.pop("set")
+    beta0 = m.get("beta0")
+    if beta0 is None and "beta0_rule" not in m:
+        raise ConfigurationError("model needs beta0 or beta0_rule")
+    if beta0 is None:
+        beta0 = sparse_vector(spec.p, **{"seed": 0, **m["beta0_rule"]})
+    model = ObservationModel(m["kind"], beta0, m.get("link", "identity"),
+                             Noise(**m.get("noise", {})))
+    if "vertices_file" in s:
+        s["vertices"] = s.pop("vertices_file")
+    need = "vertices" if s["kind"] == "polytope" else "radius"
+    if s.get(need) is None:
+        raise ConfigurationError(f"config is missing required key 'set.{need}'")
+    radius = s.get("radius")
+    if radius in ("beta0_l1", "beta0_l2"):
+        radius = float(np.linalg.norm(model.beta0, 1 if radius == "beta0_l1" else None))
+    builders = {"l1_ball": geometry.l1_ball, "hypercube": geometry.hypercube,
+                "lifted_psd_fro": geometry.lifted_psd_fro,
+                "l2_ball": lambda r, p: geometry.l2_ball(r, p, s.get("center")),
+                "polytope": lambda r, p: geometry.polytope(s["vertices"])}
+    if s["kind"] not in builders:
+        raise ConfigurationError(f"unknown set kind {s['kind']!r}")
+    hset = builders[s["kind"]](radius, spec.p)
+    if isinstance(c.get("target_rule"), dict):
+        c.update(target_rule="explicit", target_vector=c["target_rule"]["explicit"])
+    return ExperimentConfig(model=model, spec=spec, hypothesis_set=hset,
+                            solver_config=solver.SolverConfig(**c.pop("solver", {})),
+                            **{"name": "experiment", **c})
 
 
 def load_config(path) -> ExperimentConfig:

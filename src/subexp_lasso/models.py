@@ -366,6 +366,8 @@ def sparse_vector(p: int, k: int, seed: int, norm: str = "l2") -> np.ndarray:
     """Random k-sparse vector with unit l2 (or l1) norm; a config convenience."""
     if not (1 <= k <= p):
         raise ConfigurationError("need 1 <= k <= p")
+    if norm not in ("l1", "l2"):
+        raise ConfigurationError(f"norm must be 'l1' or 'l2', got {norm!r}")
     rng = rng_for(seed, "sparse-vector")
     support = rng.choice(p, size=k, replace=False)
     vals = rng.standard_normal(k)

@@ -229,15 +229,6 @@ def test_vertices_of():
         geo.vertices_of(geo.l2_ball(1.0, 3))
 
 
-def test_load_vertices_roundtrip(tmp_path):
-    V = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]])
-    path = tmp_path / "verts.txt"
-    np.savetxt(path, V)
-    s = geo.load_vertices(path)
-    assert s.kind == "polytope"
-    assert np.allclose(s.vertices, V)
-
-
 def test_span_basis_rank_decision():
     # three collinear vertices span a line
     s = geo.polytope([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])

@@ -6,12 +6,15 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subexp_lasso import geometry, harness
-from subexp_lasso.distributions import DistributionSpec
+from subexp_lasso.distributions import KINDS, DistributionSpec
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import (Noise, ObservationModel, generate_dataset,
-                                 sparse_vector)
+from subexp_lasso.models import (LINKS, MODEL_KINDS, Noise, ObservationModel,
+                                 generate_dataset, sparse_vector)
 from subexp_lasso.solver import SolverConfig, solve_lasso
 from subexp_lasso.seeding import derive_seed, split_trials, partitioned_mean
 
@@ -410,6 +413,30 @@ def test_config_yaml_load_and_run(tmp_path):
     ("{max_iters: 4000,", "{max_iters: 2.5,", "solver.max_iters must be an integer, got 2.5"),
     ("tol: 1.0e-12}", "tol: 1.0e-12, track_trace: \"false\"}",
      "solver.track_trace must be true or false, got 'false'"),
+    # these ran with a cast, truncated or ignored value, or escaped as a raw
+    # AttributeError or ValueError
+    ("tol: 1.0e-12}", "tol: true}", "solver.tol must be a number, got True"),
+    ("tol: 1.0e-12}", "tol: abc}", "solver.tol must be a number, got 'abc'"),
+    ("tol: 1.0e-12}", "tol: [1]}", "solver.tol must be a number, got [1]"),
+    ("name: yaml-experiment", "name: 5", "name must be a string, got 5"),
+    ("trials_per_n: 2", "trails_per_n: 3", "unknown config key(s) trails_per_n;"),
+    ("master_seed: 9", "master_seed: 4.5", "master_seed must be an integer, got 4.5"),
+    ("scale: 1.0}", "scale: 1.0, scael: 2.0}", "unknown config key(s) spec.scael;"),
+    ("p: 6,", "p: 6.5,", "spec.p must be an integer, got 6.5"),
+    ("spec: {kind: laplace, p: 6, scale: 1.0}", "spec: laplace",
+     "spec must be a mapping, got 'laplace'"),
+    ("radius: beta0_l1}", "radius: true}", "set.radius must be a number, got True"),
+    ("radius: beta0_l1}", "radius: beta0_l1, raduis: 1.0}",
+     "unknown config key(s) set.raduis;"),
+    ("{k: 2, seed: 4}", "{k: 2.5, seed: 4}", "model.beta0_rule.k must be an integer, got 2.5"),
+    ("{k: 2, seed: 4}", "{k: 2, seed: 4.5}",
+     "model.beta0_rule.seed must be an integer, got 4.5"),
+    ("{k: 2, seed: 4}", "{k: 2, sede: 4}", "unknown config key(s) model.beta0_rule.sede;"),
+    ("level: 0.1}", "levle: 0.1}", "unknown config key(s) model.noise.levle;"),
+    ("  kind: linear\n", "  kind: linear\n  lnik: tanh\n", "unknown config key(s) model.lnik;"),
+    ("target_rule: beta0", "target_rule: [beta0]", "target_rule must be a string, got ['beta0']"),
+    ("target_rule: beta0", "target_rule: {explicit: [1, 2], scale: 2}",
+     "unknown config key(s) target_rule.scale;"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML
@@ -819,3 +846,252 @@ def test_cli_datasets_come_from_the_command_streams(tmp_path):
         harness.resolve_target(config), 0.5, 256,
         derive_seed(config.master_seed, "cert-dirs"))
     assert json.loads(cert_out.read_text())["min_excess"] == rep.min_excess
+
+
+@pytest.mark.parametrize("args", [["sample"], ["solve"],
+                                  ["certificate", "--scale", "0.5"]])
+def test_cli_rejects_n_zero(tmp_path, args):
+    # --n 0 used to fall back to the first n_grid entry
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    with pytest.raises(ConfigurationError, match="n must be >= 1"):
+        main([args[0], "--config", str(cfg), "--n", "0"] + args[1:])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("unit,abc,0,0.5,1.0,true,7,3", "line 3, column n: cannot read 'abc'"),
+    ("unit,20", "line 3: 2 fields, expected 8"),
+    ("unit,20,0,0.5,1.0,true,7,3,9", "line 3: 9 fields, expected 8"),
+    ("unit,20,0,0.5,1.0,yes,7,3", "line 3, column converged: cannot read 'yes'"),
+    ("unit,20,0,0.5,1.0,True,7,3", "line 3, column converged: cannot read 'True'"),
+    ("unit,20,0,half,1.0,false,7,3", "line 3, column error: cannot read 'half'"),
+    ("unit,20,0,0.5,1.0,false,7,3.5", "line 3, column iterations: cannot read '3.5'"),
+])
+def test_parse_records_csv_names_the_bad_line_and_column(tmp_path, row, message):
+    # these rows raised a raw ValueError or IndexError, or read "yes" as false
+    from subexp_lasso.cli import main
+
+    text = ",".join(harness.RESULT_COLUMNS) + "\nunit,20,1,0.25,1.0,false,7,3\n" + row + "\n"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        harness.parse_records_csv(text)
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        main(["report", str(path)])
+
+
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+
+def load_yaml(tmp_path, text):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    return harness.load_config(str(path))
+
+
+def test_float_keys_take_numeric_strings(tmp_path):
+    # PyYAML reads 1e-14 (no decimal point) as the string "1e-14"
+    text = CONFIG_YAML.replace("tol: 1.0e-12", "tol: 1e-14").replace("level: 0.1", "level: 1e-1")
+    assert yaml.safe_load(text)["solver"]["tol"] == "1e-14"
+    config = load_yaml(tmp_path, text)
+    assert config.solver_config.tol == 1e-14 and config.model.noise.level == 0.1
+
+
+def test_config_vertices_file_is_read_as_a_polytope(tmp_path):
+    V = np.array([[0.0, 1.0, 2.0, 0.0, 0.5, 0.0], [3.0, -1.0, 0.5, 0.0, 0.0, 1.0]])
+    path = tmp_path / "verts.txt"
+    np.savetxt(path, V)
+    text = CONFIG_YAML.replace("{kind: l1_ball, radius: beta0_l1}",
+                               f"{{kind: polytope, vertices_file: {path}}}")
+    s = load_yaml(tmp_path, text).hypothesis_set
+    assert s.kind == "polytope" and np.array_equal(s.vertices, V)
+    np.savetxt(path, V[:1])  # one vertex, one line
+    assert np.array_equal(load_yaml(tmp_path, text).hypothesis_set.vertices, V[:1])
+    with pytest.raises(ConfigurationError, match="set.vertices_file: cannot read"):
+        load_yaml(tmp_path, text.replace("verts.txt", "missing.txt"))
+
+
+def test_config_mixing_file_is_read(tmp_path):
+    M = np.random.default_rng(0).standard_normal((6, 4))
+    path = tmp_path / "mixing.txt"
+    np.savetxt(path, M)
+    text = CONFIG_YAML.replace("{kind: laplace, p: 6, scale: 1.0}",
+                               f"{{kind: mixed, p: 6, mixing: {path}}}")
+    spec = load_yaml(tmp_path, text).spec
+    assert spec.kind == "mixed" and np.array_equal(spec.mixing, M)
+    inline = load_yaml(tmp_path, text.replace(str(path), json.dumps(M.tolist())))
+    assert np.array_equal(inline.spec.mixing, M)
+    with pytest.raises(ConfigurationError, match="spec.mixing: cannot read"):
+        load_yaml(tmp_path, text.replace("mixing.txt", "missing.txt"))
+
+
+def test_beta0_rule_without_seed_draws_from_seed_0(tmp_path):
+    # the phase-sparse benchmark's form: {k: 5} and no seed
+    config = load_yaml(tmp_path, CONFIG_YAML.replace("{k: 2, seed: 4}", "{k: 2}"))
+    assert np.array_equal(config.model.beta0, sparse_vector(6, 2, 0))
+    config = load_yaml(tmp_path, CONFIG_YAML.replace("{k: 2, seed: 4}", "{k: 2, norm: l1}"))
+    assert np.array_equal(config.model.beta0, sparse_vector(6, 2, 0, "l1"))
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # a schema change that rejects a benchmark config fails here rather than
+    # in a benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    paths = [path for name in ("curve_vector", "phase_sparse", "curve_lifted",
+                               "diagnostics")
+             for path in getattr(workloads, f"configs_{name}")(0, str(tmp_path)).values()]
+    assert len(paths) == 6
+    for path in paths:
+        config = harness.load_config(path)
+        again = harness.config_from_dict(harness._config_dict(config))
+        assert harness.config_hash(again) == harness.config_hash(config)
+
+
+# every schema key and the kind of value it takes
+SCHEMA_KINDS = {
+    "name": "str", "outputs": "str", "target_rule": "rule",
+    "target_rule.explicit": "array", "n_grid": "grid", "trials_per_n": "int",
+    "master_seed": "int", "mu_budget": "int", "erm_budget": "int",
+    "spec": "section", "spec.kind": "str", "spec.p": "int", "spec.scale": "float",
+    "spec.mixing": "array", "spec.base_kind": "str", "spec.seed_domain": "str",
+    "model": "section", "model.kind": "str", "model.beta0": "array",
+    "model.link": "str", "model.beta0_rule": "section", "model.beta0_rule.k": "int",
+    "model.beta0_rule.seed": "int", "model.beta0_rule.norm": "str",
+    "model.noise": "section", "model.noise.kind": "str", "model.noise.level": "float",
+    "set": "section", "set.kind": "str", "set.radius": "radius",
+    "set.center": "array", "set.vertices": "array", "set.vertices_file": "array",
+    "solver": "section", "solver.max_iters": "int", "solver.tol": "float",
+    "solver.track_trace": "bool",
+}
+
+
+def schema_keys(schema, prefix=""):
+    for key, entry in schema.items():
+        yield prefix + key
+        if isinstance(entry, dict):
+            yield from schema_keys(entry, f"{prefix}{key}.")
+
+
+def test_schema_kinds_cover_every_schema_key():
+    assert set(schema_keys(harness._SCHEMA)) | {"target_rule.explicit"} == set(SCHEMA_KINDS)
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+words = st.text(max_size=6).filter(lambda t: not is_number(t))
+reals = st.integers(-5, 5) | st.floats(allow_nan=False)
+WRONG_VALUES = {
+    "str": st.integers() | st.floats() | st.booleans() | st.lists(st.integers(), max_size=2),
+    "int": st.floats() | st.booleans() | st.text(max_size=4) | st.lists(st.integers(), max_size=2),
+    "float": st.booleans() | words | st.lists(reals, max_size=2) | st.just({"a": 1}),
+    "bool": st.integers() | st.floats() | st.text(max_size=4) | st.just([True]),
+    "array": (st.integers() | st.floats() | st.booleans() | st.just("no-such-file.txt")
+              | st.lists(st.booleans() | words, min_size=1, max_size=3)
+              | st.just([[1.0, 2.0], [3.0]]) | st.just({"a": [1.0]})),
+    "grid": st.booleans() | st.floats() | st.lists(st.booleans() | st.floats(), min_size=1),
+    "section": (st.integers() | st.text(max_size=4) | st.booleans()
+                | st.lists(st.integers(), max_size=2) | st.just({"no_such_key": 1})),
+    "radius": (st.booleans() | st.lists(reals, max_size=2)
+               | words.filter(lambda t: t not in ("beta0_l1", "beta0_l2"))),
+    "rule": st.integers() | st.floats() | st.booleans() | st.lists(st.text(max_size=3), max_size=2),
+}
+
+
+def valid_base():
+    return {"name": "base", "outputs": "out.csv", "target_rule": "beta0",
+            "n_grid": [5, 10], "trials_per_n": 1, "master_seed": 0,
+            "mu_budget": 10, "erm_budget": 10,
+            "spec": {"kind": "laplace", "p": 3, "scale": 1.0, "base_kind": "laplace",
+                     "seed_domain": "inputs"},
+            "model": {"kind": "linear", "beta0": [1.0, 0.0, -0.5], "link": "identity",
+                      "beta0_rule": {"k": 1, "seed": 0, "norm": "l2"},
+                      "noise": {"kind": "none", "level": 0.0}},
+            "set": {"kind": "l1_ball", "radius": "beta0_l1"},
+            "solver": {"max_iters": 100, "tol": 1e-9, "track_trace": False}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(SCHEMA_KINDS)))
+def test_a_wrong_typed_value_names_its_key(data, key):
+    value = data.draw(WRONG_VALUES[SCHEMA_KINDS[key]], label=key)
+    config = valid_base()
+    *sections, last = key.split(".")
+    node = config
+    for section in sections:
+        if not isinstance(node.get(section), dict):
+            node[section] = {}
+        node = node[section]
+    node[last] = value
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        harness.config_from_dict(config)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config mapping, optional keys left out at random."""
+    p = draw(st.integers(1, 5))
+    entry = st.floats(0.01, 10) | st.floats(-10, -0.01)
+    vector = st.lists(entry, min_size=p, max_size=p)
+    spec = {"kind": draw(st.sampled_from(KINDS)), "p": p,
+            "scale": draw(st.floats(1e-3, 1e3))}
+    if spec["kind"] == "mixed":
+        spec["mixing"] = draw(st.lists(st.lists(entry, min_size=2, max_size=2),
+                                       min_size=p, max_size=p))
+        spec["base_kind"] = draw(st.sampled_from(["gaussian", "laplace"]))
+    model = {"kind": draw(st.sampled_from(MODEL_KINDS)),
+             "link": draw(st.sampled_from(sorted(LINKS))),
+             "noise": {"kind": draw(st.sampled_from(["none", "gaussian", "laplace"])),
+                       "level": draw(st.floats(0, 2))}}
+    if draw(st.booleans()):
+        model["beta0"] = draw(vector)
+    else:
+        model["beta0_rule"] = {"k": draw(st.integers(1, p)),
+                               "seed": draw(st.integers(0, 2**32)),
+                               "norm": draw(st.sampled_from(["l1", "l2"]))}
+    kind = draw(st.sampled_from(["l1_ball", "l2_ball", "hypercube", "polytope",
+                                 "lifted_psd_fro"]))
+    hset = {"kind": kind}
+    if kind == "polytope":
+        hset["vertices"] = draw(st.lists(vector, min_size=1, max_size=4))
+    else:
+        hset["radius"] = draw(st.floats(1e-3, 1e3) | st.sampled_from(["beta0_l1", "beta0_l2"]))
+    if kind == "l2_ball" and draw(st.booleans()):
+        hset["center"] = draw(vector)
+    optional = {
+        "name": draw(st.text(max_size=8)),
+        "target_rule": draw(st.sampled_from(["beta0", "mu_beta0", "erm_mc"])
+                            | vector.map(lambda v: {"explicit": v})),
+        "solver": {"max_iters": draw(st.integers(1, 10**6)),
+                   "tol": draw(st.floats(1e-15, 1.0)),
+                   "track_trace": draw(st.booleans())},
+        "n_grid": draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4,
+                                unique=True).map(sorted)),
+        **{key: draw(st.integers(1, 10**7))
+           for key in ("trials_per_n", "master_seed", "mu_budget", "erm_budget")},
+    }
+    return {"spec": spec, "model": model, "set": hset,
+            **{key: value for key, value in optional.items() if draw(st.booleans())}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_a_valid_config_round_trips_through_its_dict(d):
+    config = harness.config_from_dict(d)
+    emitted = harness._config_dict(config)
+    again = harness.config_from_dict(emitted)
+    assert harness._config_dict(again) == emitted
+    assert harness.config_hash(again) == harness.config_hash(config)
+    via_yaml = harness.config_from_dict(yaml.safe_load(yaml.safe_dump(emitted)))
+    assert harness.config_hash(via_yaml) == harness.config_hash(config)

@@ -588,3 +588,6 @@ def test_sparse_vector_properties():
     assert np.abs(v1).sum() == pytest.approx(1.0)
     with pytest.raises(ConfigurationError):
         sparse_vector(3, 4, seed=0)
+    for norm in ("L2", "l3", "linf", ""):  # "L2" used to normalize in l1
+        with pytest.raises(ConfigurationError, match="norm must be 'l1' or 'l2'"):
+            sparse_vector(20, 4, seed=1, norm=norm)

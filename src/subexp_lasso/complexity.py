@@ -22,6 +22,8 @@ from .seeding import derive_seed, rng_for
 
 Target = Union[geometry.Skeleton, geometry.HypothesisSet]
 
+BLOCK_VALUES = 1 << 16  # driver values a width estimator draws at once (0.5 MB)
+
 
 # ---------------------------------------------------------------------------
 # Width estimators
@@ -44,26 +46,24 @@ def _target_shape(target: Target):
     return target.p, f"{target.kind}(p={target.p})"
 
 
-def _sup_linear(target: Target, z: np.ndarray) -> float:
-    if isinstance(target, geometry.Skeleton):
-        return float(np.max(target.points @ z))
-    if target.is_matrix_set:
-        return geometry.support_function(target, z.reshape(target.p, target.p))
-    return geometry.support_function(target, z)
-
-
 def _width(target: Target, trials: int, seed: int, domain: str, driver,
-           kind: Optional[str] = None) -> WidthEstimate:
-    """Mean and standard error of sup_v <driver(rng, dim), v> over trials.
+           kind: Optional[str] = None, n: int = 1) -> WidthEstimate:
+    """Mean and standard error of sup_v <z, v> over trials drivers z.
 
-    The drivers draw from the stream "width-<domain>"; kind labels the
-    estimate (default: the domain).
+    driver(rng, m, dim) draws m trials' drivers, an (m, dim) array, from
+    the stream "width-<domain>", in blocks of m = max(1, BLOCK_VALUES //
+    (n dim)) trials for n input rows per trial (the last block holds the
+    rest), so the stream is a function of the arguments alone; one
+    support-function call scores a block.  kind labels the estimate.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
     dim, label = _target_shape(target)
     rng = rng_for(seed, f"width-{domain}")
-    sups = np.array([_sup_linear(target, driver(rng, dim)) for _ in range(trials)])
+    block = max(1, BLOCK_VALUES // (n * dim))
+    sups = np.concatenate([geometry.support_function_rows(
+        target, driver(rng, min(block, trials - start), dim))
+        for start in range(0, trials, block)])
     return WidthEstimate(float(sups.mean()),
                          float(sups.std(ddof=1) / np.sqrt(trials)),
                          trials, kind or domain, label)
@@ -72,30 +72,31 @@ def _width(target: Target, trials: int, seed: int, domain: str, driver,
 def gaussian_width(target: Target, trials: int, seed: int) -> WidthEstimate:
     """Mean over trials of sup_v <g, v> with standard normal g."""
     return _width(target, trials, seed, "gaussian",
-                  lambda rng, d: rng.standard_normal(d))
+                  lambda rng, m, d: rng.standard_normal((m, d)))
 
 
 def exponential_width(target: Target, trials: int, seed: int) -> WidthEstimate:
     """Same as gaussian_width with symmetric unit-rate exponential coordinates
     (P(|Y_j| >= t) = exp(-t)), i.e. standard Laplace drivers."""
     return _width(target, trials, seed, "exponential",
-                  lambda rng, d: rng.laplace(0.0, 1.0, size=d))
+                  lambda rng, m, d: rng.laplace(0.0, 1.0, size=(m, d)))
 
 
 def empirical_width(target: Target, spec, n: int, trials: int,
                     seed: int) -> WidthEstimate:
-    """Mean of sup_v <(1/sqrt(n)) sum_i eps_i x_i, v> over fresh draws."""
+    """Mean of sup_v <(1/sqrt(n)) sum_i eps_i x_i, v> over fresh draws; a
+    block of m trials draws one input seed, then its m x n signs."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.p != _target_shape(target)[0]:
         raise ConfigurationError("spec dimension does not match the target")
 
-    def driver(rng, dim):
-        x = sample_inputs(spec, n, rng.integers(2 ** 63))
-        eps = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        return (eps @ x) / np.sqrt(n)
+    def driver(rng, m, dim):
+        x = sample_inputs(spec, m * n, rng.integers(2 ** 63)).reshape(m, n, dim)
+        eps = 2.0 * rng.integers(0, 2, size=(m, n)) - 1.0
+        return (eps[:, None, :] @ x)[:, 0] / np.sqrt(n)
 
-    return _width(target, trials, seed, "empirical", driver, f"empirical(n={n})")
+    return _width(target, trials, seed, "empirical", driver, f"empirical(n={n})", n)
 
 
 # ---------------------------------------------------------------------------

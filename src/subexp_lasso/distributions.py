@@ -63,7 +63,7 @@ class DistributionSpec:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}")
         if self.p < 1:
-            raise ConfigurationError("dimension p must be >= 1")
+            raise ConfigurationError("p must be >= 1")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ConfigurationError(
                 f"scale must be finite and positive, got {self.scale!r}")

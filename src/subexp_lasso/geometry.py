@@ -21,8 +21,7 @@ from .seeding import rng_for
 
 MEMBERSHIP_TOL = 1e-8
 ANGULAR_DEDUP_TOL = 1e-6
-SPAN_RANK_RTOL = 1e-8
-PAIR_BLOCK_BYTES = 1 << 22  # difference rows held at once by pairwise_max
+PAIR_BLOCK_BYTES = 1 << 22  # bytes held at once by pairwise_max, support_function_rows
 
 
 @dataclass(frozen=True)
@@ -241,22 +240,33 @@ def contains_rows(s: HypothesisSet, V, tol: float = MEMBERSHIP_TOL) -> np.ndarra
 # Support functions and vertex representations
 # ---------------------------------------------------------------------------
 
-def support_function(s: HypothesisSet, z) -> float:
-    """sup over the set of <z, v> (Frobenius pairing for the matrix set)."""
-    z = np.asarray(z, dtype=float)
+def support_function(s, z) -> float:
+    """sup over the set, or over the points of a Skeleton, of <z, v>
+    (Frobenius pairing for the matrix set)."""
+    return float(support_function_rows(s, np.asarray(z, dtype=float)[None])[0])
+
+
+def support_function_rows(s, Z) -> np.ndarray:
+    """`support_function` of each row of Z as one array; a lifted-set row
+    is a flat or p x p matrix, and one batched `eigvalsh` takes them all.
+    Point lists (skeletons, polytopes) are scored in slices of rows whose
+    products with the points take at most PAIR_BLOCK_BYTES."""
+    Z = np.asarray(Z, dtype=float)
+    if isinstance(s, Skeleton) or s.kind == "polytope":
+        P = s.points if isinstance(s, Skeleton) else s.vertices
+        rows = max(1, PAIR_BLOCK_BYTES // (8 * P.shape[0]))
+        return np.concatenate([(Z[i:i + rows] @ P.T).max(axis=1)
+                               for i in range(0, Z.shape[0], rows)])
     if s.kind == "l1_ball":
-        return s.radius * float(np.max(np.abs(z)))
+        return s.radius * np.abs(Z).max(axis=1)
     if s.kind == "l2_ball":
-        return s.radius * float(np.linalg.norm(z)) + float(z @ s.center)
+        return s.radius * np.linalg.norm(Z, axis=1) + Z @ s.center
     if s.kind == "hypercube":
-        return s.radius * float(np.abs(z).sum())
-    if s.kind == "polytope":
-        return float(np.max(s.vertices @ z))
+        return s.radius * np.abs(Z).sum(axis=1)
     if s.kind == "lifted_psd_fro":
-        Z = 0.5 * (z + z.T)
-        vals = np.linalg.eigvalsh(Z)
-        pos = np.sqrt(float(np.sum(np.maximum(vals, 0.0) ** 2)))
-        return s.radius * pos
+        M = Z.reshape(-1, s.p, s.p)
+        vals = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))
+        return s.radius * np.sqrt((np.maximum(vals, 0.0) ** 2).sum(axis=1))
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
@@ -273,28 +283,6 @@ def vertices_of(s: HypothesisSet, max_vertices: int = 1 << 20) -> np.ndarray:
         grid = np.array(np.meshgrid(*([[-s.radius, s.radius]] * s.p))).reshape(s.p, -1).T
         return grid
     raise ConfigurationError(f"{s.kind} has no finite vertex representation")
-
-
-def span_basis(s: HypothesisSet) -> np.ndarray:
-    """Orthonormal basis (columns) of span(K - K).
-
-    Full space for balls/cubes; for polytopes the rank is decided by a
-    singular-value threshold of 1e-8 times the largest singular value.
-    """
-    if s.kind in ("l1_ball", "l2_ball", "hypercube"):
-        return np.eye(s.p)
-    if s.kind == "lifted_psd_fro":
-        return np.eye(s.p * s.p)
-    if s.kind == "polytope":
-        diffs = s.vertices - s.vertices[0]
-        if diffs.shape[0] == 1:
-            return np.zeros((s.p, 0))
-        u, sv, _ = np.linalg.svd(diffs.T, full_matrices=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return np.zeros((s.p, 0))
-        rank = int(np.sum(sv > SPAN_RANK_RTOL * sv[0]))
-        return u[:, :rank]
-    raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
 # ---------------------------------------------------------------------------

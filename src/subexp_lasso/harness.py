@@ -9,6 +9,7 @@ round-trip losslessly through CSV / JSON-lines emitters.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -317,7 +318,8 @@ def excess_certificate(dataset: Dataset, s: geometry.HypothesisSet, beta_nat,
     """Minimum excess risk over sampled points at distance t from beta_nat.
 
     A positive minimum certifies that the empirical minimizer lies strictly
-    inside the radius-t sphere around beta_nat.
+    inside the radius-t sphere around beta_nat.  The excesses (Q + M of
+    `solver.excess_decomposition`) come from one product with X.
     """
     beta_nat = np.asarray(beta_nat, dtype=float)
     if not (t > 0):
@@ -327,9 +329,14 @@ def excess_certificate(dataset: Dataset, s: geometry.HypothesisSet, beta_nat,
     sample = geometry.sphere_slice_directions(s, beta_nat, t, n_dirs, seed)
     if sample.directions.shape[0] == 0:
         return CertificateReport(t, 0, math.nan, False, empty_slice=True)
-    excesses = [solver.excess_risk(dataset, beta_nat + t * v, beta_nat)
-                for v in sample.directions]
-    min_excess = float(min(excesses))
+    flat = beta_nat.ravel()
+    diffs = (flat + t * sample.directions) - flat
+    Xd = (np.column_stack([dataset.forward(d) for d in diffs]) if dataset.lifted
+          else dataset.inputs @ diffs.T)
+    resid = dataset.forward(beta_nat) - dataset.outputs
+    excesses = (np.einsum("ij,ij->j", Xd, Xd) / dataset.n
+                + 2.0 * (resid @ Xd) / dataset.n)
+    min_excess = float(excesses.min())
     return CertificateReport(t, sample.directions.shape[0], min_excess,
                              min_excess > 0.0)
 
@@ -541,18 +548,22 @@ def _float(value, key: str) -> float:
         return _fail(key, "a number", value)
 
 
-def _array(value, key: str) -> np.ndarray:
+def _array(value, key: str, ndmin: int = 1) -> np.ndarray:
     """A float array: an inline (nested) list whose entries pass `_float`,
-    or the path of a text file with one whitespace-separated row per line."""
+    or the path of a text file with one whitespace-separated row per line,
+    read with ndmin dimensions or more (2 for a matrix: one column stays 2-D)."""
     if isinstance(value, str):
         try:
-            return np.loadtxt(value, dtype=float)
+            return np.loadtxt(value, dtype=float, ndmin=ndmin)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"{key}: cannot read {value!r}: {exc}") from exc
     if not isinstance(value, list):
         _fail(key, "a list of numbers or a file path", value)
     cells = np.array(value, dtype=object)
     return np.array([_float(v, key) for v in cells.ravel()]).reshape(cells.shape)
+
+
+_matrix = functools.partial(_array, ndmin=2)
 
 
 # Every YAML key: a check (value, dotted key) -> value, or a nested section.
@@ -562,12 +573,12 @@ _SCHEMA = {
     "target_rule": lambda value, key: (_checked(value, {"explicit": _array}, key)
                                        if isinstance(value, dict) else _str(value, key)),
     **dict.fromkeys(("trials_per_n", "master_seed", "mu_budget", "erm_budget"), _int),
-    "spec": {"kind": _str, "p": _int, "scale": _float, "mixing": _array,
+    "spec": {"kind": _str, "p": _int, "scale": _float, "mixing": _matrix,
              "base_kind": _str, "seed_domain": _str},
     "model": {"kind": _str, "beta0": _array, "link": _str,
               "beta0_rule": {"k": _int, "seed": _int, "norm": _str},
               "noise": {"kind": _str, "level": _float}},
-    "set": {"kind": _str, "center": _array, "vertices": _array, "vertices_file": _array,
+    "set": {"kind": _str, "center": _array, "vertices": _matrix, "vertices_file": _matrix,
             "radius": lambda value, key: (value if value in ("beta0_l1", "beta0_l2")
                                           else _float(value, key))},
     "solver": {"max_iters": _int, "tol": _float, "track_trace": _bool},
@@ -595,17 +606,30 @@ def _checked(d, schema: dict, path: str = "") -> dict:
             for key, value in d.items() if value is not None}
 
 
+def _built(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs) for a config section.  A ConfigurationError
+    from it (a range check) names the section, and the dotted key when its
+    message starts with one of the section's keys ("spec.scale must be")."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        keys = functools.reduce(dict.__getitem__, section.split("."), _SCHEMA)
+        sep = "." if str(exc).split(" ", 1)[0] in keys else ": "
+        raise ConfigurationError(f"{section}{sep}{exc}") from exc
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     c = _checked(d, _SCHEMA)
-    spec = DistributionSpec(**c.pop("spec"))
+    spec = _built("spec", DistributionSpec, **c.pop("spec"))
     m, s = c.pop("model"), c.pop("set")
     beta0 = m.get("beta0")
     if beta0 is None and "beta0_rule" not in m:
         raise ConfigurationError("model needs beta0 or beta0_rule")
     if beta0 is None:
-        beta0 = sparse_vector(spec.p, **{"seed": 0, **m["beta0_rule"]})
-    model = ObservationModel(m["kind"], beta0, m.get("link", "identity"),
-                             Noise(**m.get("noise", {})))
+        beta0 = _built("model.beta0_rule", sparse_vector, spec.p,
+                       **{"seed": 0, **m["beta0_rule"]})
+    model = _built("model", ObservationModel, m["kind"], beta0, m.get("link", "identity"),
+                   _built("model.noise", Noise, **m.get("noise", {})))
     if "vertices_file" in s:
         s["vertices"] = s.pop("vertices_file")
     need = "vertices" if s["kind"] == "polytope" else "radius"
@@ -620,14 +644,25 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 "polytope": lambda r, p: geometry.polytope(s["vertices"])}
     if s["kind"] not in builders:
         raise ConfigurationError(f"unknown set kind {s['kind']!r}")
-    hset = builders[s["kind"]](radius, spec.p)
+    hset = _built("set", builders[s["kind"]], radius, spec.p)
     if isinstance(c.get("target_rule"), dict):
         c.update(target_rule="explicit", target_vector=c["target_rule"]["explicit"])
     return ExperimentConfig(model=model, spec=spec, hypothesis_set=hset,
-                            solver_config=solver.SolverConfig(**c.pop("solver", {})),
+                            solver_config=_built("solver", solver.SolverConfig,
+                                                 **c.pop("solver", {})),
                             **{"name": "experiment", **c})
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config of a YAML file, parsed by libyaml where PyYAML has it (the
+    resolver is PyYAML's own either way).  A YAML syntax error raises a
+    ConfigurationError naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
+        try:
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigurationError(f"{path}{where}: not valid YAML: "
+                                     f"{getattr(exc, 'problem', exc)}") from exc
+    return config_from_dict(data)

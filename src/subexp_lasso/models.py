@@ -46,7 +46,7 @@ class Noise:
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
         if not (np.isfinite(self.level) and self.level >= 0):
             raise ConfigurationError(
-                f"noise level must be finite and nonnegative, got {self.level!r}")
+                f"level must be finite and nonnegative, got {self.level!r}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "none" or self.level == 0.0:

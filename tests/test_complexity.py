@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subexp_lasso import geometry
-from subexp_lasso.complexity import (assemble_bound, dudley_sparse_bound,
+from subexp_lasso.complexity import (BLOCK_VALUES, assemble_bound, dudley_sparse_bound,
                                      empirical_width, exponential_width,
                                      finite_gamma_bound, gaussian_width,
                                      polytope_complexity, skeleton_q_m_proxies,
@@ -12,8 +12,9 @@ from subexp_lasso.complexity import (assemble_bound, dudley_sparse_bound,
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
                                         infinity_scaled, profile_for,
-                                        seminorm_rows, zero_norm)
+                                        sample_inputs, seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
+from subexp_lasso.seeding import rng_for
 
 
 def origin_skeleton():
@@ -74,20 +75,42 @@ def test_empirical_width_gaussian_inputs_equals_gaussian_width():
     assert abs(a.mean - b.mean) <= 3 * (a.std_error + b.std_error)
 
 
-def test_empirical_width_equals_inline_stream_loop():
-    # stream "width-empirical": each trial draws its input seed, then the signs
-    from subexp_lasso.distributions import sample_inputs
-    from subexp_lasso.seeding import rng_for
+@pytest.mark.parametrize("fn, domain, draw", [
+    (gaussian_width, "gaussian", lambda rng, d: rng.standard_normal(d)),
+    (exponential_width, "exponential", lambda rng, d: rng.laplace(0.0, 1.0, size=d))])
+@pytest.mark.parametrize("target", [geometry.l1_ball(1.5, 3_000), geometry.hypercube(0.5, 3_000),
+                                    geometry.hypercube(0.5, 8)])
+def test_gaussian_and_exponential_widths_equal_inline_per_trial_loop(fn, domain, draw,
+                                                                     target):
+    # a block of m trials draws the values of m successive per-trial draws;
+    # at p = 3,000 the 101 trials fill blocks of 21 and a last one of 17
+    trials = 101
+    est = fn(target, trials, 3)
+    rng = rng_for(3, f"width-{domain}")
+    sups = np.array([geometry.support_function(target, draw(rng, target.p))
+                     for _ in range(trials)])
+    assert (est.mean, est.std_error) == (sups.mean(), sups.std(ddof=1) / np.sqrt(trials))
 
-    p, n, trials = 5, 12, 100
+
+def test_empirical_width_equals_inline_stream_loop():
+    # stream "width-empirical": a block of m = BLOCK_VALUES // (n p) trials
+    # draws its input seed, then its m x n signs, and splits m n input rows
+    # into the trials' samples; here 102 trials fill blocks of 4 and a last
+    # one of 2
+    p, n, trials = 5, 3_000, 102
     spec = DistributionSpec("laplace", p)
     est = empirical_width(geometry.l1_ball(1.0, p), spec, n, trials, 4)
+    block = BLOCK_VALUES // (n * p)
+    assert (block, trials % block) == (4, 2)
     rng = rng_for(4, "width-empirical")
-    sups = np.empty(trials)
-    for i in range(trials):
-        x = sample_inputs(spec, n, rng.integers(2 ** 63))
-        eps = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        sups[i] = np.abs((eps @ x) / np.sqrt(n)).max()
+    sups = []
+    for start in range(0, trials, block):
+        m = min(block, trials - start)
+        x = sample_inputs(spec, m * n, rng.integers(2 ** 63))
+        eps = 2.0 * rng.integers(0, 2, size=(m, n)) - 1.0
+        sups += [np.abs((eps[i] @ x[i * n:(i + 1) * n]) / np.sqrt(n)).max()
+                 for i in range(m)]
+    sups = np.array(sups)
     assert (est.mean, est.std_error) == (sups.mean(),
                                          sups.std(ddof=1) / np.sqrt(trials))
     assert (est.width_kind, est.trials) == (f"empirical(n={n})", trials)
@@ -104,7 +127,6 @@ def test_empirical_width_laplace_matches_bruteforce_oracle():
     spec = DistributionSpec("laplace", p)
     est = empirical_width(geometry.l1_ball(r, p), spec, n, 2_000, 10)
     # brute-force oracle: fresh MC of r * ||(1/sqrt n) sum eps x||_inf
-    from subexp_lasso.distributions import sample_inputs
     rng = np.random.default_rng(11)
     sups = []
     for i in range(2_000):
@@ -463,7 +485,6 @@ def test_bound_assembly_pipeline_from_estimated_ingredients():
     # end to end: profile -> skeleton proxies -> small ball -> mismatch ->
     # assembled sample-size condition and error level
     from subexp_lasso.models import ObservationModel, mismatch_report, sparse_vector
-    from subexp_lasso.seeding import rng_for
 
     p, k, n = 30, 3, 2_000
     spec = DistributionSpec("laplace", p)

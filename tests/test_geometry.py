@@ -207,6 +207,50 @@ def test_support_function_lifted_psd():
     assert geo.support_function(s, Z) == pytest.approx(2.0 * np.sqrt(9.0 + 0.25))
 
 
+SUPPORT_KINDS = ("l1_ball", "hypercube", "polytope", "skeleton", "l2_ball",
+                 "lifted_psd_fro")
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(SUPPORT_KINDS), p=st.integers(1, 6), m=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(1e-3, 1e3))
+def test_support_function_rows_equal_the_per_row_calls(kind, p, m, seed, spread):
+    # bitwise for the l1 ball and the hypercube, whose rows are reduced as in
+    # a one-row call; the sets scored through a product (a matrix product
+    # may round a block's rows otherwise than one row) within 1e-12 of the
+    # Hoelder bound |z|_1 max_v |v|_inf on the sup
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.1, 5.0))
+    points = spread * rng.standard_normal((int(rng.integers(1, 30)), p))
+    center = spread * rng.standard_normal(p)
+    s = {"l1_ball": lambda: geo.l1_ball(radius, p),
+         "hypercube": lambda: geo.hypercube(radius, p),
+         "polytope": lambda: geo.polytope(points),
+         "skeleton": lambda: geo.skeleton_from_points(points),
+         "l2_ball": lambda: geo.l2_ball(radius, p, center),
+         "lifted_psd_fro": lambda: geo.lifted_psd_fro(radius, p)}[kind]()
+    Z = spread * rng.standard_normal((m, p * p if kind == "lifted_psd_fro" else p))
+    rows = geo.support_function_rows(s, Z)
+    one_by_one = np.array([geo.support_function(s, z) for z in Z])
+    if kind in ("l1_ball", "hypercube"):
+        assert np.array_equal(rows, one_by_one)
+    else:
+        extent = {"l2_ball": radius + np.abs(center).max(), "lifted_psd_fro": radius,
+                  "polytope": np.abs(points).max(), "skeleton": np.abs(points).max()}[kind]
+        assert np.all(np.abs(rows - one_by_one) <= 1e-12 * extent * np.abs(Z).sum(axis=1))
+    if kind == "lifted_psd_fro":
+        assert np.array_equal(rows, geo.support_function_rows(s, Z.reshape(m, p, p)))
+
+
+def test_support_function_rows_score_point_lists_in_slices(monkeypatch):
+    rng = np.random.default_rng(8)
+    P, Z = rng.standard_normal((50, 4)), rng.standard_normal((20, 4))
+    oracle = np.array([np.max(P @ z) for z in Z])
+    monkeypatch.setattr(geo, "PAIR_BLOCK_BYTES", 8 * 50 * 3)  # slices of 3 rows
+    for s in (geo.polytope(P), geo.skeleton_from_points(P)):
+        assert np.allclose(geo.support_function_rows(s, Z), oracle, rtol=1e-12, atol=1e-12)
+
+
 def test_support_duality_with_projection():
     rng = np.random.default_rng(6)
     big = 1e6
@@ -227,16 +271,6 @@ def test_vertices_of():
     assert cube.shape == (8, 3)
     with pytest.raises(ConfigurationError):
         geo.vertices_of(geo.l2_ball(1.0, 3))
-
-
-def test_span_basis_rank_decision():
-    # three collinear vertices span a line
-    s = geo.polytope([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-    basis = geo.span_basis(s)
-    assert basis.shape == (3, 1)
-    singleton = geo.polytope([[1.0, 2.0]])
-    assert geo.span_basis(singleton).shape == (2, 0)
-    assert geo.span_basis(geo.l1_ball(1.0, 4)).shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------

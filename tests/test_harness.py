@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subexp_lasso import geometry, harness
+from subexp_lasso import geometry, harness, solver
 from subexp_lasso.distributions import KINDS, DistributionSpec
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (LINKS, MODEL_KINDS, Noise, ObservationModel,
@@ -192,6 +192,25 @@ def test_certificate_fails_for_misplaced_target():
     s = geometry.l2_ball(3.0, 3)
     rep = harness.excess_certificate(ds, s, far, 0.05, 128, 14)
     assert rep.min_excess < 0 and not rep.positive
+
+
+@pytest.mark.parametrize("kind", ["linear", "lifted_view"])
+def test_certificate_equals_the_per_direction_excess_risks(kind):
+    # one product of X with the stacked differences scores what one
+    # excess_risk call per sampled point scored, up to rounding
+    p, t = 3, 0.3
+    beta0 = np.array([0.6, -0.3, 0.2])
+    ds = generate_dataset(ObservationModel(kind, beta0, noise=Noise("gaussian", 0.1)),
+                          DistributionSpec("laplace", p), 60, 21)
+    if kind == "linear":
+        s, beta_nat = geometry.l1_ball(2.0, p), beta0
+    else:  # a flat p x p target in the lifted set
+        s, beta_nat = geometry.lifted_psd_fro(2.0, p), np.outer(beta0, beta0).ravel()
+    rep = harness.excess_certificate(ds, s, beta_nat, t, 64, 22)
+    dirs = geometry.sphere_slice_directions(s, beta_nat, t, 64, 22).directions
+    per_direction = [solver.excess_risk(ds, beta_nat + t * v, beta_nat) for v in dirs]
+    assert rep.sampled_directions == len(dirs) > 0
+    assert rep.min_excess == pytest.approx(min(per_direction), rel=1e-12, abs=1e-15)
 
 
 def test_certificate_empty_slice_flag():
@@ -437,6 +456,15 @@ def test_config_yaml_load_and_run(tmp_path):
     ("target_rule: beta0", "target_rule: [beta0]", "target_rule must be a string, got ['beta0']"),
     ("target_rule: beta0", "target_rule: {explicit: [1, 2], scale: 2}",
      "unknown config key(s) target_rule.scale;"),
+    # range checks of the dataclasses and sparse_vector, which named the
+    # field but not its section
+    ("{k: 2, seed: 4}", "{k: 2, seed: 4, norm: L2}",
+     "model.beta0_rule.norm must be 'l1' or 'l2', got 'L2'"),
+    ("scale: 1.0}", "scale: -1.0}", "spec.scale must be finite and positive, got -1.0"),
+    ("p: 6,", "p: 0,", "spec.p must be >= 1"),
+    ("level: 0.1}", "level: -0.1}", "model.noise.level must be finite and nonnegative"),
+    ("tol: 1.0e-12}", "tol: -1.0}", "solver.tol must be positive"),
+    ("{k: 2, seed: 4}", "{k: 7, seed: 4}", "model.beta0_rule: need 1 <= k <= p"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML
@@ -928,6 +956,55 @@ def test_config_mixing_file_is_read(tmp_path):
         load_yaml(tmp_path, text.replace("mixing.txt", "missing.txt"))
 
 
+def test_one_column_matrix_files_stay_matrices(tmp_path):
+    # a p x 1 mixing file and a p = 1 vertex list: np.loadtxt alone reads
+    # a one-column file as a vector
+    col = np.array([[0.5], [-1.0], [2.0]])
+    path = tmp_path / "column.txt"
+    np.savetxt(path, col)
+    text = CONFIG_YAML.replace("{kind: laplace, p: 6, scale: 1.0}",
+                               f"{{kind: mixed, p: 3, mixing: {path}}}")
+    spec = load_yaml(tmp_path, text).spec
+    assert spec.mixing.shape == (3, 1) and np.array_equal(spec.mixing, col)
+    text = (CONFIG_YAML.replace("{kind: laplace, p: 6, scale: 1.0}", "{kind: laplace, p: 1}")
+            .replace("beta0_rule: {k: 2, seed: 4}", "beta0: [0.5]")
+            .replace("{kind: l1_ball, radius: beta0_l1}",
+                     f"{{kind: polytope, vertices_file: {path}}}"))
+    assert np.array_equal(load_yaml(tmp_path, text).hypothesis_set.vertices, col)
+
+
+def readme_config_text():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("libyaml", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")),
+    False])
+def test_load_config_with_either_loader(tmp_path, monkeypatch, libyaml):
+    # libyaml parses as the Python parser does, with the same resolver;
+    # without yaml.CSafeLoader, load_config takes yaml.SafeLoader
+    loader = yaml.CSafeLoader if libyaml else yaml.SafeLoader
+    readme = readme_config_text()
+    assert yaml.load(readme, Loader=loader) == yaml.safe_load(readme)
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    expected = harness.config_from_dict(yaml.safe_load(CONFIG_YAML))
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader)
+                        or load(stream, Loader))
+    config = load_yaml(tmp_path, CONFIG_YAML.replace("tol: 1.0e-12", "tol: 1e-12"))
+    assert harness.config_hash(config) == harness.config_hash(expected)
+    assert used == [loader]
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: x\nspec: {kind: laplace, p: 6\nmodel: {kind: linear}\n")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}, line 3, column 6: not valid YAML")):
+        harness.load_config(str(path))
+
+
 def test_beta0_rule_without_seed_draws_from_seed_0(tmp_path):
     # the phase-sparse benchmark's form: {k: 5} and no seed
     config = load_yaml(tmp_path, CONFIG_YAML.replace("{k: 2, seed: 4}", "{k: 2}"))
@@ -937,20 +1014,26 @@ def test_beta0_rule_without_seed_draws_from_seed_0(tmp_path):
 
 
 def test_benchmark_configs_load(tmp_path, monkeypatch):
-    # a schema change that rejects a benchmark config fails here rather than
+    # a schema change that rejects a benchmark config, or a stream change
+    # that breaks the benchmark's diagnostics check, fails here rather than
     # in a benchmark run
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     import workloads
 
-    paths = [path for name in ("curve_vector", "phase_sparse", "curve_lifted",
-                               "diagnostics")
-             for path in getattr(workloads, f"configs_{name}")(0, str(tmp_path)).values()]
+    configs = {name: getattr(workloads, f"configs_{name}")(0, str(tmp_path))
+               for name in ("curve_vector", "phase_sparse", "curve_lifted", "diagnostics")}
+    paths = [path for named in configs.values() for path in named.values()]
     assert len(paths) == 6
     for path in paths:
         config = harness.load_config(path)
         again = harness.config_from_dict(harness._config_dict(config))
         assert harness.config_hash(again) == harness.config_hash(config)
+    # the diagnostics body: the mismatch, complexity and certificate commands
+    outdir = tmp_path / "diagnostics"
+    outdir.mkdir()
+    workloads.body_diagnostics(configs["diagnostics"], 1, str(outdir), None)
+    assert workloads.check_diagnostics(configs["diagnostics"], str(outdir), None) == (0, [])
 
 
 # every schema key and the kind of value it takes

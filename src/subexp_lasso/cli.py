@@ -80,6 +80,16 @@ def _write(text: str, out):
         sys.stdout.write(text)
 
 
+def _vector_config(args, command: str) -> harness.ExperimentConfig:
+    """The config of a command that needs vector inputs and a vector target,
+    rejected before any work when its model is the lifted view."""
+    config = _load(args)
+    if config.model.kind == "lifted_view":
+        raise ConfigurationError(f"{command} needs vector inputs, not the matrix "
+                                 f"lifts of model.kind 'lifted_view'")
+    return config
+
+
 def _dataset(args, config: harness.ExperimentConfig, command: str):
     """The dataset of `command`: --n draws (default: the first n_grid entry)
     seeded from the master seed's "cli-<command>" stream."""
@@ -122,7 +132,7 @@ def cmd_mismatch(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    config = _load(args)
+    config = _vector_config(args, "complexity")
     s = config.hypothesis_set
     seed = derive_seed(config.master_seed, "cli-complexity")
     rows = [["kind", "mean", "std_error", "trials"]]
@@ -144,7 +154,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    config = _load(args)
+    config = _vector_config(args, "certificate")
     beta_nat = harness.resolve_target(config)
     ds = _dataset(args, config, "certificate")
     rep = harness.excess_certificate(ds, config.hypothesis_set, beta_nat,

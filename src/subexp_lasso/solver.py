@@ -4,13 +4,35 @@ One loop serves both the vector estimator (over a convex hypothesis set) and
 the matrix estimator (over the PSD-intersect-Frobenius-ball set, with
 centered rank-one lifts as inputs).  The sets are convex, so a single start
 at project(0) suffices.  The loop is monotone FISTA (Beck and Teboulle,
-IEEE TIP 2009) with restarts: each step is a projected gradient step of
+IEEE TIP 2009) with restarts and backtracking (Beck and Teboulle, SIAM J.
+Imaging Sci. 2009, section 4): each step is a projected gradient step of
 1/L' from the extrapolated point z = beta + ((t - 1) / t') (beta - beta_prev),
-where L = 2 lambda_max(X^T X) / n is the Lipschitz constant of the gradient.
-L' = L exactly when the matrix whose top eigenvalue gives L (G below, or
-X X^T) has side below CERTIFY_MIN_DIM; at or above it L <= L' <= (1 +
-CERTIFY_DELTA) L, certified by one Cholesky (see _top_eigenvalue).
-SolveResult.step is the step 1/L' the loop used.  With tol = config.tol
+where L' stands in for the Lipschitz constant L = 2 lambda_max(H) of the
+gradient, H = X^T X / n.  L' starts at 2 theta <= L, theta the top Ritz
+value of RITZ_STEPS Lanczos steps on H (exact, from one eigvalsh, when the
+Gram matrix has side d (Gram form) or n (residual form) at most
+RITZ_STEPS).  No L is computed: each step checks the descent inequality
+f(cand) <= f(z) + <grad f(z), m> + (L' / 2) ||m||^2, m = cand - z, which
+for this quadratic risk reads 2 m^T H m <= L' ||m||^2, and m^T H m is one
+dot product of stored states (see the two forms below).  A step that fails
+it by more than the rounding allowance is redone from the same z, within
+its iteration, after L' <- (1 + BACKTRACK_DELTA) max(L', c), where
+c = (2 m^T H m - allowance) / ||m||^2 is the curvature seen along m.  So
+L' never decreases within a solve; every step the loop goes on with
+satisfies the inequality up to the allowance, as the O(1/k^2) analysis of
+FISTA needs; and c <= L gives L' <= (1 + BACKTRACK_DELTA) L, so no step is
+shorter than 1 / ((1 + BACKTRACK_DELTA) L).  L <= L' is not claimed.
+
+The allowance is STEP_ROUNDING eps ||w|| sigma, where the computed m^T H m
+is <w, diff>, diff the difference of the states of cand and z (w = m in the
+Gram form, diff / n in the residual form), and sigma, the norms of the two
+states and of the offset (c or y) summed, bounds the numbers whose rounding
+enters diff.  With L' = L on designs whose every direction has curvature
+near L, excesses reached 5.5 eps ||w|| sigma at most (d up to 700), so
+steps near tol do not raise L' on rounding alone.  SolveResult.step is the
+final 1/L' (1.0 while L' = 0, as for a zero design), SolveResult.backtracks
+counts the redone steps, and `iterations` counts a step once.  With tol =
+config.tol
 
 * a step that moved by at most tol (||cand - z|| <= tol) ends the loop,
   keeping cand if it lowers the objective; a momentum step that moved by
@@ -35,14 +57,17 @@ last accepted iterate) is the lowest-objective one; the objective trace
 holds the objective of the accepted iterate after each step.  The loop runs
 in one of two forms, chosen by the shape of the n x d design X:
 
-* Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once and
-  L' comes from that same G.  An iteration costs one d x d
-  matvec, grad = 2 (G beta - c).  The objective is tracked as the exact
+* Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once,
+  and the Lanczos steps of the start of L' run on that same G.  An
+  iteration costs one d x d matvec, grad = 2 (G beta - c), and
+  m^T H m = m^T (G cand - G z).  The objective is tracked as the exact
   starting objective minus the decreases delta^T (G beta + G beta' - 2 c),
   delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
   ||y||^2 / n would cancel catastrophically near zero risk.
 * Direct form (n < d).  The loop keeps the residual X beta - y of the
-  accepted iterate: two products with X per iteration.  Over an l1 ball it
+  accepted iterate: two products with X per iteration, and
+  m^T H m = ||r_cand - r_z||^2 / n.  The Lanczos steps apply
+  v -> X^T (X v), so X X^T is never formed.  Over an l1 ball it
   also takes a subspace step every SUBSPACE_EVERY accepted steps: on the
   support S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, when
   |S| < n, the least-squares point u on the columns S (zero off S; from
@@ -62,8 +87,9 @@ at z is recombined from those of beta and beta_prev with no extra product.
 Lifted datasets are solved in svec coordinates: the upper triangle of a
 symmetric matrix with its off-diagonal entries scaled by sqrt(2).  svec is
 an isometry from the symmetric matrices onto R^(p(p+1)/2), and the lifts and
-every iterate are symmetric, so the iterates and L are those of the
-full-coordinate (d = p^2) problem in exact arithmetic, with d = p(p+1)/2.
+every iterate are symmetric, so L, every curvature m^T H m and the
+iterates at a given L' are those of the full-coordinate (d = p^2) problem
+in exact arithmetic, with d = p(p+1)/2.
 The lifts are never stored: the svec rows are built from the raw sample x
 and the centering E one block at a time, (x[:, rows] * x[:, cols] -
 E[rows, cols]) * weights.  In the Gram form the blocks, built into one
@@ -116,6 +142,7 @@ class SolveResult:
     subspace_steps: int = 0
     restarts: int = 0
     step: float = np.nan
+    backtracks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,116 +185,43 @@ def excess_risk(dataset: Dataset, beta, beta_nat) -> float:
 GRAM_BLOCK_BYTES = 1 << 21  # bytes of design rows per block when forming G
 SUBSPACE_EVERY = 10  # accepted steps between two subspace steps
 SUBSPACE_THRESHOLD = 1e-3  # support: |beta_j| >= this times max |beta|
-
-
-CERTIFY_MIN_DIM = 256  # matrix side from which L' is certified, not exact
-CERTIFY_DELTA = 1e-3  # the certified L' is at most (1 + CERTIFY_DELTA) L
-LANCZOS_STEPS = 64  # cap on the Lanczos steps, and on the stored basis rows
-LANCZOS_CHECK_EVERY = 4  # Lanczos steps between two eigh calls on T
-
-
-def _top_eigenvalue(gram: np.ndarray) -> float:
-    """An upper bound alpha on lambda_max of the symmetric PSD matrix gram,
-    with lambda_max <= alpha <= (1 + CERTIFY_DELTA) lambda_max (the upper
-    bound up to the rounding of theta below).
-
-    Below side CERTIFY_MIN_DIM, alpha = max(lambda_max, 0) from one eigvalsh.
-    At or above it, alpha = theta (1 + CERTIFY_DELTA) for the top Ritz value
-    theta <= lambda_max of _lanczos_top, once one Cholesky of
-    alpha (1 - margin) I - gram succeeds, margin = 2 (d + 2)^2 eps.  A
-    floating-point Cholesky of a symmetric A that runs to completion gives
-    A + E = R^T R with ||E||_2 <= gamma_(d+1) / (1 - gamma_(d+1)) trace(A)
-    (Demmel's bound, as used by Rump, "Verification of positive
-    definiteness", BIT 2006), and trace(A) <= d alpha, so margin covers E,
-    the rounding of the shift, and underflow for theta > tiny / eps: then
-    lambda_max < alpha.  For a smaller theta (gram = 0 included), or when
-    the Cholesky fails (theta missed the top of the spectrum), alpha falls
-    back to eigvalsh.
-
-    CERTIFY_MIN_DIM is the measured crossover (2-core host, BLAS on one
-    thread, CPU time of the certificate over one eigvalsh, one Cholesky and
-    no fallback each time): 0.74-1.6 for X X^T of Gaussian X at side
-    128-160 and 0.66-0.88 at 192-256; 0.55-1.1 at d = 136, 0.49-0.6 at
-    190-231 and 0.4-0.81 at 253-300 for lifted Grams (n = d to 4d).  At
-    d = 465 (p = 30) 4-8 against 12-14 ms; at d = 1830 (p = 60, n = 4000)
-    0.17-0.19 against 0.58-0.67 s.
-    """
-    d = gram.shape[0]
-    if d >= CERTIFY_MIN_DIM:
-        eps = np.finfo(float).eps
-        theta = _lanczos_top(gram)
-        if theta > np.finfo(float).tiny / eps:
-            alpha = theta * (1.0 + CERTIFY_DELTA)
-            shifted = np.negative(gram)
-            shifted.flat[::d + 1] += alpha * (1.0 - 2.0 * (d + 2) ** 2 * eps)
-            try:
-                np.linalg.cholesky(shifted)
-                return alpha
-            except np.linalg.LinAlgError:
-                pass
-    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+RITZ_STEPS = 8  # Lanczos steps behind the start of L'
+BACKTRACK_DELTA = 0.05  # a failed check sets L' to (1 + this) max(L', c)
+STEP_ROUNDING = 64.0  # the check's allowance, in units of eps ||w|| sigma
 
 
 def _lanczos_start(d: int) -> np.ndarray:
-    """The fixed unit start vector of _lanczos_top: normalized standard
-    normal draws from seed 0, so that no structure of the data (a constant
-    or an alternating direction) can be orthogonal to it by design."""
+    """The fixed unit start vector of _ritz_top: normalized standard normal
+    draws from seed 0, so that no structure of the data (a constant or an
+    alternating direction) can be orthogonal to it by design."""
     q = np.random.default_rng(0).standard_normal(d)
     return q / math.sqrt(float(q @ q))
 
 
-def _lanczos_top(gram: np.ndarray) -> float:
-    """The top Ritz value of gram from Lanczos with full reorthogonalization
-    (two classical Gram-Schmidt passes per step) from _lanczos_start.
-
-    It stops once the top Ritz pair's residual beta_k |s_k| is at most
-    CERTIFY_DELTA theta / 4, or on breakdown, or after LANCZOS_STEPS steps;
-    the basis holds at most that many rows.  An eigh of the tridiagonal T
-    costs about as much as a step at d = 465, so the residual is tested
-    every LANCZOS_CHECK_EVERY steps, and at once when beta_k is at most
-    CERTIFY_DELTA / 4 times the largest diagonal entry of T, a lower bound
-    on theta, so that such a step (a breakdown included) passes the test.
-    """
-    d = gram.shape[0]
-    steps = min(LANCZOS_STEPS, d)
-    basis = np.empty((steps, d))
-    tri = np.zeros((steps, steps))
+def _ritz_top(apply, d: int) -> float:
+    """The top Ritz value theta <= lambda_max of the symmetric PSD operator
+    `apply` on R^d after RITZ_STEPS Lanczos steps with full
+    reorthogonalization (two classical Gram-Schmidt passes per step) from
+    _lanczos_start(d).  It stops early on breakdown, a next basis vector of
+    norm at most sqrt(eps) times the largest Rayleigh quotient so far: past
+    that, what is left is rounding noise, not orthogonal to the basis."""
+    basis = np.empty((RITZ_STEPS, d))
+    tri = np.zeros((RITZ_STEPS, RITZ_STEPS))
+    breakdown = math.sqrt(np.finfo(float).eps)
     q = _lanczos_start(d)
-    quarter = 0.25 * CERTIFY_DELTA
-    top_diag = 0.0  # so that beta = 0 always ends the loop
-    for k in range(steps):
+    for k in range(RITZ_STEPS):
         basis[k] = q
-        w = gram @ q
+        w = apply(q)
         tri[k, k] = float(q @ w)
-        top_diag = max(top_diag, tri[k, k])
         done = basis[:k + 1]
         w -= (done @ w) @ done
         w -= (done @ w) @ done
         beta = math.sqrt(float(w @ w))
-        if (beta <= quarter * top_diag or k + 1 == steps
-                or (k + 1) % LANCZOS_CHECK_EVERY == 0):
-            vals, vecs = np.linalg.eigh(tri[:k + 1, :k + 1])
-            if beta * abs(vecs[-1, -1]) <= quarter * vals[-1] or beta == 0.0:
-                break
-        if k + 1 < steps:
-            tri[k, k + 1] = tri[k + 1, k] = beta
-            q = w / beta
-    return float(vals[-1])
-
-
-def lipschitz_constant(X: np.ndarray) -> float:
-    """The Lipschitz constant 2 lambda_max(X^T X) / n of the risk gradient,
-    from the smaller Gram matrix: X^T X when n >= d, else X X^T.
-
-    Exact (one eigvalsh) when that matrix has side below CERTIFY_MIN_DIM;
-    at or above it a certified L' with L <= L' <= (1 + CERTIFY_DELTA) L (see
-    _top_eigenvalue).  The solver's Gram form takes the same value from its
-    G = X^T X / n; for lifted designs that G is in svec coordinates, which
-    leaves lambda_max unchanged because svec preserves the inner products of
-    symmetric matrices.
-    """
-    n, d = X.shape
-    return 2.0 * _top_eigenvalue(X.T @ X if n >= d else X @ X.T) / n
+        if beta <= breakdown * tri.diagonal().max() or k + 1 == RITZ_STEPS:
+            break
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        q = w / beta
+    return float(np.linalg.eigvalsh(tri[:k + 1, :k + 1])[-1])
 
 
 class _Svec:
@@ -340,10 +294,11 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             V = rows(lo, lo + block, out)
             G += V.T @ V
             c += V.T @ y[lo:lo + block]
-        del out, V  # freed before the certificate's Cholesky allocates
+        del out, V  # the block buffers are not needed past here
         G /= n
         c /= n
-        lip = 2.0 * _top_eigenvalue(G)
+        lip = 2.0 * (max(float(np.linalg.eigvalsh(G)[-1]), 0.0) if d <= RITZ_STEPS
+                     else _ritz_top(G.__matmul__, d))
 
         def state(b):
             return G @ b
@@ -351,12 +306,18 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         def gradient(g):
             return 2.0 * (g - c)
 
+        def curvature(moved, diff, mm):
+            # m^T G m = <w, diff> with w = m, and ||w||
+            return float(moved @ diff), math.sqrt(mm)
+
         def decrease(obj, b, g, b_next, g_next):
             dec = float((b - b_next) @ (g + g_next - 2.0 * c))
             return dec, obj - dec
     else:
         Xc = rows(0, n)
-        lip = lipschitz_constant(Xc)
+        lip = 2.0 * (max(float(np.linalg.eigvalsh(Xc @ Xc.T)[-1]), 0.0)
+                     if n <= RITZ_STEPS
+                     else _ritz_top(lambda v: Xc.T @ (Xc @ v), d)) / n
 
         def state(b):
             return Xc @ b - y
@@ -364,10 +325,16 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         def gradient(r):
             return (2.0 / n) * (Xc.T @ r)
 
+        def curvature(moved, diff, mm):
+            # ||X m||^2 / n = <w, diff> with w = diff / n, and ||w||
+            q = float(diff @ diff) / n
+            return q, math.sqrt(q / n)
+
         def decrease(obj, b, r, b_next, r_next):
             obj_next = float(r_next @ r_next) / n
             return obj - obj_next, obj_next
-    step = 1.0 / lip if lip > 0 else 1.0
+    sigma_offset = float(np.linalg.norm(c if n >= d else y))
+    rounding = STEP_ROUNDING * np.finfo(float).eps
     tol = config.tol
     subspace = n < d and s.kind == "l1_ball"
 
@@ -381,15 +348,31 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     z, st_z, t, momentum = beta, st, 1.0, False
     trace = [obj] if config.track_trace else None
     converged = False
-    iterations = accepted = subspace_steps = restarts = 0
+    iterations = accepted = subspace_steps = restarts = backtracks = 0
 
     for iterations in range(1, config.max_iters + 1):
-        cand = to_coords(geometry.project(
-            s, from_coords(z - step * gradient(st_z))))
-        st_cand = state(cand)
+        grad = gradient(st_z)
+        while True:
+            step = 1.0 / lip if lip > 0 else 1.0
+            cand = to_coords(geometry.project(s, from_coords(z - step * grad)))
+            st_cand = state(cand)
+            moved = cand - z
+            mm = float(moved @ moved)
+            q, wnorm = curvature(moved, st_cand - st_z, mm)
+            excess = 2.0 * q - lip * mm
+            if excess <= 0.0 or mm == 0.0:
+                break
+            allowance = rounding * wnorm * (math.sqrt(float(st_cand @ st_cand))
+                                            + math.sqrt(float(st_z @ st_z))
+                                            + sigma_offset)
+            if excess <= allowance:
+                break
+            # the descent inequality failed beyond rounding: redo the step
+            # from the same z with a larger L'
+            lip = (1.0 + BACKTRACK_DELTA) * max(lip, (2.0 * q - allowance) / mm)
+            backtracks += 1
         dec, obj_cand = decrease(obj, beta, st, cand, st_cand)
-        moved = cand - z
-        if math.sqrt(float(moved @ moved)) <= tol and (dec > 0 or not momentum):
+        if math.sqrt(mm) <= tol and (dec > 0 or not momentum):
             if dec > 0:
                 beta, obj = cand, obj_cand
             converged = True
@@ -436,7 +419,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
                        objective_trace=trace,
                        fixed_point_residual=float(np.linalg.norm(fp - estimate)),
                        subspace_steps=subspace_steps, restarts=restarts,
-                       step=step)
+                       step=step, backtracks=backtracks)
 
 
 def _subspace_point(X, y, s, beta):
@@ -476,6 +459,11 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
 
     Starts at project(0) and returns the last accepted iterate, the
     lowest-objective one among those accepted (see the module docstring).
+    `step` is the final 1/L': L' starts at or below L, never decreases,
+    stays at most (1 + BACKTRACK_DELTA) L, and every step the loop went on
+    with satisfied the descent inequality at L' up to its rounding
+    allowance; `backtracks` counts the steps redone at a larger L', each
+    within its iteration.
     `converged` is True when the last step moved by <= tol and either
     lowered the objective or had no momentum, or when a step without
     momentum lowered the objective by <= tol relative; `iterations` counts

@@ -784,6 +784,32 @@ def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):
         main(["mismatch", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("command", [["complexity"],
+                                     ["certificate", "--scale", "0.5"]])
+def test_cli_vector_commands_reject_a_lifted_config_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    # the lifted target is a matrix and its inputs are lifts: the commands
+    # fail on the config, before drawing a width, a dataset or a direction
+    from subexp_lasso import cli, complexity
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a lifted config")
+
+    for module, name in ((complexity, "gaussian_width"), (cli, "generate_dataset"),
+                         (harness, "excess_certificate")):
+        monkeypatch.setattr(module, name, no_work)
+    cfg = tmp_path / "lifted.yaml"
+    cfg.write_text(CONFIG_YAML.replace("kind: linear", "kind: lifted_view")
+                   .replace("{kind: l1_ball, radius: beta0_l1}",
+                            "{kind: lifted_psd_fro, radius: 1.0}"))
+    out = tmp_path / "out.txt"
+    with pytest.raises(ConfigurationError, match="model.kind 'lifted_view'"):
+        cli.main([command[0], "--config", str(cfg), "--out", str(out),
+                  *command[1:]])
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cli_sample_writes_the_lifts_of_a_lifted_config(tmp_path):
     from subexp_lasso.cli import main
 

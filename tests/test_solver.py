@@ -11,15 +11,14 @@ from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
-from subexp_lasso.solver import (CERTIFY_DELTA, CERTIFY_MIN_DIM,
+from subexp_lasso import solver
+from subexp_lasso.solver import (BACKTRACK_DELTA, RITZ_STEPS, STEP_ROUNDING,
                                  SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
-                                 SolverConfig, _lanczos_start, _Svec,
-                                 _subspace_point, _top_eigenvalue,
-                                 empirical_risk,
+                                 SolverConfig, _ritz_top, _Svec,
+                                 _subspace_point, empirical_risk,
                                  excess_decomposition, excess_risk,
-                                 lipschitz_constant, rank1_extract,
-                                 sign_invariant_error, solve, solve_lasso,
-                                 solve_lifted)
+                                 rank1_extract, sign_invariant_error, solve,
+                                 solve_lasso, solve_lifted)
 
 
 def toy_dataset(X, y, seed=0):
@@ -157,6 +156,15 @@ def test_exact_step_solves_identity_design_in_one_iteration():
     assert res.objective == 0.0
 
 
+def lipschitz_constant(X):
+    """The exact Lipschitz constant 2 lambda_max(X^T X) / n of the risk
+    gradient, from one eigvalsh of the smaller Gram matrix: X^T X when
+    n >= d, else X X^T."""
+    n, d = X.shape
+    gram = X.T @ X if n >= d else X @ X.T
+    return 2.0 * max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) / n
+
+
 def _svd_lipschitz(X):
     return 2.0 * np.linalg.svd(X, compute_uv=False)[0] ** 2 / X.shape[0]
 
@@ -187,107 +195,167 @@ def test_lipschitz_constant_zero_design_and_unit_step():
     assert res.objective == 1.0
 
 
-# the certified bound exceeds (1 + CERTIFY_DELTA) lambda_max only by the
-# rounding of the Ritz value, about d eps (8e-14 at d = 351)
-RITZ_ROUNDING = 1e-12
-
-
-def assert_certified(got, lam):
-    assert lam <= got <= (1.0 + CERTIFY_DELTA) * lam * (1.0 + RITZ_ROUNDING)
-
-
 def svec_gram(ds):
     V = _Svec(ds.inputs.shape[1]).lift_rows(ds.inputs, ds.centering)
     return V.T @ V / ds.n
 
 
-# lifted Grams of side d = p(p+1)/2 from 276 to 351, n from d to 4d; the
-# centered laws put the top of G at a Marchenko-Pastur edge, the uncentered
-# lifts give it a separated top eigenvalue
-lifted_gram_cases = st.integers(23, 26).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(p * (p + 1) // 2, 2 * p * (p + 1)),
-    st.sampled_from(["gaussian", "laplace", "uncentered"])))
-
-
-@settings(max_examples=25, deadline=None)
-@given(case=lifted_gram_cases, seed=st.integers(0, 2 ** 32 - 1))
-def test_certified_lifted_step_is_within_delta_of_the_eigvalsh_oracle(case, seed):
-    p, n, law = case
-    if law == "uncentered":
-        ds = random_lifted_dataset(p, n, seed)
-    else:
-        ds = generate_dataset(ObservationModel("lifted_view", np.eye(p)[0]),
-                              DistributionSpec(law, p), n, seed)
-    G = svec_gram(ds)
-    assert G.shape[0] >= CERTIFY_MIN_DIM
-    assert_certified(_top_eigenvalue(G), float(np.linalg.eigvalsh(G)[-1]))
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(CERTIFY_MIN_DIM, CERTIFY_MIN_DIM + 64), extra=st.integers(1, 64),
-       seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(0.0, 2.0))
-def test_certified_direct_form_lipschitz_is_within_delta_of_the_eigvalsh_oracle(
-        n, extra, seed, shift):
-    # n < d: lipschitz_constant certifies the top of the n x n X X^T
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, n + extra)) + shift
-    lam = float(np.linalg.eigvalsh(X @ X.T)[-1])
-    assert_certified(lipschitz_constant(X) * n / 2.0, lam)
-
-
 def spy_linalg(monkeypatch):
-    """The names of the eigh, eigvalsh and cholesky calls made, in order."""
+    """The (name, shape of the first argument) of the eigh, eigvalsh and
+    cholesky calls made, in order."""
     calls = []
     for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _real=real, _name=name, **k:
-                            calls.append(_name) or _real(*a, **k))
+                            lambda a, *rest, _real=real, _name=name, **k:
+                            calls.append((_name, np.shape(a)))
+                            or _real(a, *rest, **k))
     return calls
 
 
-def test_certified_top_eigenvalue_edge_cases(monkeypatch):
-    d = CERTIFY_MIN_DIM + 44
-    calls = spy_linalg(monkeypatch)
-    # G = 0: Lanczos breaks down at once with theta = 0, which only
-    # eigvalsh's 0 can bound within (1 + delta)
-    assert _top_eigenvalue(np.zeros((d, d))) == 0.0
-    assert calls == ["eigh", "eigvalsh"]
-    # G = c I: Lanczos breaks down at once, and one Cholesky certifies
-    calls.clear()
-    assert_certified(_top_eigenvalue(2.5 * np.eye(d)), 2.5)
-    assert calls == ["eigh", "cholesky"]
-    # G = I + 10 u u^T with u orthogonal to the start vector: Lanczos sees
-    # only the eigenvalue 1, the Cholesky fails, and one eigvalsh gives 11
-    q = _lanczos_start(d)
-    u = np.random.default_rng(5).standard_normal(d)
-    u -= (u @ q) * q
-    u /= np.linalg.norm(u)
-    calls.clear()
-    assert_certified(_top_eigenvalue(np.eye(d) + 10.0 * np.outer(u, u)),
-                     11.0 * (1.0 - RITZ_ROUNDING))
-    assert calls == ["eigh", "cholesky", "eigvalsh"]
+# the rounding of a Ritz value or of an eigvalsh, relative
+RITZ_ROUNDING = 1e-12
 
 
 def test_solve_result_reports_the_step():
     rng = np.random.default_rng(3)
-    # below CERTIFY_MIN_DIM: exactly 1/L
+    # side 6 <= RITZ_STEPS: L' = L exactly, and no check fails
     X = rng.standard_normal((40, 6))
     res = solve_lasso(toy_dataset(X, rng.standard_normal(40)),
                       geometry.l1_ball(1.0, 6))
     assert res.step == pytest.approx(1.0 / lipschitz_constant(X), rel=1e-12)
-    # a lifted Gram of side 276: 1/L' with L <= L' <= (1 + delta) L
+    assert res.backtracks == 0
+    # a lifted Gram of side 276: L' starts at 2 theta <= L, never decreases,
+    # and stays at most (1 + delta) L
     ds = generate_dataset(ObservationModel("lifted_view", np.eye(23)[0]),
                           DistributionSpec("gaussian", 23), 400, 7)
+    G = svec_gram(ds)
+    lam = float(np.linalg.eigvalsh(G)[-1])
+    theta = _ritz_top(G.__matmul__, G.shape[0])
     res = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 23),
                        SolverConfig(max_iters=50))
-    assert_certified(0.5 / res.step, float(np.linalg.eigvalsh(svec_gram(ds))[-1]))
+    assert theta <= lam * (1.0 + RITZ_ROUNDING)
+    assert theta * (1.0 - RITZ_ROUNDING) <= 0.5 / res.step
+    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+    if res.backtracks == 0:
+        assert 0.5 / res.step == pytest.approx(theta, rel=RITZ_ROUNDING)
     # L = 0 (zero lifts at side 276): the step falls back to 1.0
     zero = Dataset(np.zeros((300, 23)), np.ones(300), ds.spec, ds.model, 0,
                    centering=np.zeros((23, 23)))
     res = solve_lifted(zero, geometry.lifted_psd_fro(1.0, 23),
                        SolverConfig(max_iters=10))
     assert res.step == 1.0 and np.array_equal(res.estimate, np.zeros((23, 23)))
+    assert res.backtracks == 0
+
+
+def test_ritz_start_is_the_one_eigen_solve_of_a_solve(monkeypatch):
+    # the start of L' is one eigvalsh of the RITZ_STEPS x RITZ_STEPS
+    # tridiagonal matrix, in both forms: no eigvalsh of X X^T or of G and no
+    # Cholesky factorisation (a hypercube takes no subspace steps)
+    rng = np.random.default_rng(4)
+    calls = spy_linalg(monkeypatch)
+    for n, d in ((140, 200), (300, 40)):
+        X = rng.standard_normal((n, d))
+        calls.clear()
+        solve_lasso(toy_dataset(X, X @ geometry.project(
+            geometry.hypercube(0.5, d), rng.standard_normal(d))),
+            geometry.hypercube(0.5, d), SolverConfig(max_iters=30))
+        assert calls == [("eigvalsh", (RITZ_STEPS, RITZ_STEPS))]
+
+
+def test_ritz_top_edge_cases():
+    d = 40
+    # G = 0: theta = 0 at the first step's breakdown
+    assert _ritz_top(np.zeros((d, d)).__matmul__, d) == 0.0
+    # G = c I: one step, theta = c to rounding
+    assert _ritz_top((2.5 * np.eye(d)).__matmul__, d) == pytest.approx(2.5, rel=1e-14)
+    # a Wishart Gram: theta is a lower bound on lambda_max
+    X = np.random.default_rng(6).standard_normal((60, d)) + 0.3
+    G = X.T @ X / 60
+    assert _ritz_top(G.__matmul__, d) <= np.linalg.eigvalsh(G)[-1] * (1 + RITZ_ROUNDING)
+
+
+def design_with_gram(gram, n):
+    """An n x d design X (n >= d) with X^T X / n = gram."""
+    w, V = np.linalg.eigh(gram)
+    Q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, gram.shape[0])))[0]
+    return math.sqrt(n) * Q @ (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+
+
+def test_a_top_eigenvector_that_the_ritz_start_misses_is_found_by_backtracking():
+    # X^T X / n = I + 10 u u^T with u orthogonal to the Lanczos start: the
+    # Krylov space never sees the eigenvalue 11, so L' starts at 2 (the Ritz
+    # value 1) and the failed checks raise it to at most (1 + delta) L = 22
+    # (1 + delta); the solve still reaches the exact-L reference
+    d, n = 30, 50
+    q = solver._lanczos_start(d)
+    u = np.random.default_rng(5).standard_normal(d)
+    u -= (u @ q) * q
+    u /= np.linalg.norm(u)
+    X = design_with_gram(np.eye(d) + 10.0 * np.outer(u, u), n)
+    lam = float(np.linalg.eigvalsh(X.T @ X / n)[-1])
+    assert _ritz_top(lambda v: X.T @ (X @ v) / n, d) == pytest.approx(1.0, rel=1e-9)
+    y = X @ (3.0 * u) + 0.1 * np.random.default_rng(6).standard_normal(n)
+    s = geometry.l2_ball(2.0, d)
+    cfg = SolverConfig(max_iters=50_000, tol=1e-14)
+    res = solve_lasso(toy_dataset(X, y), s, cfg)
+    assert res.backtracks > 0 and res.converged
+    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+    oracle = residual_form_mfista(X, y, s, cfg, lip=lipschitz_constant(X))
+    assert np.max(np.abs(res.estimate - oracle)) < 1e-8
+
+
+def quarter_ritz(monkeypatch):
+    """Make the Ritz start a fourfold underestimate: theta = lambda_max / 4."""
+    def fake(apply, d):
+        M = np.column_stack([apply(e) for e in np.eye(d)])
+        return 0.25 * float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    monkeypatch.setattr(solver, "_ritz_top", fake)
+
+
+@pytest.mark.parametrize("n,d", [(60, 20), (30, 60)])
+def test_an_underestimated_start_backtracks_to_the_exact_step_solution(
+        monkeypatch, n, d):
+    # both forms (n >= d Gram, n < d residual with subspace steps),
+    # noiseless, with the sparse target on the l1 ball: the solution is the
+    # target, which both solves reach to rounding
+    rng = np.random.default_rng(n + d)
+    X = rng.standard_normal((n, d))
+    beta0 = np.zeros(d)
+    beta0[:4] = (1.0, -0.7, 0.5, 0.3)
+    y = X @ beta0
+    s = geometry.l1_ball(2.5, d)
+    cfg = SolverConfig(max_iters=50_000, tol=1e-14)
+    quarter_ritz(monkeypatch)
+    res = solve_lasso(toy_dataset(X, y), s, cfg)
+    lam = float(np.linalg.eigvalsh(X.T @ X / n)[-1])
+    assert res.backtracks > 0 and res.converged
+    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+    oracle = residual_form_mfista(X, y, s, cfg, subspace=n < d,
+                                  lip=lipschitz_constant(X))
+    assert np.max(np.abs(res.estimate - oracle)) < 1e-8
+
+
+def test_the_step_never_grows_and_each_raise_is_at_least_delta(monkeypatch):
+    # a run cut at max_iters = k is the first k iterations of a longer run,
+    # so the reported 1/L' after each iteration shows the whole history of
+    # L': it never decreases, and each raise multiplies it by at least
+    # 1 + BACKTRACK_DELTA (the curvature seen exceeded L')
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((40, 25))
+    y = rng.standard_normal(40)
+    quarter_ritz(monkeypatch)
+    runs = [solve_lasso(toy_dataset(X, y), geometry.hypercube(0.3, 25),
+                        SolverConfig(max_iters=k, tol=1e-14))
+            for k in range(1, 41)]
+    lips = [1.0 / r.step for r in runs]
+    counts = [r.backtracks for r in runs]
+    assert counts[-1] > 0
+    for (l0, b0), (l1, b1) in zip(zip(lips, counts), zip(lips[1:], counts[1:])):
+        if b1 == b0:
+            assert l1 == l0
+        else:
+            assert b1 > b0 and l1 >= (1.0 + BACKTRACK_DELTA) ** (b1 - b0) * l0
 
 
 SET_MAKERS = {"l1": geometry.l1_ball, "l2": geometry.l2_ball,
@@ -315,7 +383,8 @@ def test_converged_means_a_short_step_or_a_flat_momentum_free_step(
         n, d, seed, kind, radius, tol, noiseless):
     # converged: the last step moved by <= tol, or a step without momentum
     # lowered the objective by <= tol relative.  The projected-gradient map T
-    # is nonexpansive at step 1/L, so an accepted step cand = T(z) with
+    # is nonexpansive at any step up to 2/L, res.step among them (the step
+    # of the last iteration), so an accepted step cand = T(z) with
     # ||cand - z|| <= tol leaves ||T(cand) - cand|| <= tol; either way the
     # estimate shows one of the two
     rng = np.random.default_rng(seed)
@@ -329,7 +398,7 @@ def test_converged_means_a_short_step_or_a_flat_momentum_free_step(
         assert res.iterations == 5_000
         return
     b = res.estimate
-    step = 1.0 / lipschitz_constant(X)
+    step = res.step
     after = geometry.project(s, b - step * (2.0 / n) * (X.T @ (X @ b - y)))
     obj, obj_after = empirical_risk(ds, b), empirical_risk(ds, after)
     assert (res.fixed_point_residual <= tol * (1 + 1e-6) + 1e-13
@@ -360,19 +429,33 @@ def test_tol_controls_the_final_fixed_point_residual():
         assert r.objective <= 1e-28
 
 
-def residual_form_mfista(X, y, s, cfg, subspace=False):
+def residual_start(X):
+    """The solver's starting L' for the design X: exact below side
+    RITZ_STEPS, else twice the top Ritz value of v -> X^T X v / n."""
+    n, d = X.shape
+    if min(n, d) <= RITZ_STEPS:
+        return lipschitz_constant(X)
+    return 2.0 * _ritz_top(lambda v: X.T @ (X @ v), d) / n
+
+
+def residual_form_mfista(X, y, s, cfg, subspace=False, lip=None):
     """Reference monotone FISTA in the residual form, with the solver's
     decisions: each candidate's residual is a fresh product with X, the
     extrapolated point's residual is recombined from the two stored ones, a
     decrease is a difference of residual-form objectives, and an accepted
     momentum step with <z - cand, cand - beta> > 0 sets t = 1, so that the
-    next step starts from cand itself.  With `subspace`, every
-    SUBSPACE_EVERY accepted steps it also tries the projected least-squares
-    point (by lstsq) on the thresholded support, keeps it when it lowers the
-    objective, and then restarts the momentum."""
+    next step starts from cand itself.  Each step starts from L' =
+    residual_start(X) (or `lip`) and checks the descent inequality
+    ||X m||^2 / n <= (L' / 2) ||m||^2, m = cand - z, from the residuals; one
+    that fails beyond the solver's rounding allowance raises L' and is
+    redone from the same z.  With `subspace`, every SUBSPACE_EVERY accepted
+    steps it also tries the projected least-squares point (by lstsq) on the
+    thresholded support, keeps it when it lowers the objective, and then
+    restarts the momentum."""
     n, d = X.shape
     shape = (s.p, s.p) if s.is_matrix_set else (d,)
-    step = 1.0 / lipschitz_constant(X)
+    lip = residual_start(X) if lip is None else lip
+    allow = STEP_ROUNDING * np.finfo(float).eps
     beta = geometry.project(s, np.zeros(shape)).ravel()
     r = X @ beta - y
     obj = float(r @ r) / n
@@ -380,8 +463,18 @@ def residual_form_mfista(X, y, s, cfg, subspace=False):
     accepted = 0
     for _ in range(cfg.max_iters):
         grad = (2.0 / n) * (X.T @ r_z)
-        cand = geometry.project(s, (z - step * grad).reshape(shape)).ravel()
-        r_cand = X @ cand - y
+        while True:
+            step = 1.0 / lip if lip > 0 else 1.0
+            cand = geometry.project(s, (z - step * grad).reshape(shape)).ravel()
+            r_cand = X @ cand - y
+            mm = float((cand - z) @ (cand - z))
+            q = float((r_cand - r_z) @ (r_cand - r_z)) / n
+            slack = allow * math.sqrt(q / n) * (np.linalg.norm(r_cand)
+                                                + np.linalg.norm(r_z)
+                                                + np.linalg.norm(y))
+            if mm == 0.0 or 2.0 * q - lip * mm <= max(slack, 0.0):
+                break
+            lip = (1.0 + BACKTRACK_DELTA) * max(lip, (2.0 * q - slack) / mm)
         obj_cand = float(r_cand @ r_cand) / n
         if np.linalg.norm(cand - z) <= cfg.tol and (obj_cand < obj or not momentum):
             return cand if obj_cand < obj else beta
@@ -687,7 +780,7 @@ def test_svec_path_matches_full_coordinate_pgd(n):
     oracle = residual_form_mfista(X, ds.outputs, s, cfg).reshape(p, p)
     assert np.max(np.abs(B - oracle)) < 1e-8
     assert res.objective == pytest.approx(empirical_risk(ds, B), abs=1e-12)
-    step = 1.0 / lipschitz_constant(X)
+    step = res.step
     grad = ((2.0 / n) * (X.T @ (X @ B.ravel() - ds.outputs))).reshape(p, p)
     fp = np.linalg.norm(geometry.project(s, B - step * grad) - B)
     assert res.fixed_point_residual == pytest.approx(fp, rel=1e-9)

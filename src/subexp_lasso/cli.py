@@ -121,7 +121,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
-    config = _load(args)
+    config = _vector_config(args, "mismatch")
     beta_nat = harness.resolve_target(config)
     rep = mismatch_report(config.model, config.spec, beta_nat,
                           hypothesis_set=config.hypothesis_set, t=0.0,

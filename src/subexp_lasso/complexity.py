@@ -357,20 +357,14 @@ def assemble_bound(q_proxy: float, m_proxy: float,
         raise ConfigurationError(f"unknown version {version!r}")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if smallball.degenerate or smallball.tau is None:
+    tau = smallball.tau
+    if smallball.degenerate or tau is None or tau * smallball.q_hat == 0:
         return BoundAssembly(q_proxy, m_proxy, q_provenance, m_provenance,
                              tau=0.0, q_smallball=smallball.q_hat, u=u, n=n,
                              sigma=sigma, rho=rho_local, version=version,
                              n_required=np.inf, predicted_error=np.inf,
                              degenerate=True)
-    tau = smallball.tau
     tq = tau * smallball.q_hat
-    if tq == 0.0:
-        return BoundAssembly(q_proxy, m_proxy, q_provenance, m_provenance,
-                             tau=tau, q_smallball=smallball.q_hat, u=u, n=n,
-                             sigma=sigma, rho=rho_local, version=version,
-                             n_required=np.inf, predicted_error=np.inf,
-                             degenerate=True)
     n_required = ((q_proxy + tau * u) / tq) ** 2
     if version == "local":
         err = max(rho_local + u ** 2 * sigma * m_proxy / np.sqrt(n), 0.0) / tq ** 2

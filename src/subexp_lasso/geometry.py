@@ -10,12 +10,11 @@ kernel, Wolfe's minimum-norm-point algorithm (`_nearest_weights`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .distributions import euclidean_scaled, infinity_scaled, seminorm_rows
 from .errors import ConfigurationError
 from .seeding import rng_for
 
@@ -417,15 +416,6 @@ class Skeleton:
 
     points: np.ndarray
     covered_set: str
-
-    @cached_property
-    def diameters(self) -> dict:
-        """Largest pairwise l2 and l-infinity distances of the points, both
-        from one `pairwise_max` call (0.0 below two points)."""
-        l2, linf = euclidean_scaled(1.0), infinity_scaled(1.0)
-        best = pairwise_max(self.points, lambda V: np.column_stack(
-            [seminorm_rows(l2, V), seminorm_rows(linf, V)])) + np.zeros(2)
-        return {"l2": float(best[0]), "linf": float(best[1])}
 
 
 def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleton:

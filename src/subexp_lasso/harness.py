@@ -46,15 +46,20 @@ def thread_count(cli_value: Optional[int] = None) -> int:
     phase-sparse grid (Gaussian p = 200, n in {120, 140, 160}, 72 solves, a
     2-core host) run_phase_transition took 0.71-0.85 s wall with one worker
     and 0.75-1.08 s with two (six runs each, two workers slower in every
-    pair).  The count is never chosen from the cell shape.
+    pair).  The count is never chosen from the cell shape.  None means one
+    worker; a count below 1 raises a ConfigurationError naming its source.
     """
     env = os.environ.get("SUBEXP_LASSO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError("SUBEXP_LASSO_THREADS must be an integer") from exc
-    return max(1, cli_value or 1)
+    name, value = ("SUBEXP_LASSO_THREADS", env) if env else ("--threads", cli_value)
+    if value is None:
+        return 1
+    try:
+        count = int(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
+    if count < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +583,7 @@ _SCHEMA = {
     "model": {"kind": _str, "beta0": _array, "link": _str,
               "beta0_rule": {"k": _int, "seed": _int, "norm": _str},
               "noise": {"kind": _str, "level": _float}},
-    "set": {"kind": _str, "center": _array, "vertices": _matrix, "vertices_file": _matrix,
+    "set": {"kind": _str, "center": _array, "vertices": _matrix,
             "radius": lambda value, key: (value if value in ("beta0_l1", "beta0_l2")
                                           else _float(value, key))},
     "solver": {"max_iters": _int, "tol": _float, "track_trace": _bool},
@@ -630,8 +635,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                        **{"seed": 0, **m["beta0_rule"]})
     model = _built("model", ObservationModel, m["kind"], beta0, m.get("link", "identity"),
                    _built("model.noise", Noise, **m.get("noise", {})))
-    if "vertices_file" in s:
-        s["vertices"] = s.pop("vertices_file")
     need = "vertices" if s["kind"] == "polytope" else "radius"
     if s.get(need) is None:
         raise ConfigurationError(f"config is missing required key 'set.{need}'")

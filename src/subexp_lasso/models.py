@@ -8,6 +8,7 @@ linearly: the deviation (psi_1 proxy of y - <x, beta>), the global covariance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .distributions import (DistributionSpec, coordinate_variance, laplace_draws
                             psi_norm_estimate, sample_inputs,
                             second_moment_matrix)
 from .errors import ConfigurationError
-from .seeding import derive_seed, partitioned_mean, rng_for
+from .seeding import derive_seed, partitions, rng_for
 
 MODEL_KINDS = ("linear", "single_index", "quadratic", "lifted_view")
 
@@ -32,7 +33,6 @@ LINKS = {
     "abs": np.abs,
 }
 
-_MC_CHUNK = 1 << 17
 _SIGMA_SAMPLE_CAP = 2_000_000
 
 
@@ -191,12 +191,17 @@ class TargetScale:
 
 
 def _mc_scale(mc_budget: int, seed: int, domain: str, chunk) -> TargetScale:
-    """Mean of `chunk` over mc_budget draws, in partitions of at most _MC_CHUNK."""
-    if mc_budget < 1:
-        raise ConfigurationError(f"mc_budget must be >= 1, got {mc_budget}")
-    partitions = -(-mc_budget // _MC_CHUNK)
-    mean, se = partitioned_mean(mc_budget, partitions, seed, domain, chunk)
-    return TargetScale(float(mean), float(se), mc_budget)
+    """Mean of `chunk(rng, m)` (an (m,) array) over mc_budget draws, with the
+    standard error of the mean: the fsum of each partition's sums, in
+    partition order."""
+    sums, sumsqs = [], []
+    for child, m in partitions(mc_budget, seed, domain):
+        values = np.asarray(chunk(np.random.default_rng(child), m), dtype=float)
+        sums.append(float(values.sum()))
+        sumsqs.append(float((values ** 2).sum()))
+    mean = math.fsum(sums) / mc_budget
+    var = max(math.fsum(sumsqs) / mc_budget - mean ** 2, 0.0)
+    return TargetScale(mean, math.sqrt(var / mc_budget), mc_budget)
 
 
 def _latent_restriction(spec: DistributionSpec, *vectors):
@@ -281,12 +286,13 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
     """Estimate the mismatch deviation/covariance of beta_nat under the model.
 
     Only z_T is drawn, T the latent support of beta0 and beta_nat
-    (`_latent_restriction`): each chunk is `generate_dataset`'s stream on the
-    sub-model (beta0 pulled back to T) and sub-spec, the noise alone for an
-    empty T.  The draws give the terms of x_T xi, x_T = z_T, or for a mixed
-    spec the part M_{:,T} z_T of every coordinate.  The rest of x is centered
-    and independent of (z_T, xi): its mean term is exactly 0, and E[(x_j xi)^2]
-    gains var E[xi^2] (times sum_{k not in T} M_jk^2 for a mixed spec).
+    (`_latent_restriction`): each of the budget's `partitions` is
+    `generate_dataset`'s stream on the sub-model (beta0 pulled back to T) and
+    sub-spec, the noise alone for an empty T.  The draws give the terms of
+    x_T xi, x_T = z_T, or for a mixed spec the part M_{:,T} z_T of every
+    coordinate.  The rest of x is centered and independent of (z_T, xi): its
+    mean term is exactly 0, and E[(x_j xi)^2] gains var E[xi^2] (times
+    sum_{k not in T} M_jk^2 for a mixed spec).
 
     rho_local is a supremum over a sampled direction set (slice directions
     for t > 0, cone directions for t = 0, vertex differences included for
@@ -338,10 +344,8 @@ def _xi_moments(model: ObservationModel, spec: DistributionSpec,
     T, sub, (w_t, v_t) = _latent_restriction(spec, model.beta0, beta_nat)
     on = slice(None) if mixed else T
     mean_vec, sq_vec = np.zeros(spec.p), np.zeros(spec.p)
-    xi_sq, xi_samples = 0.0, []
-    for idx, done in enumerate(range(0, mc_budget, _MC_CHUNK)):
-        m = min(_MC_CHUNK, mc_budget - done)
-        chunk_seed = derive_seed(seed, "mismatch", idx)
+    xi_sq, xi_samples, done = 0.0, [], 0
+    for chunk_seed, m in partitions(mc_budget, seed, "mismatch"):
         # the stream of generate_dataset on the sub-model and sub-spec
         z = (np.zeros((m, 0)) if sub is None
              else sample_inputs(sub, m, derive_seed(chunk_seed, "inputs")))
@@ -353,6 +357,7 @@ def _xi_moments(model: ObservationModel, spec: DistributionSpec,
         sq_vec[on] += contrib.sum(axis=0)
         xi_sq += float(xi @ xi)
         xi_samples.append(xi[:max(_SIGMA_SAMPLE_CAP - done, 0)])
+        done += m
     var = coordinate_variance(spec.base_kind if mixed else spec.kind, spec.scale)
     off = (np.square(np.delete(spec.mixing, T, axis=1)).sum(axis=1) if mixed
            else np.isin(np.arange(spec.p), T, invert=True))

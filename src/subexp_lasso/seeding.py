@@ -1,18 +1,22 @@
-"""Deterministic seed derivation and partitioned Monte-Carlo accumulation.
+"""Deterministic seed derivation and Monte-Carlo partitions.
 
 Child seeds are a stable (platform-independent) hash of
 (master seed, domain label, index), so any unit of work can be re-run in
-isolation and parallel schedules cannot change the streams.
+isolation and parallel schedules cannot change the streams.  A Monte-Carlo
+budget is drawn in `partitions`: the budget alone fixes the partition sizes
+and seeds, so an estimate is bitwise stable for a given (budget, seed).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 _SEED_BYTES = 8
+MC_CHUNK = 1 << 17  # the most draws one Monte-Carlo partition holds
 
 
 def derive_seed(master_seed: int, domain: str, index: int = 0) -> int:
@@ -26,53 +30,15 @@ def rng_for(master_seed: int, domain: str, index: int = 0) -> np.random.Generato
     return np.random.default_rng(derive_seed(master_seed, domain, index))
 
 
-def split_trials(total: int, partitions: int) -> list[int]:
-    """Split `total` trials into `partitions` contiguous chunk sizes."""
-    if total < 0 or partitions < 1:
-        raise ValueError("total >= 0 and partitions >= 1 required")
-    base, extra = divmod(total, partitions)
-    return [base + (1 if i < extra else 0) for i in range(partitions)]
+def partitions(total: int, seed: int, domain: str) -> list[tuple[int, int]]:
+    """The (child seed, size) of each partition of `total` Monte-Carlo draws.
 
-
-def partitioned_mean(total, partitions, seed, domain, chunk_fn):
-    """Mean of `total` Monte-Carlo draws computed in seeded partitions.
-
-    `chunk_fn(rng, m)` must return an array of m rows (or an (m,) vector).
-    Partition sums are combined with compensated summation in partition
-    order, so the result is bitwise-stable for a fixed partition count
-    regardless of how the partitions were scheduled.
-
-    Returns (mean, std_error_of_mean).
+    ceil(total / MC_CHUNK) partitions whose sizes differ by at most one,
+    larger first; partition i is seeded by derive_seed(seed, domain, i).
     """
-    counts = split_trials(total, partitions)
-    sums = []
-    sumsqs = []
-    for idx, m in enumerate(counts):
-        if m == 0:
-            continue
-        rng = rng_for(seed, domain, idx)
-        chunk = np.asarray(chunk_fn(rng, m), dtype=float)
-        sums.append(chunk.sum(axis=0))
-        sumsqs.append((chunk ** 2).sum(axis=0))
-    if not sums:
-        raise ValueError("no samples requested")
-    total_sum = _compensated_sum(sums)
-    total_sumsq = _compensated_sum(sumsqs)
-    mean = total_sum / total
-    var = np.maximum(total_sumsq / total - mean ** 2, 0.0)
-    std_error = np.sqrt(var / total)
-    return mean, std_error
-
-
-def _compensated_sum(chunks):
-    """Kahan summation of a list of equally-shaped arrays (or scalars)."""
-    if np.ndim(chunks[0]) == 0:
-        return math.fsum(float(c) for c in chunks)
-    acc = np.zeros_like(chunks[0], dtype=float)
-    carry = np.zeros_like(acc)
-    for c in chunks:
-        y = c - carry
-        t = acc + y
-        carry = (t - acc) - y
-        acc = t
-    return acc
+    if total < 1:
+        raise ConfigurationError(f"mc_budget must be >= 1, got {total}")
+    count = -(-total // MC_CHUNK)
+    base, extra = divmod(total, count)
+    return [(derive_seed(seed, domain, i), base + (i < extra))
+            for i in range(count)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -467,6 +468,14 @@ def test_assemble_bound_degenerate_smallball():
     asm = assemble_bound(1.0, 1.0, sb, u=8.0, n=100, sigma=0.1,
                          rho_local=0.0, version="local")
     assert asm.degenerate and not np.isfinite(asm.n_required)
+    # a hand-built estimate that is not flagged degenerate but has tau = 0
+    sb = replace(make_smallball(), tau=0.0)
+    assert not sb.degenerate and sb.q_hat > 0
+    for version in ("local", "global"):
+        asm = assemble_bound(1.0, 1.0, sb, u=8.0, n=100, sigma=0.1,
+                             rho_local=0.0, version=version)
+        assert asm.degenerate and asm.tau == 0.0
+        assert asm.n_required == asm.predicted_error == np.inf
 
 
 def test_assemble_bound_positive_part():

@@ -26,11 +26,9 @@ def random_set(rng, p):
     return geo.polytope(rng.standard_normal((rng.integers(3, 9), p)))
 
 
-def pairwise_diameter(points, norm="l2"):
-    """Exact max pairwise distance of a point list (l2, else l-infinity):
-    the oracle for Skeleton.diameters."""
-    metric = euclidean_scaled(1.0) if norm == "l2" else infinity_scaled(1.0)
-    return geo.pairwise_max(points, lambda V: seminorm_rows(metric, V))
+def pairwise_diameter(points):
+    """Largest pairwise l2 distance of a point list."""
+    return geo.pairwise_max(points, lambda V: seminorm_rows(euclidean_scaled(1.0), V))
 
 
 def sample_feasible(rng, s, m):
@@ -449,28 +447,12 @@ def test_sparse_skeleton_constructive_properties():
     pts = skel.points
     assert np.all((np.abs(pts) > 0).sum(axis=1) <= 3)
     assert np.all(np.linalg.norm(pts, axis=1) <= 3.0 + 1e-12)
-    assert skel.diameters["l2"] == pytest.approx(6.0)
-
-
-@pytest.mark.parametrize("skel", [
-    geo.sparse_skeleton_sampler(3, 10, 400, seed=1),
-    geo.skeleton_from_points(np.random.default_rng(12).standard_normal((150, 6))),
-    geo.skeleton_from_points([[1.0, -2.0]]),
-], ids=["negation-closed", "open-cloud", "one-point"])
-def test_skeleton_diameters_take_one_pairwise_scan(skel, monkeypatch):
-    want = {"l2": pairwise_diameter(skel.points, "l2"),
-            "linf": pairwise_diameter(skel.points, "linf")}
-    calls = []
-    closed = geo._negation_closed
-    monkeypatch.setattr(geo, "_negation_closed",
-                        lambda P: calls.append(P.shape) or closed(P))
-    assert skel.diameters == want  # bitwise
-    assert len(calls) == (skel.points.shape[0] > 1)
+    assert pairwise_diameter(skel.points) == pytest.approx(6.0)
 
 
 def test_sparse_skeleton_k_equals_p():
     skel = geo.sparse_skeleton_sampler(4, 4, 200, seed=2)
-    assert skel.diameters["l2"] == pytest.approx(6.0)
+    assert pairwise_diameter(skel.points) == pytest.approx(6.0)
     assert np.all(np.linalg.norm(skel.points, axis=1) <= 3.0 + 1e-12)
 
 
@@ -651,7 +633,7 @@ def test_pairwise_max_crosses_default_tile():
     d = 4
     side = int(np.sqrt(geo.PAIR_BLOCK_BYTES / (8 * d)))
     pts = rng.standard_normal((side + 7, d))
-    got = pairwise_diameter(pts, "l2")
+    got = pairwise_diameter(pts)
     want = _reference_pair_max(pts, lambda v: float(np.linalg.norm(v)))
     assert got == pytest.approx(want, rel=1e-13)
     assert geo.pairwise_max(pts[:1], lambda V: np.ones(len(V))) == 0.0

@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subexp_lasso import geometry, harness, solver
@@ -16,7 +16,7 @@ from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.models import (LINKS, MODEL_KINDS, Noise, ObservationModel,
                                  generate_dataset, sparse_vector)
 from subexp_lasso.solver import SolverConfig, solve_lasso
-from subexp_lasso.seeding import derive_seed, split_trials, partitioned_mean
+from subexp_lasso.seeding import MC_CHUNK, derive_seed, partitions
 
 
 def small_config(**overrides):
@@ -49,20 +49,25 @@ def test_derive_seed_is_stable_and_distinct():
     assert a != derive_seed(2, "x", 0)
 
 
-def test_split_trials():
-    assert split_trials(10, 3) == [4, 3, 3]
-    assert split_trials(2, 5) == [1, 1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        split_trials(-1, 2)
+@settings(max_examples=60, deadline=None)
+@given(total=st.integers(1, 40 * MC_CHUNK), seed=st.integers(0, 2 ** 64 - 1),
+       domain=st.text(max_size=8))
+@example(total=MC_CHUNK, seed=0, domain="mismatch")
+@example(total=MC_CHUNK + 1, seed=0, domain="mismatch")
+def test_partitions_are_near_equal_and_seeded_by_index(total, seed, domain):
+    parts = partitions(total, seed, domain)
+    sizes = [m for _, m in parts]
+    assert len(parts) == -(-total // MC_CHUNK)
+    assert sum(sizes) == total
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert [child for child, _ in parts] == [derive_seed(seed, domain, i)
+                                             for i in range(len(parts))]
 
 
-def test_partitioned_mean_fixed_partition_determinism():
-    def chunk(rng, m):
-        return rng.standard_normal(m)
-
-    a = partitioned_mean(10_000, 4, 7, "t", chunk)
-    b = partitioned_mean(10_000, 4, 7, "t", chunk)
-    assert a[0] == b[0] and a[1] == b[1]
+@given(total=st.integers(max_value=0))
+def test_partitions_reject_an_empty_budget(total):
+    with pytest.raises(ConfigurationError, match="mc_budget must be >= 1"):
+        partitions(total, 0, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +530,15 @@ def test_thread_count_env_override(monkeypatch):
     monkeypatch.setenv("SUBEXP_LASSO_THREADS", "x")
     with pytest.raises(ConfigurationError):
         harness.thread_count(4)
+    for env in ("0", "-2"):
+        monkeypatch.setenv("SUBEXP_LASSO_THREADS", env)
+        with pytest.raises(ConfigurationError, match="SUBEXP_LASSO_THREADS must be >= 1"):
+            harness.thread_count(4)
+    monkeypatch.delenv("SUBEXP_LASSO_THREADS")
+    assert harness.thread_count(None) == 1
+    for cli_value in (0, -3):
+        with pytest.raises(ConfigurationError, match="--threads must be >= 1"):
+            harness.thread_count(cli_value)
 
 
 def test_cli_subcommands(tmp_path):
@@ -785,23 +799,27 @@ def test_cli_mismatch_on_lifted_model_names_the_kind(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["complexity"],
-                                     ["certificate", "--scale", "0.5"]])
+                                     ["certificate", "--scale", "0.5"],
+                                     ["mismatch"]])
 def test_cli_vector_commands_reject_a_lifted_config_before_any_work(
         tmp_path, capsys, monkeypatch, command):
     # the lifted target is a matrix and its inputs are lifts: the commands
-    # fail on the config, before drawing a width, a dataset or a direction
+    # fail on the config, before drawing a width, a dataset, the erm_mc
+    # calibration sample or a direction
     from subexp_lasso import cli, complexity
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a lifted config")
 
     for module, name in ((complexity, "gaussian_width"), (cli, "generate_dataset"),
-                         (harness, "excess_certificate")):
+                         (harness, "excess_certificate"), (harness, "generate_dataset"),
+                         (cli, "mismatch_report")):
         monkeypatch.setattr(module, name, no_work)
     cfg = tmp_path / "lifted.yaml"
     cfg.write_text(CONFIG_YAML.replace("kind: linear", "kind: lifted_view")
                    .replace("{kind: l1_ball, radius: beta0_l1}",
-                            "{kind: lifted_psd_fro, radius: 1.0}"))
+                            "{kind: lifted_psd_fro, radius: 1.0}")
+                   .replace("target_rule: beta0", "target_rule: erm_mc"))
     out = tmp_path / "out.txt"
     with pytest.raises(ConfigurationError, match="model.kind 'lifted_view'"):
         cli.main([command[0], "--config", str(cfg), "--out", str(out),
@@ -959,12 +977,12 @@ def test_config_vertices_file_is_read_as_a_polytope(tmp_path):
     path = tmp_path / "verts.txt"
     np.savetxt(path, V)
     text = CONFIG_YAML.replace("{kind: l1_ball, radius: beta0_l1}",
-                               f"{{kind: polytope, vertices_file: {path}}}")
+                               f"{{kind: polytope, vertices: {path}}}")
     s = load_yaml(tmp_path, text).hypothesis_set
     assert s.kind == "polytope" and np.array_equal(s.vertices, V)
     np.savetxt(path, V[:1])  # one vertex, one line
     assert np.array_equal(load_yaml(tmp_path, text).hypothesis_set.vertices, V[:1])
-    with pytest.raises(ConfigurationError, match="set.vertices_file: cannot read"):
+    with pytest.raises(ConfigurationError, match="set.vertices: cannot read"):
         load_yaml(tmp_path, text.replace("verts.txt", "missing.txt"))
 
 
@@ -995,7 +1013,7 @@ def test_one_column_matrix_files_stay_matrices(tmp_path):
     text = (CONFIG_YAML.replace("{kind: laplace, p: 6, scale: 1.0}", "{kind: laplace, p: 1}")
             .replace("beta0_rule: {k: 2, seed: 4}", "beta0: [0.5]")
             .replace("{kind: l1_ball, radius: beta0_l1}",
-                     f"{{kind: polytope, vertices_file: {path}}}"))
+                     f"{{kind: polytope, vertices: {path}}}"))
     assert np.array_equal(load_yaml(tmp_path, text).hypothesis_set.vertices, col)
 
 
@@ -1074,7 +1092,7 @@ SCHEMA_KINDS = {
     "model.beta0_rule.seed": "int", "model.beta0_rule.norm": "str",
     "model.noise": "section", "model.noise.kind": "str", "model.noise.level": "float",
     "set": "section", "set.kind": "str", "set.radius": "radius",
-    "set.center": "array", "set.vertices": "array", "set.vertices_file": "array",
+    "set.center": "array", "set.vertices": "array",
     "solver": "section", "solver.max_iters": "int", "solver.tol": "float",
     "solver.track_trace": "bool",
 }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,14 @@ from scipy.stats import norm
 
 from subexp_lasso import geometry, models
 from subexp_lasso.distributions import (DistributionSpec, psi_norm_estimate,
-                                        second_moment_matrix)
+                                        sample_inputs, second_moment_matrix)
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import (_MC_CHUNK, Dataset, Noise, ObservationModel,
+from subexp_lasso.models import (Dataset, Noise, ObservationModel,
                                  TargetScale, _xi_moments,
                                  generate_dataset, lifted_target_scale,
                                  mismatch_report, sparse_vector,
                                  target_scale_mu)
-from subexp_lasso.seeding import derive_seed, rng_for
+from subexp_lasso.seeding import MC_CHUNK, derive_seed, partitions, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,29 @@ def test_mu_scales_with_beta_norm():
 def _mu(beta0, spec, budget, seed, link="tanh"):
     model = ObservationModel("single_index", np.asarray(beta0, dtype=float), link=link)
     return target_scale_mu(model, spec, budget, seed)
+
+
+@pytest.mark.parametrize("budget", [1_000, MC_CHUNK + 1, 2 * MC_CHUNK + 5])
+@pytest.mark.parametrize("kind", ["gaussian", "laplace"])
+def test_mu_is_the_fsum_of_its_partition_sums(kind, budget):
+    # the replay: each partition draws <x, b0> as target_scale_mu does (the
+    # exact Gaussian marginal, or the support's Laplace coordinates), and
+    # the mean and standard error come from the fsum of the partition sums
+    beta0 = np.array([0.0, 0.6, 0.0, -0.8])
+    nsq = float(beta0 @ beta0)
+    sub, w = DistributionSpec(kind, 2, 1.5), beta0[[1, 3]]
+    if kind == "gaussian":
+        sub, w = DistributionSpec(kind, 1, 1.5), np.array([np.linalg.norm(w)])
+    sums, sumsqs = [], []
+    for child, m in partitions(budget, 37, "target-scale-mu"):
+        z = sample_inputs(sub, m, np.random.default_rng(child).integers(2 ** 63)) @ w
+        values = np.tanh(z) * z / nsq
+        sums.append(float(values.sum()))
+        sumsqs.append(float((values ** 2).sum()))
+    mean = math.fsum(sums) / budget
+    se = math.sqrt(max(math.fsum(sumsqs) / budget - mean ** 2, 0.0) / budget)
+    assert _mu(beta0, DistributionSpec(kind, 4, 1.5), budget, 37) == \
+        TargetScale(mean, se, budget)
 
 
 COORDINATE_KINDS = ["gaussian", "rademacher", "laplace", "symmetric_exponential"]
@@ -396,17 +421,13 @@ def _full_draw_mismatch(model, spec, beta_nat, mc_budget, seed):
     mean_vec = np.zeros(spec.p)
     sq_vec = np.zeros(spec.p)
     xis = []
-    done = idx = 0
-    while done < mc_budget:
-        m = min(_MC_CHUNK, mc_budget - done)
-        ds = generate_dataset(model, spec, m, derive_seed(seed, "mismatch", idx))
+    for chunk_seed, m in partitions(mc_budget, seed, "mismatch"):
+        ds = generate_dataset(model, spec, m, chunk_seed)
         xi = ds.outputs - ds.inputs @ beta_nat
         contrib = ds.inputs * xi[:, None]
         mean_vec += contrib.sum(axis=0)
         sq_vec += (contrib ** 2).sum(axis=0)
         xis.append(xi)
-        done += m
-        idx += 1
     mean_vec /= mc_budget
     var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
     se_vec = np.sqrt(var_vec / mc_budget)
@@ -435,11 +456,8 @@ def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
     sq_on = np.zeros(on.size)
     xi_sq = 0.0
     xis = []
-    done = idx = 0
-    while done < mc_budget:
-        m = min(_MC_CHUNK, mc_budget - done)
-        ds = generate_dataset(sub_model, sub_spec, m,
-                              derive_seed(seed, "mismatch", idx))
+    for chunk_seed, m in partitions(mc_budget, seed, "mismatch"):
+        ds = generate_dataset(sub_model, sub_spec, m, chunk_seed)
         xi = ds.outputs - ds.inputs @ v[T]
         x_on = ds.inputs @ M[:, T].T if mixed else ds.inputs
         contrib = x_on * xi[:, None]
@@ -447,8 +465,6 @@ def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
         sq_on += (contrib ** 2).sum(axis=0)
         xi_sq += float(xi @ xi)
         xis.append(xi)
-        done += m
-        idx += 1
     var = spec.scale ** 2  # laplace coordinates
     if mixed:
         off_latent = np.setdiff1d(np.arange(M.shape[1]), T)
@@ -474,7 +490,7 @@ _MIXING[:2, 3:] = 0.0
 _MIXED = DistributionSpec("mixed", 6, 0.8, mixing=_MIXING, base_kind="laplace")
 
 
-@pytest.mark.parametrize("budget", [5_000, _MC_CHUNK + 3_000])
+@pytest.mark.parametrize("budget", [5_000, MC_CHUNK + 3_000])
 def test_mismatch_accumulator_matches_the_out_of_place_reference(budget):
     beta0 = np.array([0.8, 0.0, -0.6, 0.0])
     model = ObservationModel("single_index", beta0, link="tanh",

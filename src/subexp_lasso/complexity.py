@@ -22,7 +22,7 @@ from .seeding import derive_seed, rng_for
 
 Target = Union[geometry.Skeleton, geometry.HypothesisSet]
 
-BLOCK_VALUES = 1 << 16  # driver values a width estimator draws at once (0.5 MB)
+BLOCK_VALUES = 1 << 16  # values a width or small-ball block holds at once (0.5 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,11 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
     theta = alpha_hat / 4 and reports the lower-bound certificate
     alpha^3 / (16 delta) for theta * Q_{2 theta}.  Because the infimum runs
     over a finite list, q_hat upper-bounds the true infimal probability.
+    The margins <x, v> of all directions are formed for blocks of
+    max(1, BLOCK_VALUES // directions) trials at a time: one pass over the
+    blocks sums the moments, a second counts the hits at 2 theta, and the
+    margins of the two extremal directions are formed once more for their
+    standard errors.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape[0] == 0:
@@ -146,18 +151,17 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
     if directions.shape[1] != spec.p:
         raise ConfigurationError("direction dimension mismatch")
     x = sample_inputs(spec, trials, derive_seed(seed, "small-ball"))
-    margins = x @ directions.T  # trials x m
-    abs_m = np.abs(margins)
+    rows = max(1, BLOCK_VALUES // directions.shape[0])
 
-    means = abs_m.mean(axis=0)
-    j_alpha = int(np.argmin(means))
-    alpha_hat = float(means[j_alpha])
-    alpha_se = float(abs_m[:, j_alpha].std(ddof=1) / np.sqrt(trials))
+    def summed(stat):  # the sum over the trial blocks of stat(margins)
+        return sum(stat(x[i:i + rows] @ directions.T) for i in range(0, trials, rows))
 
-    seconds = (margins ** 2).mean(axis=0)
-    j_delta = int(np.argmax(seconds))
-    delta_hat = float(seconds[j_delta])
-    delta_se = float((margins[:, j_delta] ** 2).std(ddof=1) / np.sqrt(trials))
+    means, seconds = summed(lambda M: np.array([np.abs(M).sum(axis=0),
+                                                (M * M).sum(axis=0)])) / trials
+    j_alpha, j_delta = int(np.argmin(means)), int(np.argmax(seconds))
+    alpha_hat, delta_hat = float(means[j_alpha]), float(seconds[j_delta])
+    alpha_se = float(np.abs(x @ directions[j_alpha]).std(ddof=1) / np.sqrt(trials))
+    delta_se = float(((x @ directions[j_delta]) ** 2).std(ddof=1) / np.sqrt(trials))
 
     if theta_rule == "paley_zygmund":
         theta = alpha_hat / 4.0
@@ -169,10 +173,7 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
         theta = float(theta)
         tau = alpha_hat / 4.0 if alpha_hat > 0 else None
 
-    hits = abs_m >= 2.0 * theta
-    q_per_dir = hits.mean(axis=0)
-    j_q = int(np.argmin(q_per_dir))
-    q_hat = float(q_per_dir[j_q])
+    q_hat = float(summed(lambda M: (np.abs(M) >= 2.0 * theta).sum(axis=0)).min() / trials)
     q_se = float(np.sqrt(max(q_hat * (1.0 - q_hat), 1.0 / trials) / trials))
 
     pz = alpha_hat ** 3 / (16.0 * delta_hat) if delta_hat > 0 else 0.0

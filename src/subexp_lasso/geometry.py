@@ -1,4 +1,4 @@
-"""Convex hypothesis sets: projections, support functions, direction samplers.
+"""Convex hypothesis sets: projections, support functions, a direction sampler.
 
 Sets are immutable values; every operation here is a pure function of its
 arguments.  Projections are exact (closed form) for l1/l2 balls and
@@ -285,110 +285,53 @@ def vertices_of(s: HypothesisSet, max_vertices: int = 1 << 20) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Direction samplers
+# Direction sampler
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DirectionSample:
-    directions: np.ndarray
-    acceptance_rate: float = 1.0
-    degenerate: bool = False
+def sample_directions(s: HypothesisSet, center, t: float, n_dirs: int,
+                      seed: int) -> np.ndarray:
+    """Unit directions v with center + t v in the set, one per row; t = 0
+    samples the cone of feasible directions, cone(K - center).
 
-
-def sphere_slice_directions(s: HypothesisSet, center, t: float, n_dirs: int,
-                            seed: int) -> DirectionSample:
-    """Unit directions v with center + t v in the set.
-
-    Rejection sampling, augmented with vertex directions for polytopal sets.
-    A batch of candidates is tested with `contains_rows` in slices as long
-    as the count still missing, so no row past the n_dirs-th acceptance is
-    tested.  An empty result signals that t exceeds the local reach in every
-    sampled direction.
+    Every point w of K farther than max(t, 1e-12) from the center gives the
+    direction v = (w - center) / |w - center|, and center + t v lies on the
+    segment from the center to w, so in K by convexity.  The points are the
+    set's cheap vertices, then the projections of center + r g for n_dirs
+    unit Gaussian g drawn at once, with radii r log-uniform on
+    [max(t, 1e-3 D), 3 max(D, t)], D the diameter proxy.  Directions within
+    ANGULAR_DEDUP_TOL of an earlier one are dropped.  An empty (0, dim)
+    array stands for an empty slice, or for a cone of the center alone.
     """
-    center = np.asarray(center, dtype=float)
-    if not contains(s, center):
+    if not (isinstance(n_dirs, (int, np.integer)) and n_dirs >= 1):
+        raise ConfigurationError(f"n_dirs must be an integer >= 1, got {n_dirs!r}")
+    if not (t >= 0):
+        raise ConfigurationError(f"t must be >= 0, got {t!r}")
+    flat = np.asarray(center, dtype=float).ravel()
+    if not contains(s, flat):
         raise ConfigurationError("center must belong to the set")
-    if not (t > 0):
-        raise ConfigurationError("t must be positive")
-    rng = rng_for(seed, "sphere-slice")
-    dim = center.size
-    accepted = []
-    attempts = 0
-    max_attempts = max(50 * n_dirs, 2000)
-    batch = max(n_dirs, 64)
-    while len(accepted) < n_dirs and attempts < max_attempts:
-        u = rng.standard_normal((batch, dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        attempts += batch
-        start = 0
-        while start < batch and len(accepted) < n_dirs:
-            rows = u[start:start + n_dirs - len(accepted)]
-            accepted.extend(rows[contains_rows(s, center.ravel() + t * rows)])
-            start += rows.shape[0]
-    verts = _cheap_vertices(s)
-    attempts += len(verts)
-    far = []
-    for vert in verts:
-        d = vert.ravel() - center
-        nrm = np.linalg.norm(d)
-        if nrm > t:
-            far.append(d / nrm)
-    if far:
-        far = np.array(far)
-        accepted.extend(far[contains_rows(s, center + t * far)])
-    rate = len(accepted) / attempts if attempts else 0.0
-    dirs = np.array(accepted) if accepted else np.zeros((0, dim))
-    dirs = _dedup_directions(dirs)
-    return DirectionSample(dirs, acceptance_rate=rate)
-
-
-def cone_directions(s: HypothesisSet, apex, n_dirs: int, seed: int) -> DirectionSample:
-    """Unit directions in cone(K - apex), deduplicated at angular tolerance."""
-    apex = np.asarray(apex, dtype=float)
-    if not contains(s, apex):
-        raise ConfigurationError("apex must belong to the set")
-    rng = rng_for(seed, "cone-dirs")
-    dim = apex.size
+    rng = rng_for(seed, "directions")
     scale = _diameter_proxy(s)
-    dirs = []
-    for vert in _cheap_vertices(s):
-        d = vert.ravel() - apex
-        nrm = np.linalg.norm(d)
-        if nrm > 1e-12:
-            dirs.append(d / nrm)
-    draws = 0
-    while len(dirs) < n_dirs and draws < 50 * n_dirs + 1000:
-        g = rng.standard_normal(dim)
-        r = scale * np.exp(rng.uniform(np.log(1e-3), np.log(3.0)))
-        w = project(s, _shaped(apex + r * g / np.linalg.norm(g), s)).ravel()
-        d = w - apex
-        nrm = np.linalg.norm(d)
-        draws += 1
-        if nrm > 1e-12:
-            dirs.append(d / nrm)
-    if not dirs:
-        return DirectionSample(np.zeros((0, dim)), degenerate=True)
-    return DirectionSample(_dedup_directions(np.array(dirs)))
+    g = rng.standard_normal((n_dirs, flat.size))
+    r = np.exp(rng.uniform(np.log(max(t, 1e-3 * scale)),
+                           np.log(3.0 * max(scale, t)), size=n_dirs))
+    g *= (r / np.linalg.norm(g, axis=1))[:, None]
+    W = np.array(_cheap_vertices(s)
+                 + [project(s, (flat + row).reshape(s.ambient)).ravel() for row in g]) - flat
+    nrm = np.linalg.norm(W, axis=1)
+    keep = nrm > max(t, 1e-12)
+    return _dedup_directions(W[keep] / nrm[keep, None])
 
 
-def _shaped(v: np.ndarray, s: HypothesisSet):
-    return v.reshape(s.p, s.p) if s.is_matrix_set else v
-
-
-def _cheap_vertices(s: HypothesisSet):
-    if s.kind == "polytope":
-        return list(s.vertices)
-    if s.kind == "l1_ball":
-        return list(vertices_of(s))
-    if s.kind == "hypercube" and s.p <= 12:
+def _cheap_vertices(s: HypothesisSet) -> list:
+    """The vertices of a polytopal set, unless it is a hypercube with p > 12."""
+    if s.kind in ("polytope", "l1_ball") or (s.kind == "hypercube" and s.p <= 12):
         return list(vertices_of(s))
     return []
 
 
 def _diameter_proxy(s: HypothesisSet) -> float:
-    if s.kind == "polytope":
-        nrm = np.linalg.norm(s.vertices, axis=1)
-        return float(2 * nrm.max()) if nrm.size else 1.0
+    if s.kind == "polytope":  # 1.0 for the one-point set {0}
+        return 2.0 * float(np.linalg.norm(s.vertices, axis=1).max()) or 1.0
     return 2.0 * s.radius
 
 

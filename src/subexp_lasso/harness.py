@@ -320,30 +320,29 @@ class CertificateReport:
 
 def excess_certificate(dataset: Dataset, s: geometry.HypothesisSet, beta_nat,
                        t: float, n_dirs: int, seed: int) -> CertificateReport:
-    """Minimum excess risk over sampled points at distance t from beta_nat.
+    """Minimum excess risk over the sampled points at distance t from
+    beta_nat, the points beta_nat + t v of `geometry.sample_directions`.
 
-    A positive minimum certifies that the empirical minimizer lies strictly
-    inside the radius-t sphere around beta_nat.  The excesses (Q + M of
-    `solver.excess_decomposition`) come from one product with X.
+    The minimum runs over the sampled directions only: a positive minimum
+    says that every sampled point at distance t has a larger empirical risk
+    than beta_nat, not that every point of the slice has.  The excesses
+    (Q + M of `solver.excess_decomposition`) come from one product with X.
     """
     beta_nat = np.asarray(beta_nat, dtype=float)
     if not (t > 0):
         raise ConfigurationError("t must be positive")
-    if not geometry.contains(s, beta_nat):
-        raise ConfigurationError("beta_nat must belong to the set")
-    sample = geometry.sphere_slice_directions(s, beta_nat, t, n_dirs, seed)
-    if sample.directions.shape[0] == 0:
+    dirs = geometry.sample_directions(s, beta_nat, t, n_dirs, seed)
+    if dirs.shape[0] == 0:
         return CertificateReport(t, 0, math.nan, False, empty_slice=True)
     flat = beta_nat.ravel()
-    diffs = (flat + t * sample.directions) - flat
+    diffs = (flat + t * dirs) - flat
     Xd = (np.column_stack([dataset.forward(d) for d in diffs]) if dataset.lifted
           else dataset.inputs @ diffs.T)
     resid = dataset.forward(beta_nat) - dataset.outputs
     excesses = (np.einsum("ij,ij->j", Xd, Xd) / dataset.n
                 + 2.0 * (resid @ Xd) / dataset.n)
     min_excess = float(excesses.min())
-    return CertificateReport(t, sample.directions.shape[0], min_excess,
-                             min_excess > 0.0)
+    return CertificateReport(t, dirs.shape[0], min_excess, min_excess > 0.0)
 
 
 # ---------------------------------------------------------------------------

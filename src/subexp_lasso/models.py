@@ -294,9 +294,10 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
     mean term is exactly 0, and E[(x_j xi)^2] gains var E[xi^2] (times
     sum_{k not in T} M_jk^2 for a mixed spec).
 
-    rho_local is a supremum over a sampled direction set (slice directions
-    for t > 0, cone directions for t = 0, vertex differences included for
-    polytopal sets), hence a lower bound on the true supremum.
+    rho_local is the largest <E[xi x], v> over the unit directions v that
+    one call of `geometry.sample_directions` draws (the slice at distance t,
+    the cone at t = 0; vertex directions included for polytopal sets): a
+    lower bound, from that one sampler, on the supremum over all of them.
     """
     if model.kind == "lifted_view":
         raise ConfigurationError(f"mismatch_report needs vector inputs, not the "
@@ -314,20 +315,12 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
 
     rho_local, used, exceeds = None, 0, False
     if hypothesis_set is not None and t is not None:
-        if t < 0:
-            raise ConfigurationError("t must be nonnegative")
-        if t == 0:
-            sample = geometry.cone_directions(hypothesis_set, beta_nat, n_dirs,
-                                              derive_seed(seed, "mismatch-dirs"))
-        else:
-            sample = geometry.sphere_slice_directions(
-                hypothesis_set, beta_nat, t, n_dirs,
-                derive_seed(seed, "mismatch-dirs"))
-        if sample.directions.shape[0] == 0:
+        dirs = geometry.sample_directions(hypothesis_set, beta_nat, t, n_dirs,
+                                          derive_seed(seed, "mismatch-dirs"))
+        if dirs.shape[0] == 0:
             exceeds = t > 0
         else:
-            rho_local = float(np.max(sample.directions @ mean_vec))
-            used = sample.directions.shape[0]
+            rho_local, used = float(np.max(dirs @ mean_vec)), dirs.shape[0]
 
     return MismatchReport(sigma=float(sigma), rho_global=rho_global,
                           rho_local=rho_local, mc_std_error=mc_std_error,

@@ -11,7 +11,6 @@ from subexp_lasso.distributions import (
     euclidean_scaled, frobenius_scaled, infinity_scaled, mt_euclidean,
     mt_infinity, operator_scaled, seminorm_eval, seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.seeding import rng_for
 
 
 def random_set(rng, p):
@@ -272,80 +271,61 @@ def test_vertices_of():
 
 
 # ---------------------------------------------------------------------------
-# Direction samplers
+# Direction sampler
 # ---------------------------------------------------------------------------
 
-def test_sphere_slice_full_acceptance_inside_ball():
+SET_KINDS = ("l1_ball", "l2_ball", "hypercube", "polytope", "lifted_psd_fro")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(SET_KINDS), p=st.integers(1, 5), n_dirs=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.just(0.0) | st.floats(1e-3, 4.0))
+def test_sample_directions_rows_are_unit_and_in_the_slice(kind, p, n_dirs, seed, t):
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.3, 3.0))
+    s = {"l1_ball": lambda: geo.l1_ball(radius, p),
+         "l2_ball": lambda: geo.l2_ball(radius, p, 0.3 * rng.standard_normal(p)),
+         "hypercube": lambda: geo.hypercube(radius, p),
+         "polytope": lambda: geo.polytope(rng.standard_normal((int(rng.integers(1, 8)), p))),
+         "lifted_psd_fro": lambda: geo.lifted_psd_fro(radius, p)}[kind]()
+    # a point of the set, on its boundary when the draw lands outside
+    center = geo.project(s, rng.standard_normal(s.ambient)).ravel()
+    dirs = geo.sample_directions(s, center, t, n_dirs, seed)
+    assert dirs.ndim == 2 and dirs.shape[1] == center.size
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+    for v in dirs:
+        assert geo.contains(s, (center + t * v).reshape(s.ambient))
+
+
+def test_sample_directions_keeps_every_draw_inside_an_l2_ball():
+    # t below the distance 1 to the boundary: every projected draw lies
+    # farther than t from the center, and no two share a direction
     s = geo.l2_ball(1.0, 5)
-    sample = geo.sphere_slice_directions(s, np.zeros(5), 0.5, 100, 7)
-    assert sample.acceptance_rate == pytest.approx(1.0)
-    assert sample.directions.shape[0] >= 100
-    nrm = np.linalg.norm(sample.directions, axis=1)
-    assert np.allclose(nrm, 1.0, atol=1e-12)
+    for t in (0.0, 0.5):
+        dirs = geo.sample_directions(s, np.zeros(5), t, 100, 7)
+        assert dirs.shape == (100, 5)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_dirs", [0, -1, 2.5])
+def test_sample_directions_rejects_a_count_below_one(n_dirs):
+    with pytest.raises(ConfigurationError, match="n_dirs"):
+        geo.sample_directions(geo.l2_ball(2.0, 3), np.zeros(3), 0.5, n_dirs, 0)
+
+
+@pytest.mark.parametrize("t", [-0.1, math.nan])
+def test_sample_directions_rejects_a_negative_or_nan_scale(t):
+    with pytest.raises(ConfigurationError, match="t must be >= 0"):
+        geo.sample_directions(geo.l2_ball(2.0, 3), np.zeros(3), t, 10, 0)
 
 
 def test_sphere_slice_membership_recheck_at_vertex():
     s = geo.l1_ball(1.0, 4)
     center = np.eye(4)[0]
-    sample = geo.sphere_slice_directions(s, center, 0.1, 64, 8)
-    for v in sample.directions:
+    dirs = geo.sample_directions(s, center, 0.1, 64, 8)
+    assert dirs.shape[0] > 0
+    for v in dirs:
         assert np.abs(center + 0.1 * v).sum() <= 1.0 + 1e-8
-
-
-def test_sphere_slice_acceptance_strictly_between_zero_and_one():
-    s = geo.l1_ball(1.0, 20)
-    center = 0.999 * np.eye(20)[0]
-    sample = geo.sphere_slice_directions(s, center, 0.1, 200, 9)
-    assert 0.0 < sample.acceptance_rate < 1.0
-
-
-def slice_rows_oracle(s, center, t, n_dirs, seed):
-    """The rejection-sampled rows of sphere_slice_directions, one `contains`
-    call per candidate."""
-    rng = rng_for(seed, "sphere-slice")
-    accepted, attempts = [], 0
-    batch = max(n_dirs, 64)
-    while len(accepted) < n_dirs and attempts < max(50 * n_dirs, 2000):
-        u = rng.standard_normal((batch, center.size))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        attempts += batch
-        for row in u:
-            if geo.contains(s, center + t * row.reshape(center.shape)):
-                accepted.append(row)
-                if len(accepted) >= n_dirs:
-                    break
-    return np.array(accepted).reshape(-1, center.size)
-
-
-@pytest.mark.parametrize("s,center,t,n_dirs", [
-    (geo.l1_ball(1.0, 20), 0.5 * np.eye(20)[0], 0.15, 200),
-    (geo.l1_ball(2.0, 6), np.full(6, 0.2), 0.5, 64),
-    (geo.l2_ball(1.0, 5, center=np.full(5, 0.1)), np.full(5, 0.3), 0.7, 100),
-    (geo.hypercube(0.5, 15), np.full(15, 0.45), 0.2, 30),
-    (geo.polytope(np.vstack([np.eye(3), -np.eye(3)]) * 0.7), np.zeros(3), 0.5, 40),
-    (geo.lifted_psd_fro(1.0, 3), 0.3 * np.eye(3), 0.2, 20),
-])
-def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
-                                                              n_dirs):
-    rows = slice_rows_oracle(s, center, t, n_dirs, 11)
-    sample = geo.sphere_slice_directions(s, center, t, n_dirs, 11)
-    assert rows.shape[0] > 0
-    assert np.array_equal(sample.directions[:rows.shape[0]], rows)
-
-
-def test_sphere_slice_tests_no_row_past_the_last_acceptance(monkeypatch):
-    # the octahedron 0.7 (+-e_j): every candidate that is not a vertex costs
-    # one projection, and the per-row oracle stops at the 40th acceptance
-    # after 202 projections in all (the center check and the 6 vertex
-    # directions included); testing whole batches ran 263
-    s = geo.polytope(np.vstack([np.eye(3), -np.eye(3)]) * 0.7)
-    calls = []
-    project = geo.project
-    monkeypatch.setattr(geo, "project", lambda *a: calls.append(1) or project(*a))
-    sample = geo.sphere_slice_directions(s, np.zeros(3), 0.5, 40, 11)
-    assert len(calls) <= 202
-    rows = slice_rows_oracle(s, np.zeros(3), 0.5, 40, 11)
-    assert np.array_equal(sample.directions[:rows.shape[0]], rows)
 
 
 def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):
@@ -388,13 +368,13 @@ def test_contains_rows_lifted_matches_per_row_formulas():
 
 def test_sphere_slice_requires_feasible_center():
     with pytest.raises(ConfigurationError):
-        geo.sphere_slice_directions(geo.l1_ball(1.0, 3), np.ones(3), 0.1, 10, 0)
+        geo.sample_directions(geo.l1_ball(1.0, 3), np.ones(3), 0.1, 10, 0)
 
 
 def test_cone_directions_interior_apex_covers_sphere():
     s = geo.l2_ball(1.0, 3)
-    small = geo.cone_directions(s, np.zeros(3), 50, 10)
-    dense = geo.cone_directions(s, np.zeros(3), 800, 10)
+    small = geo.sample_directions(s, np.zeros(3), 0.0, 50, 10)
+    dense = geo.sample_directions(s, np.zeros(3), 0.0, 800, 10)
 
     def min_angle_stat(dirs, probes):
         cosines = probes @ dirs.T
@@ -403,39 +383,38 @@ def test_cone_directions_interior_apex_covers_sphere():
     rng = np.random.default_rng(11)
     probes = rng.standard_normal((200, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    assert min_angle_stat(dense.directions, probes) \
-        <= min_angle_stat(small.directions, probes)
+    assert min_angle_stat(dense, probes) <= min_angle_stat(small, probes)
     # densifying shrinks the worst gap
-    gaps = np.arccos(np.clip(np.max(probes @ dense.directions.T, axis=1), -1, 1))
+    gaps = np.arccos(np.clip(np.max(probes @ dense.T, axis=1), -1, 1))
     assert float(np.max(gaps)) < 0.5
 
 
 def test_cone_directions_at_polytope_vertex():
     square = geo.polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    sample = geo.cone_directions(square, np.zeros(2), 100, 12)
+    dirs = geo.sample_directions(square, np.zeros(2), 0.0, 100, 12)
     # all directions must have nonnegative inner product with inward edges
     for edge in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        assert np.all(sample.directions @ edge >= -1e-9)
+        assert np.all(dirs @ edge >= -1e-9)
 
 
 def test_cone_directions_l1_vertex_edges():
     s = geo.l1_ball(1.0, 2)
     apex = np.eye(2)[0]
-    sample = geo.cone_directions(s, apex, 300, 13)
+    dirs = geo.sample_directions(s, apex, 0.0, 300, 13)
     edges = np.array([[-1.0, 1.0], [-1.0, -1.0]]) / np.sqrt(2.0)
     # every direction lies inside the wedge spanned by the two edges
-    angles = np.arccos(np.clip(sample.directions @ edges.T, -1, 1))
+    angles = np.arccos(np.clip(dirs @ edges.T, -1, 1))
     wedge = np.arccos(float(edges[0] @ edges[1]))
     assert np.all(np.min(angles, axis=1) <= wedge + 1e-9)
     # the extreme edge directions themselves are present (vertex augmentation)
     for e in edges:
-        assert np.min(np.linalg.norm(sample.directions - e, axis=1)) < 1e-9
+        assert np.min(np.linalg.norm(dirs - e, axis=1)) < 1e-9
 
 
 def test_cone_directions_degenerate_set():
-    singleton = geo.polytope([[1.0, 2.0]])
-    sample = geo.cone_directions(singleton, np.array([1.0, 2.0]), 10, 14)
-    assert sample.degenerate and sample.directions.shape[0] == 0
+    for apex in ([1.0, 2.0], [0.0, 0.0]):
+        singleton = geo.polytope([apex])
+        assert geo.sample_directions(singleton, np.array(apex), 0.0, 10, 14).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_certificate_equals_the_per_direction_excess_risks(kind):
     else:  # a flat p x p target in the lifted set
         s, beta_nat = geometry.lifted_psd_fro(2.0, p), np.outer(beta0, beta0).ravel()
     rep = harness.excess_certificate(ds, s, beta_nat, t, 64, 22)
-    dirs = geometry.sphere_slice_directions(s, beta_nat, t, 64, 22).directions
+    dirs = geometry.sample_directions(s, beta_nat, t, 64, 22)
     per_direction = [solver.excess_risk(ds, beta_nat + t * v, beta_nat) for v in dirs]
     assert rep.sampled_directions == len(dirs) > 0
     assert rep.min_excess == pytest.approx(min(per_direction), rel=1e-12, abs=1e-15)
@@ -226,6 +226,17 @@ def test_certificate_empty_slice_flag():
     s = geometry.l2_ball(0.5, 2)
     rep = harness.excess_certificate(ds, s, beta0, 2.0, 32, 16)
     assert rep.empty_slice and not rep.positive
+
+
+@pytest.mark.parametrize("n_dirs", [0, -1])
+def test_certificate_rejects_a_direction_count_below_one(n_dirs):
+    # the slice at t = 0.5 of this ball is not empty: a count below one
+    # is an error, not an empty slice
+    beta0 = np.array([0.5, 0.0, 0.0])
+    ds = generate_dataset(ObservationModel("linear", beta0),
+                          DistributionSpec("gaussian", 3), 20, 17)
+    with pytest.raises(ConfigurationError, match="n_dirs"):
+        harness.excess_certificate(ds, geometry.l2_ball(2.0, 3), beta0, 0.5, n_dirs, 18)
 
 
 # ---------------------------------------------------------------------------

@@ -55,3 +55,34 @@ def test_the_checker_finds_imports_and_attribute_reads():
 def test_no_module_uses_another_modules_private_names(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert foreign_private_names(source, module) == []
+
+
+def broad_handlers(source: str) -> list:
+    """The line of each `except:` or `except Exception` handler in `source`,
+    `Exception` or `BaseException` caught alone or in a tuple."""
+    broad = {"Exception", "BaseException"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any(c is None or (isinstance(c, ast.Name) and c.id in broad)
+                   for c in caught):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_handler_checker_finds_broad_handlers():
+    source = ("try:\n    pass\nexcept:\n    pass\n"
+              "try:\n    pass\nexcept (ValueError, Exception) as exc:\n    pass\n"
+              "try:\n    pass\nexcept BaseException:\n    raise\n"
+              "try:\n    pass\nexcept (OSError, ValueError):\n    pass\n"
+              "try:\n    pass\nexcept errors.Exception:\n    pass\n")
+    assert broad_handlers(source) == [3, 7, 11]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_catches_every_exception(path):
+    # an error raised in the package reaches the caller: no handler swallows
+    # every exception
+    assert broad_handlers(path.read_text(encoding="utf-8")) == []

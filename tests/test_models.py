@@ -403,15 +403,15 @@ def test_mismatch_scale_equivariance():
     spec = DistributionSpec("laplace", 2)
     base = ObservationModel("single_index", beta0, link="tanh")
     rep1 = mismatch_report(base, spec, 0.3 * beta0, mc_budget=200_000, seed=24)
-    # tripled outputs on the same seeds: y' = 3 tanh(z), target scaled alike
-    ds_pairs = []
-    for idx in range(2):
-        ds = generate_dataset(base, spec, 200_000, derive_seed(24, "mismatch", idx))
-        ds_pairs.append(ds)
-    xi3 = np.concatenate([3 * ds.outputs - ds.inputs @ (3 * 0.3 * beta0)
-                          for ds in ds_pairs])
-    sigma3 = psi_norm_estimate(xi3, alpha=1).value
-    assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=0.05)
+    # tripled outputs on mismatch_report's own partitions (beta0 has full
+    # support, so each is generate_dataset's stream): y' = 3 tanh(z), target
+    # scaled alike; the draws are shared, so only rounding separates the sides
+    xi3 = []
+    for chunk_seed, m in partitions(200_000, 24, "mismatch"):
+        ds = generate_dataset(base, spec, m, chunk_seed)
+        xi3.append(3 * ds.outputs - ds.inputs @ (3 * 0.3 * beta0))
+    sigma3 = psi_norm_estimate(np.concatenate(xi3), alpha=1).value
+    assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=1e-12)
 
 
 def _full_draw_mismatch(model, spec, beta_nat, mc_budget, seed):
@@ -594,6 +594,15 @@ def test_mismatch_scale_exceeds_diameter_flag():
     rep = mismatch_report(model, spec, np.zeros(2), hypothesis_set=s, t=5.0,
                           mc_budget=10_000, seed=25)
     assert rep.scale_exceeds_diameter and rep.rho_local is None
+
+
+def test_mismatch_rejects_a_direction_count_below_one():
+    beta0 = np.array([1.0, 0.0])
+    model = ObservationModel("linear", beta0)
+    with pytest.raises(ConfigurationError, match="n_dirs"):
+        mismatch_report(model, DistributionSpec("gaussian", 2), beta0,
+                        hypothesis_set=geometry.l2_ball(2.0, 2), t=0.5,
+                        mc_budget=2_000, seed=27, n_dirs=0)
 
 
 def test_sparse_vector_properties():

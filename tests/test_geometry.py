@@ -11,6 +11,7 @@ from subexp_lasso.distributions import (
     euclidean_scaled, frobenius_scaled, infinity_scaled, mt_euclidean,
     mt_infinity, operator_scaled, seminorm_eval, seminorm_rows, zero_norm)
 from subexp_lasso.errors import ConfigurationError
+from subexp_lasso.seeding import rng_for
 
 
 def random_set(rng, p):
@@ -326,6 +327,55 @@ def test_sphere_slice_membership_recheck_at_vertex():
     assert dirs.shape[0] > 0
     for v in dirs:
         assert np.abs(center + 0.1 * v).sum() <= 1.0 + 1e-8
+
+
+def slice_rows_oracle(s, center, t, n_dirs, seed):
+    """The rows of sample_directions, one candidate point at a time: the
+    vertices of a polytopal set, then the projection of each Gaussian draw;
+    a point within t of the center, or a direction within the angular tolerance
+    of an earlier row, is passed over."""
+    flat = np.asarray(center, dtype=float).ravel()
+    rng = rng_for(seed, "directions")
+    scale = (2.0 * float(np.linalg.norm(s.vertices, axis=1).max()) or 1.0
+             if s.kind == "polytope" else 2.0 * s.radius)
+    g = rng.standard_normal((n_dirs, flat.size))
+    r = np.exp(rng.uniform(np.log(max(t, 1e-3 * scale)),
+                           np.log(3.0 * max(scale, t)), size=n_dirs))
+    polytopal = s.kind in ("polytope", "l1_ball") or (s.kind == "hypercube" and s.p <= 12)
+    points = list(geo.vertices_of(s)) if polytopal else []
+    for row, radius in zip(g, r):
+        draw = flat + radius * row / np.linalg.norm(row)
+        points.append(geo.project(s, draw.reshape(s.ambient)).ravel())
+    rows = []
+    for w in points:
+        d = w - flat
+        n = float(np.linalg.norm(d))
+        if n <= max(t, 1e-12):
+            continue
+        d = d / n
+        if any(float(u @ d) >= np.cos(geo.ANGULAR_DEDUP_TOL) for u in rows):
+            continue
+        rows.append(d)
+    return np.array(rows).reshape(-1, flat.size)
+
+
+@pytest.mark.parametrize("s,center,t,n_dirs", [
+    (geo.l1_ball(1.0, 20), 0.5 * np.eye(20)[0], 0.15, 200),
+    (geo.l1_ball(2.0, 6), np.full(6, 0.2), 0.5, 64),
+    (geo.l2_ball(1.0, 5, center=np.full(5, 0.1)), np.full(5, 0.3), 0.7, 100),
+    (geo.hypercube(0.5, 15), np.full(15, 0.45), 0.2, 30),
+    (geo.polytope(np.vstack([np.eye(3), -np.eye(3)]) * 0.7), np.zeros(3), 0.5, 40),
+    (geo.lifted_psd_fro(1.0, 3), 0.3 * np.eye(3), 0.2, 20),
+])
+def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
+                                                              n_dirs):
+    rows = slice_rows_oracle(s, center, t, n_dirs, 11)
+    dirs = geo.sample_directions(s, center, t, n_dirs, 11)
+    assert rows.shape[0] > 0
+    assert dirs.shape == rows.shape
+    assert np.allclose(dirs, rows, rtol=0.0, atol=1e-12)
+    for v in dirs:
+        assert geo.contains(s, (center.ravel() + t * v).reshape(s.ambient))
 
 
 def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):

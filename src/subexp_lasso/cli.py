@@ -26,8 +26,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default="table",
-                   choices=("csv", "jsonl", "table"))
+    p.add_argument("--format", default="table", choices=harness.FORMATS)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the trials of `experiment`")
 
@@ -50,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=descr)
         if name == "report":
             p.add_argument("records", help="records CSV emitted by `experiment`")
-            p.add_argument("--format", default="table",
-                           choices=("csv", "jsonl", "table"))
+            p.add_argument("--format", default="table", choices=harness.FORMATS)
             p.add_argument("--out", default=None)
         else:
             _add_common(p)

@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,7 @@ from .models import (Dataset, Noise, ObservationModel, generate_dataset,
                      sparse_vector, target_scale_mu)
 from .seeding import derive_seed
 
-RESULT_COLUMNS = ("experiment", "n", "trial", "error", "runtime_ms",
-                  "converged", "seed", "iterations")
+FORMATS = ("csv", "jsonl", "table")
 
 TARGET_RULES = ("beta0", "mu_beta0", "erm_mc", "explicit")
 
@@ -185,14 +184,20 @@ def erm_mc_target(config: ExperimentConfig) -> np.ndarray:
 
 @dataclass
 class TrialRecord:
-    experiment: str
-    n: int
-    trial: int
-    error: float
-    runtime_ms: float
-    converged: bool
-    seed: int
-    iterations: Optional[int] = None   # None when parsed from a 7-column CSV
+    """One (n, trial) cell.  The fields, in order, are the record columns of
+    every emitter and the parser: `read` reads a CSV cell back, `fmt` is a
+    float's table format, and a field with a default may be absent (None)."""
+    experiment: str = field(metadata={"read": str})
+    n: int = field(metadata={"read": int})
+    trial: int = field(metadata={"read": int})
+    error: float = field(metadata={"read": float, "fmt": ".6g"})
+    runtime_ms: float = field(metadata={"read": float, "fmt": ".2f"})
+    converged: bool = field(metadata={"read": {"true": True, "false": False}.__getitem__})
+    seed: int = field(metadata={"read": int})
+    iterations: Optional[int] = field(default=None, metadata={"read": int})
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass
@@ -264,7 +269,7 @@ def aggregate_records(records) -> dict:
     """Error quantiles and iteration counts per n.
 
     The iteration entries are None when any record of that n lacks its
-    count (records parsed from a 7-column CSV).
+    count (records parsed from a CSV without the iterations column).
     """
     by_n: dict = {}
     for r in records:
@@ -400,17 +405,13 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
 # Emission and round-tripping
 # ---------------------------------------------------------------------------
 
-def records_to_rows(records) -> list:
-    return [[r.experiment, r.n, r.trial, repr(r.error), repr(r.runtime_ms),
-             "true" if r.converged else "false", r.seed, r.iterations]
-            for r in records]
-
-
 def emit(result, fmt: str = "csv", out=None) -> str:
     """Render records (or a report object) as csv / jsonl / table text.
 
     Writes to `out` (path or file object) when given; returns the text.
     """
+    if fmt not in FORMATS:
+        raise ConfigurationError(f"unknown format {fmt!r}")
     if isinstance(result, ExperimentResult):
         text = _emit_records(result.records, fmt)
     elif isinstance(result, PhaseTransitionResult):
@@ -427,24 +428,25 @@ def emit(result, fmt: str = "csv", out=None) -> str:
 
 
 def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """CSV lines ending in "\n", each written ending "\r\n" so that "\r" cells are quoted."""
+    def line(row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        return buf.getvalue()[:-2] + "\n"
+    return "".join(map(line, rows))
 
 
 def _emit_records(records, fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_text([RESULT_COLUMNS] + records_to_rows(records))
+    """A csv or table cell is the value's str (a table float in its column's
+    `fmt`), lower-cased for a bool, and empty (csv) or `-` (table) for None."""
     if fmt == "jsonl":
         return "\n".join(json.dumps(asdict(r)) for r in records) + "\n"
-    if fmt == "table":
-        rows = [list(RESULT_COLUMNS)]
-        rows += [[r.experiment, str(r.n), str(r.trial), f"{r.error:.6g}",
-                  f"{r.runtime_ms:.2f}", str(r.converged).lower(), str(r.seed),
-                  str(r.iterations)]
-                 for r in records]
-        return format_table(rows)
-    raise ConfigurationError(f"unknown format {fmt!r}")
+    table = fmt == "table"
+    fmts = [f.metadata.get("fmt", "") if table else "" for f in fields(TrialRecord)]
+    rows = [list(RESULT_COLUMNS)] + [
+        [("-" if table else "") if v is None else str(v).lower() if isinstance(v, bool)
+         else format(v, spec) for v, spec in zip(astuple(r), fmts)] for r in records]
+    return format_table(rows) if table else _csv_text(rows)
 
 
 def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
@@ -480,30 +482,28 @@ def format_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# one reader per RESULT_COLUMNS entry; `converged` is true or false only
-_CELL_READERS = (str, int, int, float, float, {"true": True, "false": False}.__getitem__,
-                 int, lambda cell: int(cell) if cell else None)
-
-
 def parse_records_csv(text_or_path) -> list:
     """Inverse of the csv emitter; returns TrialRecord objects.
 
     A non-empty string without a newline is a path, anything else CSV text.
-    The 7-column header written before the iterations column was added is
-    accepted too; its records have iterations None.
+    The header is a prefix of RESULT_COLUMNS that keeps every column without
+    a default; a defaulted column that is missing or empty reads as None.
     """
     text = text_or_path
     if text and "\n" not in text:
         try:
-            with open(text, encoding="utf-8") as fh:
+            with open(text, encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except FileNotFoundError as exc:
             raise ConfigurationError(f"records CSV {text!r} does not exist") from exc
-    reader = csv.reader(io.StringIO(text))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"records CSV {text!r} cannot be read: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
         raise ConfigurationError("records CSV is empty")
-    if tuple(header) not in (RESULT_COLUMNS, RESULT_COLUMNS[:-1]):
+    required = sum(f.default is MISSING for f in fields(TrialRecord))
+    if len(header) < required or tuple(header) != RESULT_COLUMNS[:len(header)]:
         raise ConfigurationError("unexpected result CSV header")
     records = []
     for row in filter(None, reader):
@@ -511,12 +511,13 @@ def parse_records_csv(text_or_path) -> list:
             raise ConfigurationError(f"records CSV line {reader.line_num}: "
                                      f"{len(row)} fields, expected {len(header)}")
         cells = []
-        for column, read, cell in zip(header, _CELL_READERS, row):
+        for f, cell in zip(fields(TrialRecord), row):
             try:
-                cells.append(read(cell))
+                cells.append(None if cell == "" and f.default is None
+                             else f.metadata["read"](cell))
             except (KeyError, ValueError) as exc:
                 raise ConfigurationError(f"records CSV line {reader.line_num}, column "
-                                         f"{column}: cannot read {cell!r}") from exc
+                                         f"{f.name}: cannot read {cell!r}") from exc
         records.append(TrialRecord(*cells))
     return records
 

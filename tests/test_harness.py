@@ -1,7 +1,11 @@
+import csv
+import io
 import json
 import math
 import os
 import re
+import tempfile
+import typing
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -363,8 +367,12 @@ def test_jsonl_and_table_formats():
     assert len(jl.strip().splitlines()) == 2
     table = harness.emit(res, "table")
     assert table.splitlines()[0].startswith("experiment")
-    with pytest.raises(ConfigurationError):
-        harness.emit(res, "xml")
+    # reports and phase results rendered an unknown format as a table
+    phase = harness.PhaseTransitionResult((1,), (20,), np.ones((1, 1)), "auto",
+                                          np.zeros((1, 1)))
+    for result in (res, harness.CertificateReport(0.5, 10, 0.1, True), phase):
+        with pytest.raises(ConfigurationError, match="unknown format 'xml'"):
+            harness.emit(result, "xml")
 
 
 def test_jsonl_records_carry_the_result_columns():
@@ -390,6 +398,101 @@ def test_parse_records_csv_bad_input(tmp_path):
     empty.write_text("")
     with pytest.raises(ConfigurationError, match="empty"):
         main(["report", str(empty)])
+    # a directory raised IsADirectoryError, a Latin-1 file UnicodeDecodeError
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes((",".join(harness.RESULT_COLUMNS)
+                       + "\ncaf\xe9,20,0,0.5,1.0,true,7,3\n").encode("latin-1"))
+    for path in (str(tmp_path), str(latin)):
+        message = re.escape(f"records CSV {path!r} cannot be read")
+        with pytest.raises(ConfigurationError, match=message):
+            harness.parse_records_csv(path)
+        with pytest.raises(ConfigurationError, match=message):
+            main(["report", path])
+    # a lone "\r" outside quotes ends a row; it raised the csv module's Error
+    lone_cr = ",".join(harness.RESULT_COLUMNS) + "\nun\rit,20,0,0.5,1.0,true,7,3\n"
+    with pytest.raises(ConfigurationError, match="line 2: 1 fields, expected 8"):
+        harness.parse_records_csv(lone_cr)
+
+
+def record_strategy():
+    """TrialRecords drawn field by field from fields(TrialRecord): names with
+    commas, quotes and line breaks, integers up to 2**64 - 1, floats with
+    -0.0, subnormals, infinities and NaN, and None for an optional field."""
+    names = st.text(st.sampled_from(',"\r\n ') | st.characters(), max_size=12)
+    floats = st.sampled_from([-0.0, 5e-324, -2.5e-310, math.inf, -math.inf]) | st.floats()
+    by_type = {str: names, int: st.integers(0, 2**64 - 1), float: floats,
+               bool: st.booleans()}
+    hints = typing.get_type_hints(harness.TrialRecord)
+
+    def values(f):
+        kind = hints[f.name]
+        if typing.get_origin(kind) is typing.Union:  # Optional[...]
+            return st.none() | by_type[typing.get_args(kind)[0]]
+        return by_type[kind]
+
+    return st.builds(harness.TrialRecord,
+                     **{f.name: values(f) for f in fields(harness.TrialRecord)})
+
+
+def cut_columns(text, k):
+    """The CSV text with only its first k columns, every cell quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+        row[:k] for row in csv.reader(io.StringIO(text)))
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(record_strategy(), min_size=1, max_size=4))
+@example([harness.TrialRecord('a,"b"\r\nc\rd', 1, 0, -0.0, math.inf, True, 2**64 - 1),
+          harness.TrialRecord("", 0, 2**64 - 1, 5e-324, -math.inf, False, 0, 0)])
+def test_records_round_trip_every_format_and_header_length(records):
+    # every column comes from fields(TrialRecord), so a new column is covered
+    # here without an edit; repr tells -0.0 from 0.0 and compares NaN
+    result = harness.ExperimentResult(records, {}, None, None, "")
+    text = harness.emit(result, "csv")
+    columns = fields(harness.TrialRecord)
+    required = sum(f.default is MISSING for f in columns)
+    assert repr(harness.parse_records_csv(text)) == repr(records)
+    with tempfile.TemporaryDirectory() as tmp:  # the path branch keeps "\r" too
+        path = os.path.join(tmp, "records.csv")
+        harness.emit(result, "csv", path)
+        assert repr(harness.parse_records_csv(path)) == repr(records)
+    for k in range(required, len(columns) + 1):
+        cut = cut_columns(text, k)
+        parsed = harness.parse_records_csv(cut)
+        assert repr(parsed) == repr([replace(r, **{f.name: None for f in columns[k:]})
+                                     for r in records])
+        again = harness.emit(harness.ExperimentResult(parsed, {}, None, None, ""), "csv")
+        assert cut_columns(again, k) == cut
+        if k == len(columns):
+            assert again == text
+    for k in range(1, required):
+        with pytest.raises(ConfigurationError, match="unexpected result CSV header"):
+            harness.parse_records_csv(cut_columns(text, k))
+    body = text.split("\n", 1)[1]
+    for header in (harness.RESULT_COLUMNS[::-1],
+                   harness.RESULT_COLUMNS[1:] + harness.RESULT_COLUMNS[:1]):
+        with pytest.raises(ConfigurationError, match="unexpected result CSV header"):
+            harness.parse_records_csv(",".join(header) + "\n" + body)
+
+    lines = harness.emit(result, "jsonl").rstrip("\n").split("\n")
+    assert len(lines) == len(records)
+    assert [repr(harness.TrialRecord(**json.loads(line))) for line in lines] == \
+        [repr(r) for r in records]
+
+    def cell(value, f):
+        if value is None:
+            return "-"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, f.metadata["fmt"]) if "fmt" in f.metadata else str(value)
+
+    rows = [[cell(getattr(r, f.name), f) for f in columns] for r in records]
+    assert harness.emit(result, "table") == harness.format_table(
+        [list(harness.RESULT_COLUMNS)] + rows)
+    hints = typing.get_type_hints(harness.TrialRecord)
+    assert all("fmt" in f.metadata for f in columns if hints[f.name] is float)
 
 
 def test_emit_report_object():
@@ -1028,10 +1131,20 @@ def test_one_column_matrix_files_stay_matrices(tmp_path):
     assert np.array_equal(load_yaml(tmp_path, text).hypothesis_set.vertices, col)
 
 
-def readme_config_text():
+def readme_text():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        return fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+        return fh.read()
+
+
+def readme_config_text():
+    return readme_text().split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_records_schema_is_the_record_columns():
+    after = readme_text().split("Records CSV schema", 1)[1]
+    assert after.split("```\n", 1)[1].split("```", 1)[0] == \
+        ",".join(harness.RESULT_COLUMNS) + "\n"
 
 
 @pytest.mark.parametrize("libyaml", [

@@ -422,8 +422,12 @@ def emit(result, fmt: str = "csv", out=None) -> str:
         if hasattr(out, "write"):
             out.write(text)
         else:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:  # encoded first, so a failure leaves no file behind
+                data = text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigurationError(f"cannot write {out!r}: {exc}") from exc
+            with open(out, "wb") as fh:
+                fh.write(data)
     return text
 
 
@@ -499,26 +503,29 @@ def parse_records_csv(text_or_path) -> list:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"records CSV {text!r} cannot be read: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ConfigurationError("records CSV is empty")
-    required = sum(f.default is MISSING for f in fields(TrialRecord))
-    if len(header) < required or tuple(header) != RESULT_COLUMNS[:len(header)]:
-        raise ConfigurationError("unexpected result CSV header")
-    records = []
-    for row in filter(None, reader):
-        if len(row) != len(header):
-            raise ConfigurationError(f"records CSV line {reader.line_num}: "
-                                     f"{len(row)} fields, expected {len(header)}")
-        cells = []
-        for f, cell in zip(fields(TrialRecord), row):
-            try:
-                cells.append(None if cell == "" and f.default is None
-                             else f.metadata["read"](cell))
-            except (KeyError, ValueError) as exc:
-                raise ConfigurationError(f"records CSV line {reader.line_num}, column "
-                                         f"{f.name}: cannot read {cell!r}") from exc
-        records.append(TrialRecord(*cells))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ConfigurationError("records CSV is empty")
+        required = sum(f.default is MISSING for f in fields(TrialRecord))
+        if len(header) < required or tuple(header) != RESULT_COLUMNS[:len(header)]:
+            raise ConfigurationError("unexpected result CSV header")
+        records = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ConfigurationError(f"records CSV line {reader.line_num}: "
+                                         f"{len(row)} fields, expected {len(header)}")
+            cells = []
+            for f, cell in zip(fields(TrialRecord), row):
+                try:
+                    cells.append(None if cell == "" and f.default is None
+                                 else f.metadata["read"](cell))
+                except (KeyError, ValueError) as exc:
+                    raise ConfigurationError(f"records CSV line {reader.line_num}, column "
+                                             f"{f.name}: cannot read {cell!r}") from exc
+            records.append(TrialRecord(*cells))
+    except csv.Error as exc:  # a cell past the csv module's field size limit
+        raise ConfigurationError(f"records CSV line {reader.line_num}: {exc}") from exc
     return records
 
 

@@ -9,7 +9,8 @@ linearly: the deviation (psi_1 proxy of y - <x, beta>), the global covariance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -185,23 +186,26 @@ def lift_centering(spec: DistributionSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetScale:
+    """A target scale, its standard error and its draws: (value, 0.0, 0) if exact."""
     value: float
     std_error: float
     budget: int
 
 
-def _mc_scale(mc_budget: int, seed: int, domain: str, chunk) -> TargetScale:
-    """Mean of `chunk(rng, m)` (an (m,) array) over mc_budget draws, with the
-    standard error of the mean: the fsum of each partition's sums, in
-    partition order."""
-    sums, sumsqs = [], []
-    for child, m in partitions(mc_budget, seed, domain):
-        values = np.asarray(chunk(np.random.default_rng(child), m), dtype=float)
-        sums.append(float(values.sum()))
-        sumsqs.append(float((values ** 2).sum()))
-    mean = math.fsum(sums) / mc_budget
-    var = max(math.fsum(sumsqs) / mc_budget - mean ** 2, 0.0)
-    return TargetScale(mean, math.sqrt(var / mc_budget), mc_budget)
+@cache
+def _gauss_legendre_table():
+    from numpy.polynomial.legendre import leggauss  # 3.6 ms: loaded on first use
+    x, w = leggauss(128)
+    z = 6.0 * (x + 1.0)  # [-1, 1] onto [0, 12]
+    return z, 6.0 * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _gaussian_mean(g) -> float:
+    """E[g(Z)] for standard normal Z: 128-node Gauss-Legendre on [0, 12] of
+    (g(z) + g(-z)) phi(z).  The kinks of sign, relu and abs at 0 fall on an
+    end of the interval, and the tail past 12 is below 1e-28."""
+    z, w = _gauss_legendre_table()
+    return float(w @ (g(z) + g(-z)))
 
 
 def _latent_restriction(spec: DistributionSpec, *vectors):
@@ -220,48 +224,47 @@ def _latent_restriction(spec: DistributionSpec, *vectors):
 
 def target_scale_mu(model: ObservationModel, spec: DistributionSpec,
                     mc_budget: int, seed: int) -> TargetScale:
-    """MC estimate of mu = E[f(<x, b0>) <x, b0>] / ||b0||^2 for single-index models.
+    """mu = E[f(<x, b0>) <x, b0>] / ||b0||^2 for single-index models.
 
-    Draws only what enters <x, b0> = <z_S, w_S>, S the latent support of b0
-    (`_latent_restriction`): for gaussian coordinates (a mixed spec's base
-    included) its exact marginal N(0, scale^2 ||w_S||^2), as a 1-dimensional
-    spec's coordinate times ||w_S||; for the other laws z_S.  Padding b0 with
-    zero coordinates leaves the estimate bitwise unchanged; an empty support
-    gives the exact mu = 0.
+    Only <x, b0> = <z_S, w_S> enters, S the latent support of b0
+    (`_latent_restriction`).  For gaussian coordinates (a mixed spec's base
+    included) it is N(0, s^2), s = scale ||w_S||, and `_gaussian_mean` gives
+    mu ||b0||^2 = E[f(s Z) s Z] within 1e-12 of max(|E[f(s Z) s Z]|, s^2) for
+    every link at s in [1e-3, 30], with no draws (budget 0).  Other laws take
+    the fsum of the partition sums of mc_budget draws of z_S.  Zero-padding b0
+    leaves mu bitwise unchanged; an empty support gives the exact mu = 0.
     """
     if model.kind != "single_index":
         raise ConfigurationError("target_scale_mu applies to single_index models")
     if model.p != spec.p:
         raise ConfigurationError("model/spec dimension mismatch")
+    parts = partitions(mc_budget, seed, "target-scale-mu")  # rejects mc_budget < 1
     f = LINKS[model.link]
     b0 = model.beta0
     nsq = float(b0 @ b0)
     _, sub, (w_s,) = _latent_restriction(spec, b0)
-    if sub is None:
-        # <x, b0> = 0 almost surely, and f(0) * 0 = 0 for every link
-        return _mc_scale(mc_budget, seed, "target-scale-mu",
-                         lambda rng, m: np.zeros(m))
+    if sub is None:  # <x, b0> = 0 almost surely, and f(0) * 0 = 0 for every link
+        return TargetScale(0.0, 0.0, 0)
     if sub.kind == "gaussian":
-        sub, w_s = replace(sub, p=1), np.array([np.linalg.norm(w_s)])
+        s = sub.scale * float(np.linalg.norm(w_s))
+        return TargetScale(_gaussian_mean(lambda z: f(s * z) * s * z) / nsq, 0.0, 0)
+    sums, sumsqs = [], []
+    for child, m in parts:
+        z = sample_inputs(sub, m, np.random.default_rng(child).integers(2 ** 63)) @ w_s
+        values = f(z) * z / nsq
+        sums.append(float(values.sum()))
+        sumsqs.append(float((values ** 2).sum()))
+    mean = math.fsum(sums) / mc_budget
+    var = max(math.fsum(sumsqs) / mc_budget - mean ** 2, 0.0)
+    return TargetScale(mean, math.sqrt(var / mc_budget), mc_budget)
 
-    def chunk(rng, m):
-        z = sample_inputs(sub, m, rng.integers(2 ** 63)) @ w_s
-        return f(z) * z / nsq
 
-    return _mc_scale(mc_budget, seed, "target-scale-mu", chunk)
-
-
-def lifted_target_scale(link: str, mc_budget: int, seed: int) -> TargetScale:
-    """MC estimate of (1/2) E[f(Z)(Z^2 - 1)] for standard normal Z."""
+def lifted_target_scale(link: str) -> TargetScale:
+    """(1/2) E[f(Z)(Z^2 - 1)] for standard normal Z by `_gaussian_mean`, with no draws."""
     if link not in LINKS:
         raise ConfigurationError(f"unknown link {link!r}")
     f = LINKS[link]
-
-    def chunk(rng, m):
-        z = rng.standard_normal(m)
-        return 0.5 * f(z) * (z * z - 1.0)
-
-    return _mc_scale(mc_budget, seed, "lifted-target-scale", chunk)
+    return TargetScale(0.5 * _gaussian_mean(lambda z: f(z) * (z * z - 1.0)), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,11 @@ def test_parse_records_csv_bad_input(tmp_path):
     lone_cr = ",".join(harness.RESULT_COLUMNS) + "\nun\rit,20,0,0.5,1.0,true,7,3\n"
     with pytest.raises(ConfigurationError, match="line 2: 1 fields, expected 8"):
         harness.parse_records_csv(lone_cr)
+    # a cell past the csv module's field limit raised its Error
+    long_name = harness.ExperimentResult(
+        [harness.TrialRecord("x" * 140_000, 20, 0, 0.5, 1.0, True, 7)], {}, None, None, "")
+    with pytest.raises(ConfigurationError, match="line 2: field larger than field limit"):
+        harness.parse_records_csv(harness.emit(long_name, "csv"))
 
 
 def record_strategy():
@@ -446,6 +451,7 @@ def cut_columns(text, k):
 @given(st.lists(record_strategy(), min_size=1, max_size=4))
 @example([harness.TrialRecord('a,"b"\r\nc\rd', 1, 0, -0.0, math.inf, True, 2**64 - 1),
           harness.TrialRecord("", 0, 2**64 - 1, 5e-324, -math.inf, False, 0, 0)])
+@example([harness.TrialRecord("\ud800", 1, 0, 0.5, 1.0, True, 7)])
 def test_records_round_trip_every_format_and_header_length(records):
     # every column comes from fields(TrialRecord), so a new column is covered
     # here without an edit; repr tells -0.0 from 0.0 and compares NaN
@@ -456,8 +462,15 @@ def test_records_round_trip_every_format_and_header_length(records):
     assert repr(harness.parse_records_csv(text)) == repr(records)
     with tempfile.TemporaryDirectory() as tmp:  # the path branch keeps "\r" too
         path = os.path.join(tmp, "records.csv")
-        harness.emit(result, "csv", path)
-        assert repr(harness.parse_records_csv(path)) == repr(records)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: an error naming the path, no file
+            with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
+                harness.emit(result, "csv", path)
+            assert not os.path.exists(path)
+        else:
+            harness.emit(result, "csv", path)
+            assert repr(harness.parse_records_csv(path)) == repr(records)
     for k in range(required, len(columns) + 1):
         cut = cut_columns(text, k)
         parsed = harness.parse_records_csv(cut)

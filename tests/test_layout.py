@@ -1,7 +1,10 @@
 """Module layout rules of the package, checked on the source."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -86,3 +89,15 @@ def test_no_module_catches_every_exception(path):
     # an error raised in the package reaches the caller: no handler swallows
     # every exception
     assert broad_handlers(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_loads_neither_numpy_polynomial_nor_scipy():
+    # both cost import time on every run; numpy.polynomial loads on first use
+    # of the Gaussian quadrature, and scipy is a test dependency only
+    code = ("import sys, subexp_lasso.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -11,7 +11,7 @@ from subexp_lasso import geometry, models
 from subexp_lasso.distributions import (DistributionSpec, psi_norm_estimate,
                                         sample_inputs, second_moment_matrix)
 from subexp_lasso.errors import ConfigurationError
-from subexp_lasso.models import (Dataset, Noise, ObservationModel,
+from subexp_lasso.models import (LINKS, Dataset, Noise, ObservationModel,
                                  TargetScale, _xi_moments,
                                  generate_dataset, lifted_target_scale,
                                  mismatch_report, sparse_vector,
@@ -174,17 +174,46 @@ def _mu(beta0, spec, budget, seed, link="tanh"):
     return target_scale_mu(model, spec, budget, seed)
 
 
+def quad_gaussian_mean(g, epsabs=0.0):
+    """E[g(Z)] for standard normal Z by adaptive quadrature, split at 0."""
+    def h(z):
+        return g(z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    kw = {"epsabs": epsabs, "epsrel": 1e-13, "limit": 200}
+    return quad(h, -math.inf, 0.0, **kw)[0] + quad(h, 0.0, math.inf, **kw)[0]
+
+
+@pytest.mark.parametrize("link", sorted(LINKS))
+def test_gaussian_target_scales_match_quad_for_every_link(link):
+    # a 1-dimensional gaussian spec of scale s and b0 = (1,) give
+    # mu = E[f(s Z) s Z]; the lifted scale is (1/2) E[f(Z)(Z^2 - 1)]
+    f = LINKS[link]
+    model = ObservationModel("single_index", np.array([1.0]), link=link)
+    for s in (1e-3, 0.1, 1.0, 4.0, 30.0):
+        ref = quad_gaussian_mean(lambda z: float(f(s * z)) * s * z)
+        mu = target_scale_mu(model, DistributionSpec("gaussian", 1, s), 1_000, 38)
+        assert abs(mu.value - ref) <= 1e-12 * max(abs(ref), s * s), s
+        assert (mu.std_error, mu.budget) == (0.0, 0)
+    # each half of the sign link's integral is 0: an absolute error bound
+    ref = quad_gaussian_mean(lambda z: 0.5 * float(f(z)) * (z * z - 1.0), 1e-14)
+    assert abs(lifted_target_scale(link).value - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 @pytest.mark.parametrize("budget", [1_000, MC_CHUNK + 1, 2 * MC_CHUNK + 5])
 @pytest.mark.parametrize("kind", ["gaussian", "laplace"])
 def test_mu_is_the_fsum_of_its_partition_sums(kind, budget):
-    # the replay: each partition draws <x, b0> as target_scale_mu does (the
-    # exact Gaussian marginal, or the support's Laplace coordinates), and
-    # the mean and standard error come from the fsum of the partition sums
+    # the replay: each partition draws the support's Laplace coordinates as
+    # target_scale_mu does, and the mean and standard error come from the
+    # fsum of the partition sums; a gaussian law draws nothing and gives
+    # E[tanh(s Z) s Z] / ||b0||^2 with s = 1.5 ||b0|| = 1.5 for any budget
     beta0 = np.array([0.0, 0.6, 0.0, -0.8])
     nsq = float(beta0 @ beta0)
-    sub, w = DistributionSpec(kind, 2, 1.5), beta0[[1, 3]]
     if kind == "gaussian":
-        sub, w = DistributionSpec(kind, 1, 1.5), np.array([np.linalg.norm(w)])
+        mu = _mu(beta0, DistributionSpec(kind, 4, 1.5), budget, 37)
+        ref = quad_gaussian_mean(lambda z: math.tanh(1.5 * z) * 1.5 * z) / nsq
+        assert abs(mu.value - ref) <= 1e-12 * ref
+        assert (mu.std_error, mu.budget) == (0.0, 0)
+        return
+    sub, w = DistributionSpec(kind, 2, 1.5), beta0[[1, 3]]
     sums, sumsqs = [], []
     for child, m in partitions(budget, 37, "target-scale-mu"):
         z = sample_inputs(sub, m, np.random.default_rng(child).integers(2 ** 63)) @ w
@@ -264,59 +293,55 @@ def test_mu_identity_link_is_the_coordinate_variance(spec, variance):
 ])
 def test_gaussian_mu_matches_the_gauss_hermite_oracle(spec, monkeypatch):
     # <x, b0> ~ N(0, s^2) with s = scale ||w||, so mu = E[tanh(s Z) s Z] /
-    # ||b0||^2, by 80-node Gauss-Hermite quadrature; the estimate draws that
-    # one marginal
+    # ||b0||^2, here by adaptive quadrature split at 0; nothing is drawn
     beta0 = np.array([0.6, 0.0, -0.8, 0.5])
     w = spec.mixing.T @ beta0 if spec.kind == "mixed" else beta0
-    s = spec.scale * np.linalg.norm(w)
-    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
-    oracle = (weights @ (np.tanh(s * nodes) * s * nodes)
-              / np.sqrt(2 * np.pi) / float(beta0 @ beta0))
-    dims = []
-    sample = models.sample_inputs
-
-    def recording(sub, n, seed):
-        dims.append(sub.p)
-        return sample(sub, n, seed)
-
-    monkeypatch.setattr(models, "sample_inputs", recording)
+    s = spec.scale * float(np.linalg.norm(w))
+    oracle = (quad_gaussian_mean(lambda z: math.tanh(s * z) * s * z)
+              / float(beta0 @ beta0))
+    calls = []
+    monkeypatch.setattr(models, "sample_inputs", lambda *args: calls.append(args))
     mu = _mu(beta0, spec, 200_000, 37)
-    assert abs(mu.value - oracle) <= 4 * mu.std_error
-    assert set(dims) == {1}
+    assert abs(mu.value - oracle) <= 1e-12 * oracle
+    assert calls == []
 
 
 def test_mu_is_exactly_zero_when_the_mixing_annihilates_beta0():
     M = np.array([[1.0, 2.0], [-1.0, -2.0], [0.0, 3.0]])
     spec = DistributionSpec("mixed", 3, mixing=M)
-    assert _mu([1.0, 1.0, 0.0], spec, 1_000, 33) == TargetScale(0.0, 0.0, 1_000)
+    assert _mu([1.0, 1.0, 0.0], spec, 1_000, 33) == TargetScale(0.0, 0.0, 0)
 
 
 def test_target_scales_reject_bad_budgets_and_dimensions():
-    spec = DistributionSpec("gaussian", 3)
-    with pytest.raises(ConfigurationError, match="mc_budget"):
-        _mu([1.0, 0.0, 0.0], spec, 0, 34)
-    with pytest.raises(ConfigurationError, match="mc_budget"):
-        lifted_target_scale("tanh", 0, 34)
+    # a budget below 1 is an error for every law, the exact ones included
+    mixed = DistributionSpec("mixed", 3, mixing=np.array([[1.0, 2.0], [-1.0, -2.0],
+                                                          [0.0, 3.0]]))
+    for spec, beta0 in ((DistributionSpec("gaussian", 3), [1.0, 0.0, 0.0]),
+                        (DistributionSpec("laplace", 3), [1.0, 0.0, 0.0]),
+                        (mixed, [1.0, 1.0, 0.0])):
+        with pytest.raises(ConfigurationError, match="mc_budget"):
+            _mu(beta0, spec, 0, 34)
+    with pytest.raises(ConfigurationError, match="unknown link"):
+        lifted_target_scale("nope")
     with pytest.raises(ConfigurationError, match="dimension"):
-        _mu([1.0, 0.0], spec, 1_000, 34)
+        _mu([1.0, 0.0], DistributionSpec("gaussian", 3), 1_000, 34)
 
 
 def test_lifted_scale_identity_link_is_zero():
-    est = lifted_target_scale("identity", 400_000, 12)
-    assert abs(est.value) < 4 * est.std_error + 1e-3
+    assert lifted_target_scale("identity") == TargetScale(0.0, 0.0, 0)
 
 
 def test_lifted_scale_square_link_is_one():
-    est = lifted_target_scale("square", 400_000, 13)
-    assert est.value == pytest.approx(1.0, abs=0.02)
+    est = lifted_target_scale("square")
+    assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lifted_scale_abs_link_matches_quadrature_oracle():
     oracle, _ = quad(lambda z: 0.5 * abs(z) * (z * z - 1.0) * norm.pdf(z),
                      -12, 12)
-    est = lifted_target_scale("abs", 400_000, 14)
+    est = lifted_target_scale("abs")
     assert oracle == pytest.approx(0.5 * np.sqrt(2.0 / np.pi), abs=1e-9)
-    assert est.value == pytest.approx(oracle, abs=0.01)
+    assert est.value == pytest.approx(oracle, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ def _add_common(p: argparse.ArgumentParser):
                    help="worker threads for the trials of `experiment`")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subexp-lasso",
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "certificate":
             p.add_argument("--scale", type=float, required=True,
                            help="certificate radius t")
-            p.add_argument("--dirs", type=int, default=256)
+            p.add_argument("--dirs", type=_positive_int, default=256)
     return parser
 
 

@@ -107,6 +107,29 @@ def project(s: HypothesisSet, v) -> np.ndarray:
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
+def project_rows(s: HypothesisSet, V) -> np.ndarray:
+    """`project` of each row of V (a flat or p x p matrix for the lifted set),
+    bitwise, as one array of V's shape.  l1-ball rows outside the ball share
+    one sort-and-threshold pass (Duchi et al., ICML 2008) and hypercube rows
+    one clip; other kinds go row by row through `project`."""
+    V = np.asarray(V, dtype=float)
+    if V.shape[1:] not in ([(s.p * s.p,), (s.p, s.p)] if s.is_matrix_set else [(s.p,)]):
+        raise ConfigurationError("dimension mismatch in project_rows")
+    if s.kind == "hypercube":
+        return np.clip(V, -s.radius, s.radius)
+    if s.kind != "l1_ball":
+        return np.array([project(s, v.reshape(s.ambient)) for v in V]).reshape(V.shape)
+    out = V.copy()
+    outside = ~(np.abs(V).sum(axis=1) <= s.radius)
+    A = np.abs(V[outside])
+    U = np.sort(A, axis=1)[:, ::-1]
+    css = U.cumsum(axis=1)
+    rho = s.p - (U * _ranks(s.p) > css - s.radius)[:, ::-1].argmax(axis=1)
+    theta = (css[np.arange(len(A)), rho - 1] - s.radius) / rho
+    out[outside] = np.maximum(A - theta[:, None], 0.0) * np.sign(V[outside])
+    return out
+
+
 @lru_cache(maxsize=16)
 def _ranks(d: int) -> np.ndarray:
     """Read-only float vector 1, 2, ..., d."""
@@ -296,11 +319,15 @@ def sample_directions(s: HypothesisSet, center, t: float, n_dirs: int,
     Every point w of K farther than max(t, 1e-12) from the center gives the
     direction v = (w - center) / |w - center|, and center + t v lies on the
     segment from the center to w, so in K by convexity.  The points are the
-    set's cheap vertices, then the projections of center + r g for n_dirs
-    unit Gaussian g drawn at once, with radii r log-uniform on
-    [max(t, 1e-3 D), 3 max(D, t)], D the diameter proxy.  Directions within
-    ANGULAR_DEDUP_TOL of an earlier one are dropped.  An empty (0, dim)
-    array stands for an empty slice, or for a cone of the center alone.
+    vertices of a polytopal set (not a hypercube with p > 12), then one
+    `project_rows` of center + r g for n_dirs unit Gaussian g, with radii r
+    log-uniform on [max(t, 1e-3 D), 3 max(D, t)], D the diameter proxy.  A
+    direction d is dropped if max(kept_before @ d) >= cos(ANGULAR_DEDUP_TOL);
+    only rows that a blocked Gram screen finds at a cosine >= that bound
+    less 1e-9 to an earlier row take this test.  The margin far exceeds the
+    rounding gap of gemm against gemv entries of unit vectors, so the
+    screen changes no row.  An empty (0, dim) array stands for an empty
+    slice, or for a cone of the center alone.
     """
     if not (isinstance(n_dirs, (int, np.integer)) and n_dirs >= 1):
         raise ConfigurationError(f"n_dirs must be an integer >= 1, got {n_dirs!r}")
@@ -315,18 +342,12 @@ def sample_directions(s: HypothesisSet, center, t: float, n_dirs: int,
     r = np.exp(rng.uniform(np.log(max(t, 1e-3 * scale)),
                            np.log(3.0 * max(scale, t)), size=n_dirs))
     g *= (r / np.linalg.norm(g, axis=1))[:, None]
-    W = np.array(_cheap_vertices(s)
-                 + [project(s, (flat + row).reshape(s.ambient)).ravel() for row in g]) - flat
+    polytopal = s.kind in ("polytope", "l1_ball") or (s.kind == "hypercube" and s.p <= 12)
+    W = np.vstack(([vertices_of(s)] if polytopal else []) + [project_rows(s, flat + g)])
+    W -= flat
     nrm = np.linalg.norm(W, axis=1)
     keep = nrm > max(t, 1e-12)
     return _dedup_directions(W[keep] / nrm[keep, None])
-
-
-def _cheap_vertices(s: HypothesisSet) -> list:
-    """The vertices of a polytopal set, unless it is a hypercube with p > 12."""
-    if s.kind in ("polytope", "l1_ball") or (s.kind == "hypercube" and s.p <= 12):
-        return list(vertices_of(s))
-    return []
 
 
 def _diameter_proxy(s: HypothesisSet) -> float:
@@ -336,17 +357,16 @@ def _diameter_proxy(s: HypothesisSet) -> float:
 
 
 def _dedup_directions(dirs: np.ndarray, tol: float = ANGULAR_DEDUP_TOL) -> np.ndarray:
-    if dirs.shape[0] <= 1:
-        return dirs
-    cos_tol = np.cos(tol)
-    kept = np.empty_like(dirs)
-    count = 0
-    for d in dirs:
-        if count and np.max(kept[:count] @ d) >= cos_tol:
-            continue
-        kept[count] = d
-        count += 1
-    return kept[:count]
+    m, cos_tol = dirs.shape[0], np.cos(tol)
+    keep = np.ones(m, dtype=bool)
+    rows = max(1, PAIR_BLOCK_BYTES // (8 * max(m, 1)))
+    for i in range(0, m, rows):  # the screen: cosines with all earlier rows
+        C = dirs[i:i + rows] @ dirs[:i + rows].T
+        C[np.arange(i, i + C.shape[0])[:, None] <= np.arange(C.shape[1])] = -np.inf
+        keep[i:i + rows] = C.max(axis=1) < cos_tol - 1e-9
+    for j in np.flatnonzero(~keep):  # the exact test, in order
+        keep[j] = not np.max(dirs[:j][keep[:j]] @ dirs[j]) >= cos_tol
+    return dirs[keep]
 
 
 # ---------------------------------------------------------------------------

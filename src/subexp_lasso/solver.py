@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -190,12 +191,15 @@ BACKTRACK_DELTA = 0.05  # a failed check sets L' to (1 + this) max(L', c)
 STEP_ROUNDING = 64.0  # the check's allowance, in units of eps ||w|| sigma
 
 
+@lru_cache(maxsize=16)
 def _lanczos_start(d: int) -> np.ndarray:
-    """The fixed unit start vector of _ritz_top: normalized standard normal
-    draws from seed 0, so that no structure of the data (a constant or an
-    alternating direction) can be orthogonal to it by design."""
+    """The fixed unit start vector of _ritz_top, drawn once per d, read-only:
+    normalized standard normal draws from seed 0, so that no structure of the
+    data (a constant or an alternating direction) is orthogonal to it by design."""
     q = np.random.default_rng(0).standard_normal(d)
-    return q / math.sqrt(float(q @ q))
+    q /= math.sqrt(float(q @ q))
+    q.flags.writeable = False
+    return q
 
 
 def _ritz_top(apply, d: int) -> float:

@@ -261,6 +261,64 @@ def test_support_duality_with_projection():
         assert inner == pytest.approx(h, rel=1e-4, abs=1e-6)
 
 
+SET_KINDS = ("l1_ball", "l2_ball", "hypercube", "polytope", "lifted_psd_fro")
+
+
+def make_set(kind, rng, p, radius):
+    """A set of the given kind in R^p (or p x p), drawing its data from rng."""
+    return {"l1_ball": lambda: geo.l1_ball(radius, p),
+            "l2_ball": lambda: geo.l2_ball(radius, p, 0.3 * rng.standard_normal(p)),
+            "hypercube": lambda: geo.hypercube(radius, p),
+            "polytope": lambda: geo.polytope(rng.standard_normal((int(rng.integers(1, 8)), p))),
+            "lifted_psd_fro": lambda: geo.lifted_psd_fro(radius, p)}[kind]()
+
+
+def stacked_projections(s, V):
+    return np.array([geo.project(s, v.reshape(s.ambient)).ravel()
+                     for v in V]).reshape(V.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(SET_KINDS), p=st.integers(1, 6), m=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_project_rows_equals_the_stacked_one_row_projections_bitwise(kind, p, m, seed,
+                                                                     data):
+    rng = np.random.default_rng(seed)
+    s = make_set(kind, rng, p, float(rng.uniform(0.3, 3.0)))
+    dim = p * p if s.is_matrix_set else p
+    # zero rows, rows inside and far outside, rows with tied magnitudes
+    scales = rng.choice([0.0, 0.05, 0.5, 1.0, 10.0], size=(m, 1))
+    drawn = scales * rng.standard_normal((m, dim))
+    ties = data.draw(arrays(np.float64, (int(rng.integers(0, 4)), dim),
+                            elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -2.0])
+                            | st.floats(-4.0, 4.0)))
+    # rows on the set: its projections (on the boundary from outside) and vertices
+    on = stacked_projections(s, np.vstack([drawn, ties])[:4])
+    corners = ([geo.vertices_of(s)] if kind in ("l1_ball", "polytope")
+               or (kind == "hypercube" and p <= 4) else [])
+    V = np.vstack([drawn, ties, on] + corners)
+    V = np.vstack([V, V[:3]])[rng.permutation(len(V) + min(3, len(V)))]  # repeats
+    rows = geo.project_rows(s, V)
+    assert rows.shape == V.shape
+    assert np.array_equal(rows.view(np.uint64), stacked_projections(s, V).view(np.uint64))
+    if s.is_matrix_set:
+        mats = V.reshape(-1, p, p)
+        assert np.array_equal(geo.project_rows(s, mats).view(np.uint64),
+                              rows.reshape(mats.shape).view(np.uint64))
+
+
+@pytest.mark.parametrize("s,V", [
+    (geo.l1_ball(1.0, 3), np.zeros((2, 4))),
+    (geo.hypercube(1.0, 3), np.zeros(3)),
+    (geo.l2_ball(1.0, 3), np.zeros((2, 2))),
+    (geo.polytope(np.eye(3)), np.zeros((1, 3, 1))),
+    (geo.lifted_psd_fro(1.0, 2), np.zeros((2, 3))),
+])
+def test_project_rows_rejects_rows_of_another_dimension(s, V):
+    with pytest.raises(ConfigurationError, match="dimension mismatch in project_rows"):
+        geo.project_rows(s, V)
+
+
 def test_vertices_of():
     v = geo.vertices_of(geo.l1_ball(2.0, 3))
     assert v.shape == (6, 3)
@@ -275,20 +333,12 @@ def test_vertices_of():
 # Direction sampler
 # ---------------------------------------------------------------------------
 
-SET_KINDS = ("l1_ball", "l2_ball", "hypercube", "polytope", "lifted_psd_fro")
-
-
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(SET_KINDS), p=st.integers(1, 5), n_dirs=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1), t=st.just(0.0) | st.floats(1e-3, 4.0))
 def test_sample_directions_rows_are_unit_and_in_the_slice(kind, p, n_dirs, seed, t):
     rng = np.random.default_rng(seed)
-    radius = float(rng.uniform(0.3, 3.0))
-    s = {"l1_ball": lambda: geo.l1_ball(radius, p),
-         "l2_ball": lambda: geo.l2_ball(radius, p, 0.3 * rng.standard_normal(p)),
-         "hypercube": lambda: geo.hypercube(radius, p),
-         "polytope": lambda: geo.polytope(rng.standard_normal((int(rng.integers(1, 8)), p))),
-         "lifted_psd_fro": lambda: geo.lifted_psd_fro(radius, p)}[kind]()
+    s = make_set(kind, rng, p, float(rng.uniform(0.3, 3.0)))
     # a point of the set, on its boundary when the draw lands outside
     center = geo.project(s, rng.standard_normal(s.ambient)).ravel()
     dirs = geo.sample_directions(s, center, t, n_dirs, seed)
@@ -376,6 +426,60 @@ def test_sphere_slice_accepts_the_per_row_oracle_rows_in_order(s, center, t,
     assert np.allclose(dirs, rows, rtol=0.0, atol=1e-12)
     for v in dirs:
         assert geo.contains(s, (center.ravel() + t * v).reshape(s.ambient))
+
+
+def dedup_oracle(dirs, tol=geo.ANGULAR_DEDUP_TOL):
+    """The per-row loop: each row is tested against the rows kept before it."""
+    cos_tol = np.cos(tol)
+    kept = np.empty_like(dirs)
+    count = 0
+    for d in dirs:
+        if count and np.max(kept[:count] @ d) >= cos_tol:
+            continue
+        kept[count] = d
+        count += 1
+    return kept[:count]
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(2, 12), bases=st.integers(1, 10), block_rows=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_screened_dedup_keeps_the_per_row_loops_rows_in_order(d, bases, block_rows, seed):
+    # copies of each base row turned by multiples k of the tolerance: exact
+    # repeats (0), drops (0.5, 0.9), keeps (1.1, 2), rows the screen's 1e-9
+    # cosine margin sends to the exact test (10, 40) and rows it passes (1e4)
+    rng = np.random.default_rng(seed)
+    tol, rows = geo.ANGULAR_DEDUP_TOL, []
+    for _ in range(bases):
+        a, u = rng.standard_normal((2, d))
+        a /= np.linalg.norm(a)
+        u -= (u @ a) * a
+        u /= np.linalg.norm(u)
+        rows += [a] + [np.cos(k * tol) * a + np.sin(k * tol) * u
+                       for k in rng.choice([0.0, 0.5, 0.9, 1.1, 2.0, 10.0, 40.0, 1e4],
+                                           size=5)]
+    dirs = np.array(rows)[rng.permutation(len(rows))]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    want = dedup_oracle(dirs)
+    assert np.array_equal(geo._dedup_directions(dirs).view(np.uint64), want.view(np.uint64))
+    with pytest.MonkeyPatch.context() as mp:  # a screen of several blocks
+        mp.setattr(geo, "PAIR_BLOCK_BYTES", 8 * len(dirs) * block_rows)
+        got = geo._dedup_directions(dirs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_screened_dedup_tests_rows_inside_the_margin_exactly():
+    # a row 10 tolerances from another lies inside the screen's margin but
+    # outside the tolerance: kept; a row 0.9 tolerances away is dropped
+    a, u = np.eye(3)[:2]
+    tol = geo.ANGULAR_DEDUP_TOL
+    dirs = np.array([a] + [np.cos(k * tol) * a + np.sin(k * tol) * u
+                           for k in (0.9, 10.0, 10.5, 1e4)])
+    assert 1.0 - dirs[2] @ a < 1e-9
+    for rows in (dirs, dirs[::-1]):
+        assert np.array_equal(geo._dedup_directions(rows), dedup_oracle(rows))
+    assert np.array_equal(geo._dedup_directions(dirs), dirs[[0, 2, 4]])
+    assert geo._dedup_directions(np.empty((0, 3))).shape == (0, 3)
 
 
 def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):

@@ -955,6 +955,26 @@ def test_cli_vector_commands_reject_a_lifted_config_before_any_work(
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("dirs", ["0", "-3", "2.5", "x"])
+def test_cli_certificate_rejects_a_direction_count_below_one_by_its_flag(
+        tmp_path, capsys, monkeypatch, dirs):
+    # argparse stops at the flag: status 2 and a usage message naming --dirs
+    from subexp_lasso import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a bad --dirs")
+
+    monkeypatch.setattr(cli, "_vector_config", no_work)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["certificate", "--config", str(cfg), "--scale", "0.5", "--dirs", dirs])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: subexp-lasso certificate")
+    assert err.endswith(f"argument --dirs: must be an integer >= 1, got '{dirs}'\n")
+
+
 def test_cli_sample_writes_the_lifts_of_a_lifted_config(tmp_path):
     from subexp_lasso.cli import main
 

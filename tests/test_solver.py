@@ -275,6 +275,17 @@ def test_ritz_top_edge_cases():
     assert _ritz_top(G.__matmul__, d) <= np.linalg.eigvalsh(G)[-1] * (1 + RITZ_ROUNDING)
 
 
+def test_the_lanczos_start_is_drawn_once_per_d_and_read_only():
+    for d in (1, 9, 465):
+        q = solver._lanczos_start(d)
+        fresh = np.random.default_rng(0).standard_normal(d)
+        fresh = fresh / math.sqrt(float(fresh @ fresh))
+        assert solver._lanczos_start(d) is q
+        assert np.array_equal(q.view(np.uint64), fresh.view(np.uint64))
+        with pytest.raises(ValueError, match="read-only"):
+            q[0] = 0.0
+
+
 def design_with_gram(gram, n):
     """An n x d design X (n >= d) with X^T X / n = gram."""
     w, V = np.linalg.eigh(gram)

@@ -11,11 +11,11 @@ Library layout:
 """
 
 from . import complexity, distributions, geometry, harness, models, solver
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError
 
 __all__ = [
     "complexity", "distributions", "geometry", "harness", "models", "solver",
-    "ConfigurationError", "DegenerateInputError",
+    "ConfigurationError",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,12 @@ Subcommands: sample, solve, mismatch, complexity, certificate, experiment,
 report.  Global flags: --seed, --config, --out, --format, --threads.  Only
 `experiment` uses the thread count, which the SUBEXP_LASSO_THREADS
 environment variable overrides.
+
+Each command returns its result (a report object, an experiment result, or
+a table as rows of string cells, header first) and writes nothing; `main`
+renders it once with `harness.emit` in --format (csv for `sample` by
+default) to --out or stdout.  `experiment` writes to the config's
+`outputs` without --out, and writes a table to a file as CSV.
 """
 
 from __future__ import annotations
@@ -21,12 +27,16 @@ from .models import generate_dataset, mismatch_report
 from .seeding import derive_seed
 
 
+def _add_output(p: argparse.ArgumentParser):
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--format", default="table", choices=harness.FORMATS)
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master seed")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default="table", choices=harness.FORMATS)
+    _add_output(p)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the trials of `experiment`")
 
@@ -44,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, descr in [
-        ("sample", "emit one dataset as CSV (y, x_1..x_p)"),
+        ("sample", "emit one dataset (y, x_1..x_p), CSV by default"),
         ("solve", "solve one dataset and print the result"),
         ("mismatch", "mismatch report for the configured target"),
         ("complexity", "width and complexity-bound table"),
@@ -55,10 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=descr)
         if name == "report":
             p.add_argument("records", help="records CSV emitted by `experiment`")
-            p.add_argument("--format", default="table", choices=harness.FORMATS)
-            p.add_argument("--out", default=None)
+            _add_output(p)
         else:
             _add_common(p)
+        if name == "sample":
+            p.set_defaults(format="csv")
         if name in ("sample", "solve", "certificate"):
             p.add_argument("--n", type=int, default=None,
                            help="sample size (default: first n_grid entry)")
@@ -74,14 +85,6 @@ def _load(args) -> harness.ExperimentConfig:
     if args.seed is not None:
         config.master_seed = args.seed
     return config
-
-
-def _write(text: str, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _vector_config(args, command: str) -> harness.ExperimentConfig:
@@ -102,40 +105,33 @@ def _dataset(args, config: harness.ExperimentConfig, command: str):
                             derive_seed(config.master_seed, f"cli-{command}"))
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> list:
     ds = _dataset(args, _load(args), "sample")
     X = (ds.lifts() if ds.lifted else ds.inputs).reshape(ds.n, -1)
-    header = "y," + ",".join(f"x{j}" for j in range(X.shape[1]))
-    body = "\n".join(",".join(repr(float(v)) for v in (y, *row))
-                     for y, row in zip(ds.outputs, X))
-    _write(header + "\n" + body + "\n", args.out)
-    return 0
+    return [["y"] + [f"x{j}" for j in range(X.shape[1])]] + [
+        [repr(float(v)) for v in (y, *row)] for y, row in zip(ds.outputs, X)]
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> dict:
     config = _load(args)
     ds = _dataset(args, config, "solve")
     res = solver.solve(ds, config.hypothesis_set, config.solver_config)
-    report = {"n": ds.n, "objective": res.objective, "iterations": res.iterations,
-              "converged": res.converged,
-              "fixed_point_residual": res.fixed_point_residual,
-              "estimate": np.asarray(res.estimate).ravel().tolist()}
-    _write(harness.emit(report, args.format), args.out)
-    return 0
+    return {"n": ds.n, "objective": res.objective, "iterations": res.iterations,
+            "converged": res.converged,
+            "fixed_point_residual": res.fixed_point_residual,
+            "estimate": np.asarray(res.estimate).ravel().tolist()}
 
 
-def cmd_mismatch(args) -> int:
+def cmd_mismatch(args):
     config = _vector_config(args, "mismatch")
     beta_nat = harness.resolve_target(config)
-    rep = mismatch_report(config.model, config.spec, beta_nat,
-                          hypothesis_set=config.hypothesis_set, t=0.0,
-                          mc_budget=100_000,
-                          seed=derive_seed(config.master_seed, "cli-mismatch"))
-    _write(harness.emit(rep, args.format), args.out)
-    return 0
+    return mismatch_report(config.model, config.spec, beta_nat,
+                           hypothesis_set=config.hypothesis_set, t=0.0,
+                           mc_budget=100_000,
+                           seed=derive_seed(config.master_seed, "cli-mismatch"))
 
 
-def cmd_complexity(args) -> int:
+def cmd_complexity(args) -> list:
     config = _vector_config(args, "complexity")
     s = config.hypothesis_set
     seed = derive_seed(config.master_seed, "cli-complexity")
@@ -153,31 +149,27 @@ def cmd_complexity(args) -> int:
     else:
         rows.append(["polytope-q", f"{q:.6g}", "-", "-"])
         rows.append(["polytope-m", f"{m:.6g}", "-", "-"])
-    _write(harness.format_table(rows), args.out)
-    return 0
+    return rows
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args) -> harness.CertificateReport:
     config = _vector_config(args, "certificate")
     beta_nat = harness.resolve_target(config)
     ds = _dataset(args, config, "certificate")
-    rep = harness.excess_certificate(ds, config.hypothesis_set, beta_nat,
-                                     args.scale, args.dirs,
-                                     derive_seed(config.master_seed, "cert-dirs"))
-    _write(harness.emit(rep, args.format), args.out)
-    return 0
+    return harness.excess_certificate(ds, config.hypothesis_set, beta_nat,
+                                      args.scale, args.dirs,
+                                      derive_seed(config.master_seed, "cert-dirs"))
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> harness.ExperimentResult:
     config = _load(args)
-    result = harness.run_error_curve(config, threads=args.threads)
-    out = args.out or config.outputs
-    _write(harness.emit(result, "csv" if args.format == "table" and out
-                        else args.format), out)
-    return 0
+    args.out = args.out or config.outputs
+    if args.out and args.format == "table":  # a table written to a file is CSV
+        args.format = "csv"
+    return harness.run_error_curve(config, threads=args.threads)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> list:
     records = harness.parse_records_csv(args.records)
     aggregates = harness.aggregate_records(records)
     try:
@@ -192,8 +184,7 @@ def cmd_report(args) -> int:
                     + ["-" if v is None else f"{v:.10g}" for v in iters])
     rows.append(["decay_slope", f"{slope:.4f}", "stderr", f"{stderr:.4f}",
                  "", "", ""])
-    _write(harness.format_table(rows), args.out)
-    return 0
+    return rows
 
 
 COMMANDS = {
@@ -209,7 +200,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    result = COMMANDS[args.command](args)
+    harness.emit(result, args.format, out=args.out or sys.stdout)
+    return 0
 
 
 if __name__ == "__main__":

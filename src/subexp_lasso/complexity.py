@@ -57,7 +57,7 @@ def _width(target: Target, trials: int, seed: int, domain: str, driver,
     support-function call scores a block.  kind labels the estimate.
     """
     if trials < 100:
-        raise ValueError("trials must be at least 100")
+        raise ConfigurationError("trials must be at least 100")
     dim, label = _target_shape(target)
     rng = rng_for(seed, f"width-{domain}")
     block = max(1, BLOCK_VALUES // (n * dim))
@@ -87,7 +87,7 @@ def empirical_width(target: Target, spec, n: int, trials: int,
     """Mean of sup_v <(1/sqrt(n)) sum_i eps_i x_i, v> over fresh draws; a
     block of m trials draws one input seed, then its m x n signs."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigurationError("n must be >= 1")
     if spec.p != _target_shape(target)[0]:
         raise ConfigurationError("spec dimension does not match the target")
 
@@ -258,7 +258,7 @@ def finite_gamma_bound(points: geometry.Skeleton, alpha: int,
     """Diameter-times-log-cardinality chaining surrogate for a finite set:
     Delta_metric(points) * (log |points|)^(1/alpha); zero for singletons."""
     if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
+        raise ConfigurationError("alpha must be 1 or 2")
     pts = points.points
     m = pts.shape[0]
     if m < 1:
@@ -281,7 +281,7 @@ def dudley_sparse_bound(k: int, p: int, alpha: int) -> float:
     if not (1 <= k <= p):
         raise ConfigurationError("need 1 <= k <= p")
     if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
+        raise ConfigurationError("alpha must be 1 or 2")
     a = math.log(p / k) + math.log(9.0)
     if alpha == 1:
         return 3.0 * k * (a + 1.0)
@@ -353,7 +353,7 @@ def assemble_bound(q_proxy: float, m_proxy: float,
             error      = max{1, (tau qhat)^-2} [rho_0 + max{1, u^2 sigma} sqrt(m) / n^(1/4)]_+
     """
     if u < 8:
-        raise ValueError("the confidence parameter u must be at least 8")
+        raise ConfigurationError("the confidence parameter u must be at least 8")
     if version not in ("local", "global"):
         raise ConfigurationError(f"unknown version {version!r}")
     if n < 1:

@@ -22,7 +22,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .seeding import derive_seed, rng_for
 
-KINDS = ("gaussian", "rademacher", "laplace", "symmetric_exponential", "mixed")
+# Coordinate law -> (variance factor, Laplace divisor): a coordinate of
+# scale s has variance factor * s^2, and a Laplace-type law is Laplace(b),
+# b = s / divisor (None for the sub-gaussian laws).
+_LAWS = {"gaussian": (1.0, None), "rademacher": (1.0, None),
+         "laplace": (1.0, np.sqrt(2.0)),
+         "symmetric_exponential": (2.0, 1.0)}
+
+KINDS = (*_LAWS, "mixed")
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -73,8 +80,7 @@ class DistributionSpec:
             M = np.asarray(self.mixing, dtype=float)
             if M.ndim != 2 or M.shape[0] != self.p or M.shape[1] < 1:
                 raise ConfigurationError("mixing matrix must be p x d with d >= 1")
-            if self.base_kind not in ("gaussian", "rademacher", "laplace",
-                                      "symmetric_exponential"):
+            if self.base_kind not in _LAWS:
                 raise ConfigurationError(
                     f"unsupported base kind {self.base_kind!r} for mixed spec")
             object.__setattr__(self, "mixing", M)
@@ -85,20 +91,26 @@ class DistributionSpec:
     def latent_dim(self) -> int:
         return self.mixing.shape[1] if self.kind == "mixed" else self.p
 
+    @property
+    def coordinate_kind(self) -> str:
+        """The law of each drawn coordinate: base_kind for a mixed spec."""
+        return self.base_kind if self.kind == "mixed" else self.kind
+
+
+def _law(kind: str) -> tuple:
+    if kind not in _LAWS:
+        raise ConfigurationError(f"unknown coordinate kind {kind!r}")
+    return _LAWS[kind]
+
 
 def unit_variance_scale(kind: str) -> float:
     """Scale that makes a single coordinate of `kind` have unit variance."""
-    if kind == "symmetric_exponential":
-        return 1.0 / np.sqrt(2.0)
-    if kind in ("gaussian", "rademacher", "laplace"):
-        return 1.0
-    raise ConfigurationError(f"no unit-variance convention for kind {kind!r}")
+    return 1.0 / np.sqrt(_law(kind)[0])
 
 
 def second_moment_matrix(spec: DistributionSpec) -> np.ndarray:
     """Exact E[x x^T] for the given spec."""
-    var = coordinate_variance(spec.base_kind if spec.kind == "mixed" else spec.kind,
-                              spec.scale)
+    var = coordinate_variance(spec.coordinate_kind, spec.scale)
     if spec.kind == "mixed":
         M = spec.mixing
         return var * (M @ M.T)
@@ -106,11 +118,7 @@ def second_moment_matrix(spec: DistributionSpec) -> np.ndarray:
 
 
 def coordinate_variance(kind: str, scale: float) -> float:
-    if kind in ("gaussian", "rademacher", "laplace"):
-        return scale ** 2
-    if kind == "symmetric_exponential":
-        return 2.0 * scale ** 2
-    raise ConfigurationError(f"unknown coordinate kind {kind!r}")
+    return _law(kind)[0] * scale ** 2
 
 
 def symmetrize(rng: np.random.Generator, magnitudes: np.ndarray,
@@ -143,22 +151,6 @@ def laplace_draws(rng: np.random.Generator, shape, b: float) -> np.ndarray:
     return symmetrize(rng, rng.standard_exponential(shape), b)
 
 
-def _draw_coordinates(rng: np.random.Generator, kind: str, scale: float,
-                      shape) -> np.ndarray:
-    if kind == "gaussian":
-        x = rng.standard_normal(shape)
-        x *= scale
-        return x
-    if kind == "rademacher":
-        return symmetrize(rng, np.ones(shape), scale)
-    if kind == "laplace":
-        # Laplace(b) with b = scale / sqrt(2), so variance scale^2.
-        return laplace_draws(rng, shape, scale / np.sqrt(2.0))
-    if kind == "symmetric_exponential":
-        return laplace_draws(rng, shape, scale)
-    raise ConfigurationError(f"unknown coordinate kind {kind!r}")
-
-
 def sample_inputs(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """n x p matrix of independent draws; bitwise-deterministic in (spec, n, seed).
 
@@ -173,10 +165,16 @@ def sample_inputs(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, spec.seed_domain))
-    if spec.kind == "mixed":
-        z = _draw_coordinates(rng, spec.base_kind, spec.scale, (n, spec.latent_dim))
-        return z @ spec.mixing.T
-    return _draw_coordinates(rng, spec.kind, spec.scale, (n, spec.p))
+    kind, shape = spec.coordinate_kind, (n, spec.latent_dim)
+    b_div = _law(kind)[1]
+    if b_div is not None:
+        z = laplace_draws(rng, shape, spec.scale / b_div)
+    elif kind == "rademacher":
+        z = symmetrize(rng, np.ones(shape), spec.scale)
+    else:
+        z = rng.standard_normal(shape)
+        z *= spec.scale
+    return z @ spec.mixing.T if spec.kind == "mixed" else z
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ class ConcentrationProfile:
 
 def mixed_tail_bound(g: float, e: float, t: float) -> float:
     if t < 0:
-        raise ValueError("threshold must be nonnegative")
+        raise ConfigurationError("threshold must be nonnegative")
     if t == 0.0:
         return 2.0
     term_g = (t / g) ** 2 if g > 0 else np.inf
@@ -307,23 +305,6 @@ def mixed_tail_bound(g: float, e: float, t: float) -> float:
     if exponent == np.inf:
         return 0.0
     return 2.0 * np.exp(-exponent)
-
-
-# Tail scales per coordinate law, derived from exact Chernoff bounds so the
-# two-sided inequality holds with multiplier 1:
-#   gaussian    P(|N(0,s^2)| >= t) <= 2 exp(-t^2 / (2 s^2))
-#   rademacher  weighted-sum Hoeffding with the sharp 1/2 constant
-#   laplace(b)  mgf 1/(1-l^2 b^2): (g, e) = (sqrt(8) b, 2 sqrt(2) b)
-def _base_tail_scales(kind: str, scale: float) -> tuple[float, float]:
-    if kind == "gaussian" or kind == "rademacher":
-        return np.sqrt(2.0) * scale, 0.0
-    if kind == "laplace":
-        b = scale / np.sqrt(2.0)
-        return np.sqrt(8.0) * b, 2.0 * np.sqrt(2.0) * b
-    if kind == "symmetric_exponential":
-        b = scale
-        return np.sqrt(8.0) * b, 2.0 * np.sqrt(2.0) * b
-    raise ConfigurationError(f"unknown coordinate kind {kind!r}")
 
 
 def profile_for(spec: DistributionSpec, multiplier: float = 1.0,
@@ -343,14 +324,20 @@ def profile_for(spec: DistributionSpec, multiplier: float = 1.0,
         return ConcentrationProfile(zero_norm(),
                                     euclidean_scaled(multiplier * kappa),
                                     constants_convention=multiplier)
-    if spec.kind == "mixed":
-        g, e = _base_tail_scales(spec.base_kind, spec.scale)
-        g_norm = mt_euclidean(spec.mixing, multiplier * g)
-        e_norm = mt_infinity(spec.mixing, multiplier * e) if e > 0 else zero_norm()
-        return ConcentrationProfile(g_norm, e_norm, constants_convention=multiplier)
-    g, e = _base_tail_scales(spec.kind, spec.scale)
-    g_norm = euclidean_scaled(multiplier * g)
-    e_norm = infinity_scaled(multiplier * e) if e > 0 else zero_norm()
+    # Per-law tail scales from exact Chernoff bounds, so that the two-sided
+    # inequality holds with multiplier 1:
+    #   gaussian    P(|N(0,s^2)| >= t) <= 2 exp(-t^2 / (2 s^2))
+    #   rademacher  weighted-sum Hoeffding with the sharp 1/2 constant
+    #   laplace(b)  mgf 1/(1-l^2 b^2): (g, e) = (sqrt(8) b, 2 sqrt(2) b)
+    b_div = _law(spec.coordinate_kind)[1]
+    if b_div is None:
+        g, e = np.sqrt(2.0) * spec.scale, 0.0
+    else:
+        b = spec.scale / b_div
+        g, e = np.sqrt(8.0) * b, 2.0 * np.sqrt(2.0) * b
+    mt = "mt_" if spec.kind == "mixed" else ""
+    g_norm = SemiNorm(mt + "euclidean", multiplier * g, spec.mixing)
+    e_norm = SemiNorm(mt + "infinity", multiplier * e, spec.mixing) if e > 0 else zero_norm()
     return ConcentrationProfile(g_norm, e_norm, constants_convention=multiplier)
 
 
@@ -361,8 +348,7 @@ def lifted_profile(spec: DistributionSpec, multiplier: float = 1.0) -> Concentra
     chi-square style deviation bound
       P(|x^T B x - E| >= u) <= 2 exp(-min{u^2/(16 s^4 |B|_F^2), u/(4 s^2 |B|_op)}).
     """
-    base = spec.base_kind if spec.kind == "mixed" else spec.kind
-    if base not in ("gaussian", "rademacher"):
+    if _law(spec.coordinate_kind)[1] is not None:
         raise ConfigurationError(
             "lifted profile requires sub-gaussian coordinates (gaussian/rademacher)")
     c = multiplier * 4.0 * spec.scale ** 2
@@ -404,13 +390,13 @@ class OrliczEstimate:
 def psi_norm_estimate(samples, alpha: int, q_grid=DEFAULT_Q_GRID) -> OrliczEstimate:
     """Moment proxy max_q (E|Z|^q)^(1/q) / q^(1/alpha); exactly homogeneous."""
     if alpha not in (1, 2):
-        raise ValueError("alpha must be 1 or 2")
+        raise ConfigurationError("alpha must be 1 or 2")
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
-        raise ValueError("empty sample set")
+        raise ConfigurationError("empty sample set")
     q_grid = tuple(float(q) for q in q_grid)
     if not q_grid or min(q_grid) < 1.0:
-        raise ValueError("q_grid must be a non-empty subset of [1, inf)")
+        raise ConfigurationError("q_grid must be a non-empty subset of [1, inf)")
     a = np.abs(samples)
     peak = a.max()
     if peak == 0.0:
@@ -448,11 +434,11 @@ def verify_bernstein_tail(spec: DistributionSpec, profile: ConcentrationProfile,
     semi-norm multiplier under which the bound would have held everywhere.
     """
     if mc_trials < 1_000:
-        raise ValueError("mc_trials must be at least 1000")
+        raise ConfigurationError("mc_trials must be at least 1000")
     v = np.asarray(v, dtype=float)
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
     if np.any(thresholds < 0):
-        raise ValueError("thresholds must be nonnegative")
+        raise ConfigurationError("thresholds must be nonnegative")
 
     x = sample_inputs(spec, mc_trials, seed)
     if v.ndim == 2:
@@ -511,7 +497,7 @@ def xi_norm_concentration_check(samples) -> float:
     """||xi||_2 / (sqrt(n) * psi_1 proxy of xi), with the 0/0 := 0 convention."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
-        raise ValueError("empty sample set")
+        raise ConfigurationError("empty sample set")
     norm = float(np.linalg.norm(samples))
     if norm == 0.0:
         return 0.0

@@ -3,7 +3,3 @@
 
 class ConfigurationError(ValueError):
     """Invalid declarative input: bad dimensions, scales, kinds, or files."""
-
-
-class DegenerateInputError(ValueError):
-    """An estimate cannot be formed because the inputs are degenerate."""

@@ -227,34 +227,24 @@ def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
 
 
 def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether v (a p x p matrix for the lifted set) lies in the set."""
-    return bool(contains_rows(s, np.asarray(v, dtype=float)[None], tol)[0])
-
-
-def contains_rows(s: HypothesisSet, V, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """`contains` of each row of V as one boolean mask.
-
-    Rows are vectors of length p; for the lifted set each row is a flat or
-    p x p matrix, and one batched `eigvalsh` tests the symmetrised stack.
-    Polytope rows are tested one by one: a vertex within tol, else a
-    projection within tol.
-    """
-    V = np.asarray(V, dtype=float)
+    """Whether v (for the lifted set a flat or p x p matrix, tested by
+    `eigvalsh` of its symmetric part) lies in the set; a polytope point
+    is in it when within tol of a vertex, else of its projection."""
+    v = np.asarray(v, dtype=float)
     if s.kind == "l1_ball":
-        return np.abs(V).sum(axis=1) <= s.radius + tol
+        return bool(np.abs(v).sum() <= s.radius + tol)
     if s.kind == "l2_ball":
-        return np.linalg.norm(V - s.center, axis=1) <= s.radius + tol
+        return bool(np.linalg.norm(v - s.center) <= s.radius + tol)
     if s.kind == "hypercube":
-        return np.max(np.abs(V), axis=1) <= s.radius + tol
+        return bool(np.max(np.abs(v)) <= s.radius + tol)
     if s.kind == "polytope":
-        return np.array(
-            [np.min(np.linalg.norm(s.vertices - v, axis=1)) <= tol
-             or np.linalg.norm(project(s, v) - v) <= tol for v in V], dtype=bool)
+        return bool(np.min(np.linalg.norm(s.vertices - v, axis=1)) <= tol
+                    or np.linalg.norm(project(s, v) - v) <= tol)
     if s.kind == "lifted_psd_fro":
-        M = V.reshape(-1, s.p, s.p)
-        B = 0.5 * (M + M.transpose(0, 2, 1))
-        return ((np.linalg.eigvalsh(B)[:, 0] >= -tol)
-                & (np.linalg.norm(B, "fro", axis=(1, 2)) <= s.radius + tol))
+        M = v.reshape(s.p, s.p)
+        B = 0.5 * (M + M.T)
+        return bool(np.linalg.eigvalsh(B)[0] >= -tol
+                    and np.linalg.norm(B, "fro") <= s.radius + tol)
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 

@@ -406,13 +406,17 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def emit(result, fmt: str = "csv", out=None) -> str:
-    """Render records (or a report object) as csv / jsonl / table text.
+    """Render records, a phase result, a report object (a dataclass or a
+    mapping) or a table (a list of rows of string cells, header first) as
+    csv / jsonl / table text.
 
     Writes to `out` (path or file object) when given; returns the text.
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}")
-    if isinstance(result, ExperimentResult):
+    if isinstance(result, list):
+        text = _emit_rows(result, fmt)
+    elif isinstance(result, ExperimentResult):
         text = _emit_records(result.records, fmt)
     elif isinstance(result, PhaseTransitionResult):
         text = _emit_phase(result, fmt)
@@ -440,6 +444,14 @@ def _csv_text(rows) -> str:
     return "".join(map(line, rows))
 
 
+def _emit_rows(rows, fmt: str) -> str:
+    """Rows of string cells, header first, as csv, a `format_table` table,
+    or jsonl: one object per data row, keyed by the header."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(rows[0], row))) + "\n" for row in rows[1:])
+    return _csv_text(rows) if fmt == "csv" else format_table(rows)
+
+
 def _emit_records(records, fmt: str) -> str:
     """A csv or table cell is the value's str (a table float in its column's
     `fmt`), lower-cased for a bool, and empty (csv) or `-` (table) for None."""
@@ -450,7 +462,7 @@ def _emit_records(records, fmt: str) -> str:
     rows = [list(RESULT_COLUMNS)] + [
         [("-" if table else "") if v is None else str(v).lower() if isinstance(v, bool)
          else format(v, spec) for v, spec in zip(astuple(r), fmts)] for r in records]
-    return format_table(rows) if table else _csv_text(rows)
+    return _emit_rows(rows, fmt)
 
 
 def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
@@ -465,7 +477,7 @@ def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
     for i, k in enumerate(result.k_grid):
         rows.append([str(k)] + [f"{result.success[i, j]:.3f}"
                                 for j in range(len(result.n_grid))])
-    return _csv_text(rows) if fmt == "csv" else format_table(rows)
+    return _emit_rows(rows, fmt)
 
 
 def _emit_report(obj, fmt: str) -> str:
@@ -475,7 +487,7 @@ def _emit_report(obj, fmt: str) -> str:
     if fmt == "jsonl":
         return json.dumps(clean, default=str) + "\n"
     rows = [["field", "value"]] + [[str(k), str(v)] for k, v in clean.items()]
-    return _csv_text(rows) if fmt == "csv" else format_table(rows)
+    return _emit_rows(rows, fmt)
 
 
 def format_table(rows) -> str:
@@ -484,6 +496,18 @@ def format_table(rows) -> str:
     lines = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
              for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _read_text(path, what: str) -> str:
+    """The text of UTF-8 file `path`, line ends as written.  A missing or
+    unreadable file raises a ConfigurationError naming it as `what`."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"{what} {path!r} does not exist") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{what} {path!r} cannot be read: {exc}") from exc
 
 
 def parse_records_csv(text_or_path) -> list:
@@ -495,13 +519,7 @@ def parse_records_csv(text_or_path) -> list:
     """
     text = text_or_path
     if text and "\n" not in text:
-        try:
-            with open(text, encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"records CSV {text!r} does not exist") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"records CSV {text!r} cannot be read: {exc}") from exc
+        text = _read_text(text, "records CSV")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -665,14 +683,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """The config of a YAML file, parsed by libyaml where PyYAML has it (the
-    resolver is PyYAML's own either way).  A YAML syntax error raises a
-    ConfigurationError naming the file and the line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            raise ConfigurationError(f"{path}{where}: not valid YAML: "
-                                     f"{getattr(exc, 'problem', exc)}") from exc
+    resolver is PyYAML's own either way).  A file that is missing or cannot
+    be read, or a YAML syntax error, raises a ConfigurationError naming the
+    file (and the line of the syntax error)."""
+    text = _read_text(path, "config")
+    try:
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigurationError(f"{path}{where}: not valid YAML: "
+                                 f"{getattr(exc, 'problem', exc)}") from exc
     return config_from_dict(data)

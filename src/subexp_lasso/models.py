@@ -216,9 +216,8 @@ def _latent_restriction(spec: DistributionSpec, *vectors):
     mixed = spec.kind == "mixed"
     ws = [spec.mixing.T @ b if mixed else b for b in vectors]
     T = np.flatnonzero(np.any(ws, axis=0))
-    sub = (DistributionSpec(spec.base_kind if mixed else spec.kind, T.size,
-                            spec.scale, seed_domain=spec.seed_domain)
-           if T.size else None)
+    sub = (DistributionSpec(spec.coordinate_kind, T.size, spec.scale,
+                            seed_domain=spec.seed_domain) if T.size else None)
     return T, sub, [w[T] for w in ws]
 
 
@@ -354,7 +353,7 @@ def _xi_moments(model: ObservationModel, spec: DistributionSpec,
         xi_sq += float(xi @ xi)
         xi_samples.append(xi[:max(_SIGMA_SAMPLE_CAP - done, 0)])
         done += m
-    var = coordinate_variance(spec.base_kind if mixed else spec.kind, spec.scale)
+    var = coordinate_variance(spec.coordinate_kind, spec.scale)
     off = (np.square(np.delete(spec.mixing, T, axis=1)).sum(axis=1) if mixed
            else np.isin(np.arange(spec.p), T, invert=True))
     sq_vec += var * xi_sq * off

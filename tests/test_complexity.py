@@ -12,8 +12,11 @@ from subexp_lasso.complexity import (BLOCK_VALUES, assemble_bound, dudley_sparse
                                      small_ball_report, sparse_cone_bound)
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
-                                        infinity_scaled, profile_for,
-                                        sample_inputs, seminorm_rows, zero_norm)
+                                        infinity_scaled, mixed_tail_bound,
+                                        profile_for, psi_norm_estimate,
+                                        sample_inputs, seminorm_rows,
+                                        verify_bernstein_tail,
+                                        xi_norm_concentration_check, zero_norm)
 from subexp_lasso.errors import ConfigurationError
 from subexp_lasso.seeding import rng_for
 
@@ -527,3 +530,40 @@ def test_bound_assembly_pipeline_from_estimated_ingredients():
     assert local.predicted_error <= 0.1
     assert glob.predicted_error > 0.0 and np.isfinite(glob.predicted_error)
     assert local.q_provenance == "finite-set skeleton"
+
+
+_L1 = geometry.l1_ball(1.0, 3)
+_SPEC = DistributionSpec("laplace", 3)
+_PROFILE = profile_for(_SPEC)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gaussian_width(_L1, 99, 0), "trials must be at least 100",
+                 id="width-trials"),
+    pytest.param(lambda: empirical_width(_L1, _SPEC, 0, 100, 0), "n must be >= 1",
+                 id="empirical-width-n"),
+    pytest.param(lambda: finite_gamma_bound(geometry.Skeleton(np.eye(3), "l1"), 3,
+                                            euclidean_scaled(1.0)),
+                 "alpha must be 1 or 2", id="finite-gamma-alpha"),
+    pytest.param(lambda: dudley_sparse_bound(1, 3, 3), "alpha must be 1 or 2",
+                 id="dudley-alpha"),
+    pytest.param(lambda: assemble_bound(1.0, 1.0, None, 7.0, 100, 1.0, 0.0, "local"),
+                 "u must be at least 8", id="assemble-u"),
+    pytest.param(lambda: mixed_tail_bound(1.0, 1.0, -1.0),
+                 "threshold must be nonnegative", id="tail-bound-t"),
+    pytest.param(lambda: psi_norm_estimate([1.0], alpha=3), "alpha must be 1 or 2",
+                 id="psi-norm-alpha"),
+    pytest.param(lambda: psi_norm_estimate([], alpha=1), "empty sample set",
+                 id="psi-norm-empty"),
+    pytest.param(lambda: psi_norm_estimate([1.0], alpha=1, q_grid=(0.5,)),
+                 "q_grid must be", id="psi-norm-q-grid"),
+    pytest.param(lambda: verify_bernstein_tail(_SPEC, _PROFILE, np.ones(3), [1.0], 999, 0),
+                 "mc_trials must be at least 1000", id="tail-check-trials"),
+    pytest.param(lambda: verify_bernstein_tail(_SPEC, _PROFILE, np.ones(3), [-1.0], 1000, 0),
+                 "thresholds must be nonnegative", id="tail-check-thresholds"),
+    pytest.param(lambda: xi_norm_concentration_check([]), "empty sample set",
+                 id="xi-ratio-empty"),
+])
+def test_bad_arguments_raise_a_configuration_error(call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call()

@@ -493,7 +493,7 @@ def contains_oracle(s, v, tol=geo.MEMBERSHIP_TOL):
             and float(np.linalg.norm(B, "fro")) <= s.radius + tol)
 
 
-def test_contains_rows_polytope_matches_per_row_formulas():
+def test_contains_polytope_matches_per_row_formulas():
     rng = np.random.default_rng(31)
     V = rng.standard_normal((6, 3))
     s = geo.polytope(V)
@@ -502,11 +502,10 @@ def test_contains_rows_polytope_matches_per_row_formulas():
                       1.001 * V])
     want = [contains_oracle(s, v) for v in rows]
     assert 0 < sum(want) < len(want)
-    assert geo.contains_rows(s, rows).tolist() == want
     assert [geo.contains(s, v) for v in rows] == want
 
 
-def test_contains_rows_lifted_matches_per_row_formulas():
+def test_contains_lifted_matches_per_row_formulas():
     rng = np.random.default_rng(32)
     p = 4
     s = geo.lifted_psd_fro(1.5, p)
@@ -515,9 +514,8 @@ def test_contains_rows_lifted_matches_per_row_formulas():
     mats = np.concatenate([psd, G, psd - 1e-3 * np.eye(p), np.zeros((1, p, p))])
     want = [contains_oracle(s, B) for B in mats]
     assert 0 < sum(want) < len(want)
-    assert geo.contains_rows(s, mats).tolist() == want
-    assert geo.contains_rows(s, mats.reshape(len(mats), -1)).tolist() == want
     assert [geo.contains(s, B) for B in mats] == want
+    assert [geo.contains(s, B.ravel()) for B in mats] == want
 
 
 def test_sphere_slice_requires_feasible_center():

@@ -798,6 +798,110 @@ def test_cli_complexity_raises_real_errors(tmp_path, monkeypatch):
         cli.main(["complexity", "--config", str(cfg)])
 
 
+def _table_args(tmp_path, command):
+    """The argv of `command` on CONFIG_YAML; `report` reads the records
+    that `experiment` writes."""
+    from subexp_lasso.cli import main
+
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    if command != "report":
+        return [command, "--config", str(cfg)] + (["--n", "5"] if command == "sample" else [])
+    records = tmp_path / "records.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(records)]) == 0
+    return ["report", str(records)]
+
+
+@pytest.mark.parametrize("fmt", harness.FORMATS)
+@pytest.mark.parametrize("command", ["sample", "complexity", "report"])
+def test_cli_tables_follow_the_format(tmp_path, capsys, command, fmt):
+    # the command's rows (header first) go out as csv, one JSON object per
+    # data row, or a table; --out gets the bytes that stdout gets
+    from subexp_lasso import cli
+
+    args = _table_args(tmp_path, command)
+    rows = cli.COMMANDS[command](cli.build_parser().parse_args(args))
+    assert cli.main(args + ["--format", fmt]) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(args + ["--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode("utf-8")
+    if fmt == "csv":
+        assert list(csv.reader(io.StringIO(text))) == rows
+    elif fmt == "jsonl":
+        assert [json.loads(line) for line in text.splitlines()] == [
+            dict(zip(rows[0], row)) for row in rows[1:]]
+    else:
+        assert text == harness.format_table(rows)
+
+
+def test_cli_default_formats(tmp_path, capsys):
+    # complexity and report print a table, sample writes csv
+    from subexp_lasso import cli
+
+    for command in ("sample", "complexity", "report"):
+        args = _table_args(tmp_path, command)
+        rows = cli.COMMANDS[command](cli.build_parser().parse_args(args))
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        if command == "sample":
+            assert text == "".join(",".join(row) + "\n" for row in rows)
+        else:
+            assert text == harness.format_table(rows)
+
+
+@pytest.mark.parametrize("command", [["sample"], ["solve"], ["mismatch"], ["complexity"],
+                                     ["certificate", "--scale", "0.5"], ["experiment"],
+                                     ["report"]], ids=lambda command: command[0])
+def test_every_cli_command_emits_once_in_its_format(tmp_path, capsys, monkeypatch,
+                                                    command):
+    from subexp_lasso import cli
+
+    calls = []
+    emit = harness.emit
+    monkeypatch.setattr(harness, "emit",
+                        lambda *a, **kw: calls.append(a[1]) or emit(*a, **kw))
+    args = _table_args(tmp_path, command[0]) + command[1:]
+    calls.clear()  # the records of `report` were emitted
+    texts = set()
+    for fmt in harness.FORMATS:
+        assert cli.main(args + ["--format", fmt]) == 0
+        texts.add(capsys.readouterr().out)
+    assert calls == list(harness.FORMATS)
+    assert len(texts) == len(harness.FORMATS)
+
+
+def test_cli_experiment_writes_a_table_to_a_file_as_csv(tmp_path, capsys):
+    # --out, or the config's outputs without --out, gets csv for a table
+    from subexp_lasso.cli import main
+
+    target = tmp_path / "records.csv"
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML + f"outputs: {target}\n")
+    out = tmp_path / "out.csv"
+    for argv in (["--out", str(out)], ["--out", str(out), "--format", "table"], []):
+        assert main(["experiment", "--config", str(cfg)] + argv) == 0
+        path = out if argv else target
+        assert [(r.n, r.trial) for r in harness.parse_records_csv(str(path))] == [
+            (n, t) for n in (20, 40, 80) for t in range(2)]
+    assert capsys.readouterr().out == ""
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--format", "jsonl"]) == 0
+    assert len([json.loads(line) for line in out.read_text().splitlines()]) == 6
+
+
+def test_cli_names_a_config_it_cannot_read(tmp_path):
+    from subexp_lasso.cli import main
+
+    latin = tmp_path / "latin1.yaml"
+    latin.write_bytes((CONFIG_YAML + "# caf\xe9\n").encode("latin-1"))
+    for path, what in ((str(tmp_path / "missing.yaml"), "does not exist"),
+                       (str(tmp_path), "cannot be read"),
+                       (str(latin), "cannot be read")):
+        with pytest.raises(ConfigurationError, match=re.escape(f"config {path!r} {what}")):
+            main(["certificate", "--config", path, "--scale", "0.5"])
+
+
 # what `import subexp_lasso.cli` adds to a fresh interpreter that has
 # imported numpy and yaml: the package and these standard-library modules
 CLI_IMPORTS = sorted([

@@ -6,16 +6,17 @@ report.  Global flags: --seed, --config, --out, --format, --threads.  Only
 environment variable overrides.
 
 Each command returns its result (a report object, an experiment result, or
-a table as rows of string cells, header first) and writes nothing; `main`
-renders it once with `harness.emit` in --format (csv for `sample` by
-default) to --out or stdout.  `experiment` writes to the config's
-`outputs` without --out, and writes a table to a file as CSV.
+a `harness.Table` of values) and writes nothing; `main` renders it once
+with `harness.emit` in --format (csv for `sample` by default) to --out or
+stdout.  `experiment` writes to the config's `outputs` without --out, and
+writes a table to a file as CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -105,11 +106,12 @@ def _dataset(args, config: harness.ExperimentConfig, command: str):
                             derive_seed(config.master_seed, f"cli-{command}"))
 
 
-def cmd_sample(args) -> list:
+def cmd_sample(args) -> harness.Table:
     ds = _dataset(args, _load(args), "sample")
     X = (ds.lifts() if ds.lifted else ds.inputs).reshape(ds.n, -1)
-    return [["y"] + [f"x{j}" for j in range(X.shape[1])]] + [
-        [repr(float(v)) for v in (y, *row)] for y, row in zip(ds.outputs, X)]
+    names = ["y"] + [f"x{j}" for j in range(X.shape[1])]
+    return harness.Table(tuple(harness.Column(name, float) for name in names),
+                         np.column_stack([ds.outputs, X]).tolist())
 
 
 def cmd_solve(args) -> dict:
@@ -131,25 +133,24 @@ def cmd_mismatch(args):
                            seed=derive_seed(config.master_seed, "cli-mismatch"))
 
 
-def cmd_complexity(args) -> list:
+def cmd_complexity(args) -> harness.Table:
     config = _vector_config(args, "complexity")
     s = config.hypothesis_set
     seed = derive_seed(config.master_seed, "cli-complexity")
-    rows = [["kind", "mean", "std_error", "trials"]]
-    for est in (cx.gaussian_width(s, 400, seed),
-                cx.exponential_width(s, 400, seed + 1),
-                cx.empirical_width(s, config.spec, config.n_grid[0], 400, seed + 2)):
-        rows.append([est.width_kind, f"{est.mean:.6g}", f"{est.std_error:.3g}",
-                     str(est.trials)])
+    rows = [(est.width_kind, est.mean, est.std_error, est.trials)
+            for est in (cx.gaussian_width(s, 400, seed),
+                        cx.exponential_width(s, 400, seed + 1),
+                        cx.empirical_width(s, config.spec, config.n_grid[0], 400,
+                                           seed + 2))]
     try:
         q, m = cx.polytope_complexity(s, profile_for(config.spec),
                                       config.n_grid[0])
     except ConfigurationError as exc:  # no vertex list: l2 ball, large cube
-        print(f"polytope surrogates skipped: {exc}", file=sys.stderr)
+        import logging  # only here: at the top it adds 4 modules to every CLI start
+        logging.getLogger(__name__).warning("polytope surrogates skipped: %s", exc)
     else:
-        rows.append(["polytope-q", f"{q:.6g}", "-", "-"])
-        rows.append(["polytope-m", f"{m:.6g}", "-", "-"])
-    return rows
+        rows += [("polytope-q", q, None, None), ("polytope-m", m, None, None)]
+    return harness.Table(harness.COMPLEXITY_COLUMNS, rows)
 
 
 def cmd_certificate(args) -> harness.CertificateReport:
@@ -169,22 +170,11 @@ def cmd_experiment(args) -> harness.ExperimentResult:
     return harness.run_error_curve(config, threads=args.threads)
 
 
-def cmd_report(args) -> list:
-    records = harness.parse_records_csv(args.records)
-    aggregates = harness.aggregate_records(records)
-    try:
-        slope, stderr = harness.fit_decay_rate_from_aggregates(aggregates)
-    except ValueError:
-        slope, stderr = float("nan"), float("nan")
-    rows = [["n", "median", "q25", "q75", "count", "iters_p50", "iters_max"]]
-    for n, agg in sorted(aggregates.items()):
-        iters = [agg["iters_p50"], agg["iters_max"]]
-        rows.append([str(n), f"{agg['median']:.6g}", f"{agg['q25']:.6g}",
-                     f"{agg['q75']:.6g}", str(agg["count"])]
-                    + ["-" if v is None else f"{v:.10g}" for v in iters])
-    rows.append(["decay_slope", f"{slope:.4f}", "stderr", f"{stderr:.4f}",
-                 "", "", ""])
-    return rows
+def cmd_report(args) -> harness.Table:
+    aggregates, *fit = harness.summarize(harness.parse_records_csv(args.records))
+    return harness.Table(harness.columns_of(harness.AggregateRow),
+                         [astuple(a) for a in aggregates.values()],
+                         tuple(zip(harness.DECAY_FIT, fit)))
 
 
 COMMANDS = {

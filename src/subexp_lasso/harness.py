@@ -18,7 +18,7 @@ import numbers
 import os
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -185,8 +185,7 @@ def erm_mc_target(config: ExperimentConfig) -> np.ndarray:
 @dataclass
 class TrialRecord:
     """One (n, trial) cell.  The fields, in order, are the record columns of
-    every emitter and the parser: `read` reads a CSV cell back, `fmt` is a
-    float's table format, and a field with a default may be absent (None)."""
+    the emitter and the parser (`columns_of`); one with a default may be None."""
     experiment: str = field(metadata={"read": str})
     n: int = field(metadata={"read": int})
     trial: int = field(metadata={"read": int})
@@ -201,11 +200,24 @@ RESULT_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass
+class AggregateRow:
+    """The records of one n (`aggregate_records`); the fields are the columns
+    of `report`, with `read` and `fmt` as TrialRecord's."""
+    n: int = field(metadata={"read": int})
+    median: float = field(metadata={"read": float, "fmt": ".6g"})
+    q25: float = field(metadata={"read": float, "fmt": ".6g"})
+    q75: float = field(metadata={"read": float, "fmt": ".6g"})
+    count: int = field(metadata={"read": int})
+    iters_p50: Optional[float] = field(metadata={"read": float, "fmt": ".10g"})
+    iters_max: Optional[int] = field(metadata={"read": int, "fmt": ".10g"})
+
+
+@dataclass
 class ExperimentResult:
     records: list
-    aggregates: dict            # n -> aggregate_records entry
-    decay_slope: Optional[float]
-    decay_stderr: Optional[float]
+    aggregates: dict            # n -> AggregateRow
+    decay_slope: float          # nan without a fit (summarize)
+    decay_stderr: float
     config_hash: str
     target: Optional[np.ndarray] = None
 
@@ -255,20 +267,24 @@ def run_error_curve(config: ExperimentConfig, threads: int = 1) -> ExperimentRes
     beta_nat = resolve_target(config)
     records = _run_cells([(config, beta_nat, n, trial) for n in config.n_grid
                           for trial in range(config.trials_per_n)], threads)
+    return ExperimentResult(records, *summarize(records), config_hash(config),
+                            target=beta_nat)
+
+
+def summarize(records) -> tuple:
+    """(aggregates, decay slope, its stderr): `aggregate_records` and the
+    decay fit of their medians, nan when fewer than 3 medians are positive."""
     aggregates = aggregate_records(records)
-    slope, stderr = (None, None)
     try:
-        slope, stderr = fit_decay_rate_from_aggregates(aggregates)
+        return (aggregates, *fit_decay_rate_from_aggregates(aggregates))
     except ValueError:
-        pass
-    return ExperimentResult(records, aggregates, slope, stderr,
-                            config_hash(config), target=beta_nat)
+        return aggregates, math.nan, math.nan
 
 
 def aggregate_records(records) -> dict:
-    """Error quantiles and iteration counts per n.
+    """n -> the AggregateRow of the records of that n, in increasing n.
 
-    The iteration entries are None when any record of that n lacks its
+    The iteration counts are None when any record of that n lacks its
     count (records parsed from a CSV without the iterations column).
     """
     by_n: dict = {}
@@ -279,12 +295,10 @@ def aggregate_records(records) -> dict:
         errs = np.array([r.error for r in by_n[n]])
         iters = [r.iterations for r in by_n[n]]
         known = None not in iters
-        out[n] = {"median": float(np.median(errs)),
-                  "q25": float(np.quantile(errs, 0.25)),
-                  "q75": float(np.quantile(errs, 0.75)),
-                  "count": int(errs.size),
-                  "iters_p50": float(np.median(iters)) if known else None,
-                  "iters_max": max(iters) if known else None}
+        out[n] = AggregateRow(n, float(np.median(errs)), float(np.quantile(errs, 0.25)),
+                              float(np.quantile(errs, 0.75)), int(errs.size),
+                              float(np.median(iters)) if known else None,
+                              max(iters) if known else None)
     return out
 
 
@@ -293,9 +307,9 @@ def fit_decay_rate_from_aggregates(aggregates: dict):
     the grid points whose median is positive (at least 3 of them)."""
     ns, meds = [], []
     for n, agg in sorted(aggregates.items()):
-        if agg["median"] > 0:
+        if agg.median > 0:
             ns.append(n)
-            meds.append(agg["median"])
+            meds.append(agg.median)
     if len(ns) < 3:
         raise ValueError("need at least 3 grid points with positive medians")
     x = np.log(np.asarray(ns, dtype=float))
@@ -405,23 +419,71 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
 # Emission and round-tripping
 # ---------------------------------------------------------------------------
 
-def emit(result, fmt: str = "csv", out=None) -> str:
-    """Render records, a phase result, a report object (a dataclass or a
-    mapping) or a table (a list of rows of string cells, header first) as
-    csv / jsonl / table text.
+class Column(NamedTuple):
+    """A table column: `read` takes its csv cell back to the value (None for
+    a report object's), `fmt` formats the value in a table."""
+    name: str
+    read: Optional[Callable] = None
+    fmt: str = ""
 
+
+def columns_of(cls) -> tuple:
+    """The Columns of dataclass cls, from its fields' metadata."""
+    return tuple(Column(f.name, f.metadata["read"], f.metadata.get("fmt", ""))
+                 for f in fields(cls))
+
+
+class Table(NamedTuple):
+    """Rows of values under `columns`, and the (Column, value) pairs of a
+    `fit` of the whole table: trailing columns of every row in csv and jsonl,
+    the last line ("name value name value") of a table."""
+    columns: tuple
+    rows: list
+    fit: tuple = ()
+
+
+COMPLEXITY_COLUMNS = (Column("kind", str), Column("mean", float, ".6g"),
+                      Column("std_error", float, ".3g"), Column("trials", int))
+DECAY_FIT = (Column("decay_slope", float, ".4f"), Column("stderr", float, ".4f"))
+
+
+def _table(result) -> Table:
+    """A Table as it is, records and phase results as a row per record and
+    per (k, n) cell, a report object (a dataclass or a mapping) as one row."""
+    if isinstance(result, Table):
+        return result
+    if isinstance(result, ExperimentResult):
+        return Table(columns_of(TrialRecord), [astuple(r) for r in result.records])
+    if isinstance(result, PhaseTransitionResult):
+        return Table((Column("k", int), Column("n", int), Column("success", float, ".3f"),
+                      Column("max_error", float, ".6g")), [
+            (k, n, float(result.success[i, j]), float(result.max_error[i, j]))
+            for i, k in enumerate(result.k_grid) for j, n in enumerate(result.n_grid)])
+    data = asdict(result) if hasattr(result, "__dataclass_fields__") else dict(result)
+    return Table(tuple(map(Column, data)), [tuple(data.values())])
+
+
+def emit(result, fmt: str = "csv", out=None) -> str:
+    """Render a Table, records, a phase result or a report object (see
+    `_table`) as csv, jsonl (an object per row) or table text.  A csv or
+    table cell is the value's str (in a table, in its column's `fmt`),
+    lower-cased for a bool, and empty (csv) or `-` (table) for None.
     Writes to `out` (path or file object) when given; returns the text.
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}")
-    if isinstance(result, list):
-        text = _emit_rows(result, fmt)
-    elif isinstance(result, ExperimentResult):
-        text = _emit_records(result.records, fmt)
-    elif isinstance(result, PhaseTransitionResult):
-        text = _emit_phase(result, fmt)
+    t = _table(result)
+    names = [c.name for c in t.columns] + [c.name for c, _ in t.fit]
+    rows = [(*row, *(v for _, v in t.fit)) for row in t.rows]
+    if fmt == "jsonl":
+        text = "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+    elif fmt == "csv":
+        text = _csv_text([names] + [[_cell(v, "", "") for v in row] for row in rows])
     else:
-        text = _emit_report(result, fmt)
+        fit = [s for c, v in t.fit for s in (c.name, _cell(v, c.fmt, "-"))]
+        text = format_table([names[:len(t.columns)]] + [
+            [_cell(v, c.fmt, "-") for v, c in zip(row, t.columns)] for row in t.rows]
+            + ([fit + [""] * (len(t.columns) - len(fit))] if fit else []))
     if out is not None:
         if hasattr(out, "write"):
             out.write(text)
@@ -435,6 +497,12 @@ def emit(result, fmt: str = "csv", out=None) -> str:
     return text
 
 
+def _cell(value, fmt: str, none: str) -> str:
+    if value is None:
+        return none
+    return ("true" if value else "false") if isinstance(value, bool) else format(value, fmt)
+
+
 def _csv_text(rows) -> str:
     """CSV lines ending in "\n", each written ending "\r\n" so that "\r" cells are quoted."""
     def line(row):
@@ -442,52 +510,6 @@ def _csv_text(rows) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow(row)
         return buf.getvalue()[:-2] + "\n"
     return "".join(map(line, rows))
-
-
-def _emit_rows(rows, fmt: str) -> str:
-    """Rows of string cells, header first, as csv, a `format_table` table,
-    or jsonl: one object per data row, keyed by the header."""
-    if fmt == "jsonl":
-        return "".join(json.dumps(dict(zip(rows[0], row))) + "\n" for row in rows[1:])
-    return _csv_text(rows) if fmt == "csv" else format_table(rows)
-
-
-def _emit_records(records, fmt: str) -> str:
-    """A csv or table cell is the value's str (a table float in its column's
-    `fmt`), lower-cased for a bool, and empty (csv) or `-` (table) for None."""
-    if fmt == "jsonl":
-        return "\n".join(json.dumps(asdict(r)) for r in records) + "\n"
-    table = fmt == "table"
-    fmts = [f.metadata.get("fmt", "") if table else "" for f in fields(TrialRecord)]
-    rows = [list(RESULT_COLUMNS)] + [
-        [("-" if table else "") if v is None else str(v).lower() if isinstance(v, bool)
-         else format(v, spec) for v, spec in zip(astuple(r), fmts)] for r in records]
-    return _emit_rows(rows, fmt)
-
-
-def _emit_phase(result: PhaseTransitionResult, fmt: str) -> str:
-    if fmt == "jsonl":
-        lines = [json.dumps({"k": k, "n": n,
-                             "success": float(result.success[i, j]),
-                             "max_error": float(result.max_error[i, j])})
-                 for i, k in enumerate(result.k_grid)
-                 for j, n in enumerate(result.n_grid)]
-        return "\n".join(lines) + "\n"
-    rows = [["k/n"] + [str(n) for n in result.n_grid]]
-    for i, k in enumerate(result.k_grid):
-        rows.append([str(k)] + [f"{result.success[i, j]:.3f}"
-                                for j in range(len(result.n_grid))])
-    return _emit_rows(rows, fmt)
-
-
-def _emit_report(obj, fmt: str) -> str:
-    data = asdict(obj) if hasattr(obj, "__dataclass_fields__") else dict(obj)
-    clean = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-             for k, v in data.items()}
-    if fmt == "jsonl":
-        return json.dumps(clean, default=str) + "\n"
-    rows = [["field", "value"]] + [[str(k), str(v)] for k, v in clean.items()]
-    return _emit_rows(rows, fmt)
 
 
 def format_table(rows) -> str:

@@ -127,8 +127,8 @@ def test_criterion_04_mismatch_principle_consistency():
         target_rule="explicit", target_vector=beta_nat,
         solver_config=ACCEPT_SOLVER, n_grid=(400, 3200), trials_per_n=15,
         master_seed=43))
-    med_lo = curve.aggregates[400]["median"]
-    med_hi = curve.aggregates[3200]["median"]
+    med_lo = curve.aggregates[400].median
+    med_hi = curve.aggregates[3200].median
     ok = rho_ok and med_hi < 0.5 * med_lo
     _report(4, "single-index scaled target: vanishing mismatch, error halves", ok,
             f"mu {mu.value:.4f}, rho {rep.rho_global:.4f} "

@@ -79,7 +79,7 @@ def test_partitions_reject_an_empty_budget(total):
 # ---------------------------------------------------------------------------
 
 def synthetic_aggregates(fn):
-    return {n: {"median": fn(n), "q25": fn(n), "q75": fn(n), "count": 1}
+    return {n: harness.AggregateRow(n, fn(n), fn(n), fn(n), 1, None, None)
             for n in (100, 200, 400, 800)}
 
 
@@ -103,9 +103,9 @@ def test_fit_decay_rate_synthetic_quarter():
 
 
 def test_fit_decay_rate_requires_three_positive_medians():
-    aggs = {100: {"median": 0.0, "q25": 0, "q75": 0, "count": 1},
-            200: {"median": 1.0, "q25": 1, "q75": 1, "count": 1},
-            400: {"median": 0.5, "q25": 0.5, "q75": 0.5, "count": 1}}
+    aggs = {100: harness.AggregateRow(100, 0.0, 0, 0, 1, None, None),
+            200: harness.AggregateRow(200, 1.0, 1, 1, 1, None, None),
+            400: harness.AggregateRow(400, 0.5, 0.5, 0.5, 1, None, None)}
     with pytest.raises(ValueError):
         harness.fit_decay_rate_from_aggregates(aggs)
 
@@ -743,7 +743,7 @@ def test_parse_records_csv_accepts_the_legacy_header(tmp_path):
     parsed = harness.parse_records_csv(legacy)
     assert [replace(r, iterations=None) for r in res.records] == parsed
     agg = harness.aggregate_records(parsed)[20]
-    assert agg["iters_p50"] is None and agg["iters_max"] is None
+    assert agg.iters_p50 is None and agg.iters_max is None
     path = tmp_path / "legacy.csv"
     path.write_text(legacy)
     report = tmp_path / "report.txt"
@@ -770,19 +770,28 @@ def test_cli_experiment_renders_stdout_once(tmp_path, capsys, monkeypatch):
         (n, t) for n in (20, 40, 80) for t in range(2)]
 
 
-def test_cli_complexity_without_vertex_list(tmp_path, capsys):
-    from subexp_lasso.cli import main
+def test_cli_complexity_without_vertex_list(tmp_path):
+    # run in a fresh interpreter: pytest's logging handlers would take the
+    # warning that, with no handler configured, goes to stderr
+    import subprocess
+    import sys
+
+    import subexp_lasso
 
     cfg = tmp_path / "l2.yaml"
     cfg.write_text(CONFIG_YAML.replace("{kind: l1_ball, radius: beta0_l1}",
                                        "{kind: l2_ball, radius: 1.0}"))
-    assert main(["complexity", "--config", str(cfg)]) == 0
-    captured = capsys.readouterr()
-    text = captured.out
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from subexp_lasso.cli import main; "
+            "sys.exit(main(['complexity', '--config', sys.argv[2]]))")
+    captured = subprocess.run(
+        [sys.executable, "-I", "-c", code,
+         os.path.dirname(os.path.dirname(subexp_lasso.__file__)), str(cfg)],
+        check=True, capture_output=True, text=True, timeout=120)
+    text = captured.stdout
     assert "gaussian" in text and "exponential" in text
     assert "polytope" not in text
-    assert captured.err == ("polytope surrogates skipped: l2_ball has no "
-                            "finite vertex representation\n")
+    assert captured.stderr == ("polytope surrogates skipped: l2_ball has no "
+                               "finite vertex representation\n")
 
 
 def test_cli_complexity_raises_real_errors(tmp_path, monkeypatch):
@@ -812,42 +821,106 @@ def _table_args(tmp_path, command):
     return ["report", str(records)]
 
 
+READ_BOOL = {"true": True, "false": False}.__getitem__
+
+
+def read_back(text, fmt, columns):
+    """The rows of csv or jsonl text, each cell read through its column (an
+    empty csv cell as None), after checking the header or the keys."""
+    names = [c.name for c in columns]
+    if fmt == "jsonl":
+        objects = [json.loads(line) for line in text.splitlines()]
+        assert all(list(obj) == names for obj in objects)
+        return [tuple(obj.values()) for obj in objects]
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert header == names
+    return [tuple(None if cell == "" else c.read(cell) for c, cell in zip(columns, row))
+            for row in rows]
+
+
 @pytest.mark.parametrize("fmt", harness.FORMATS)
 @pytest.mark.parametrize("command", ["sample", "complexity", "report"])
 def test_cli_tables_follow_the_format(tmp_path, capsys, command, fmt):
-    # the command's rows (header first) go out as csv, one JSON object per
-    # data row, or a table; --out gets the bytes that stdout gets
+    # csv and jsonl read back, column by column, to the command's values and
+    # fit; a table prints each value in its column's fmt, None as "-", and
+    # the fit as a last line; --out gets the bytes that stdout gets
     from subexp_lasso import cli
 
     args = _table_args(tmp_path, command)
-    rows = cli.COMMANDS[command](cli.build_parser().parse_args(args))
+    table = cli.COMMANDS[command](cli.build_parser().parse_args(args))
     assert cli.main(args + ["--format", fmt]) == 0
     text = capsys.readouterr().out
     out = tmp_path / "out"
     assert cli.main(args + ["--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == text.encode("utf-8")
-    if fmt == "csv":
-        assert list(csv.reader(io.StringIO(text))) == rows
-    elif fmt == "jsonl":
-        assert [json.loads(line) for line in text.splitlines()] == [
-            dict(zip(rows[0], row)) for row in rows[1:]]
+    fit_columns, fit = zip(*table.fit) if table.fit else ((), ())
+    if fmt != "table":
+        assert repr(read_back(text, fmt, table.columns + fit_columns)) == repr(
+            [(*row, *fit) for row in table.rows])
     else:
-        assert text == harness.format_table(rows)
+        expected = [[c.name for c in table.columns]] + [
+            ["-" if v is None else format(v, c.fmt) for v, c in zip(row, table.columns)]
+            for row in table.rows]
+        if table.fit:
+            expected.append([s for c, v in table.fit for s in (c.name, format(v, c.fmt))])
+        assert [line.split() for line in text.splitlines()] == expected
+    if command == "report":  # the fit of the records, under its own names
+        records = harness.parse_records_csv(args[1])
+        assert [c.name for c in fit_columns] == ["decay_slope", "stderr"]
+        assert fit == harness.fit_decay_rate_from_aggregates(
+            harness.aggregate_records(records))
+        assert [row[0] for row in table.rows] == sorted({r.n for r in records})
 
 
 def test_cli_default_formats(tmp_path, capsys):
-    # complexity and report print a table, sample writes csv
+    # complexity and report print a table, sample writes csv that reads back
     from subexp_lasso import cli
 
-    for command in ("sample", "complexity", "report"):
+    for command, fmt in (("sample", "csv"), ("complexity", "table"), ("report", "table")):
         args = _table_args(tmp_path, command)
-        rows = cli.COMMANDS[command](cli.build_parser().parse_args(args))
         assert cli.main(args) == 0
         text = capsys.readouterr().out
+        assert cli.main(args + ["--format", fmt]) == 0
+        assert text == capsys.readouterr().out
         if command == "sample":
-            assert text == "".join(",".join(row) + "\n" for row in rows)
-        else:
-            assert text == harness.format_table(rows)
+            table = cli.COMMANDS[command](cli.build_parser().parse_args(args))
+            assert [c.name for c in table.columns] == ["y"] + [f"x{j}" for j in range(6)]
+            assert read_back(text, "csv", table.columns) == [tuple(row) for row in table.rows]
+
+
+COLUMN_VALUES = {
+    str: (str, st.text(min_size=1)),  # csv writes "" and None alike: no table mixes them
+    int: (int, st.integers(-2**64, 2**64)),
+    float: (float, st.sampled_from([-0.0, 5e-324, math.inf, -math.inf, math.nan]) | st.floats()),
+    bool: (READ_BOOL, st.booleans()),
+}
+
+
+@st.composite
+def typed_tables(draw):
+    """A Table of up to 4 rows under 1 to 5 columns of one type each, a
+    non-str column optionally holding None, and a fit of 0 to 2 floats."""
+    kinds = draw(st.lists(st.sampled_from(list(COLUMN_VALUES)), min_size=1, max_size=5))
+    columns, values = [], []
+    for i, kind in enumerate(kinds):
+        read, strategy = COLUMN_VALUES[kind]
+        columns.append(harness.Column(f"c{i}", read))
+        values.append(st.none() | strategy if kind is not str and draw(st.booleans())
+                      else strategy)
+    rows = draw(st.lists(st.tuples(*values), max_size=4))
+    fit = draw(st.lists(COLUMN_VALUES[float][1], max_size=2))
+    return harness.Table(tuple(columns), rows, tuple(
+        (harness.Column(f"fit{i}", float), v) for i, v in enumerate(fit)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(typed_tables())
+def test_typed_rows_round_trip_through_csv_and_jsonl(table):
+    # repr tells -0.0 from 0.0 and compares NaN
+    fit_columns, fit = zip(*table.fit) if table.fit else ((), ())
+    for fmt in ("csv", "jsonl"):
+        assert repr(read_back(harness.emit(table, fmt), fmt, table.columns + fit_columns)) \
+            == repr([(*row, *fit) for row in table.rows])
 
 
 @pytest.mark.parametrize("command", [["sample"], ["solve"], ["mismatch"], ["complexity"],

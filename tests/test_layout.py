@@ -106,3 +106,4 @@ def test_importing_the_cli_loads_neither_numpy_polynomial_nor_scipy():
 def test_the_cli_writes_results_only_through_harness_emit():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert "open(" not in source and "sys.stdout.write" not in source
+    assert "print(" not in source

@@ -2,16 +2,17 @@
 
 Monte-Carlo width estimators (gaussian / exponential / empirical drivers),
 small-ball and Paley-Zygmund quantities, closed-form complexity surrogates
-(polytope, sparse-cone, finite-set, entropy-integral), and the assembly of
-the sample-size condition and predicted error.  Hidden universal constants
-are set to 1 throughout and recorded as such; natural logarithms everywhere.
+(finite-set for polytopes and skeletons, sparse-cone, entropy-integral), and
+the assembly of the sample-size condition and predicted error.  Hidden
+universal constants are set to 1 throughout and recorded as such; natural
+logarithms everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from . import geometry
 from .distributions import SemiNorm, sample_inputs, seminorm_rows
 from .errors import ConfigurationError
 from .seeding import derive_seed, rng_for
-
-Target = Union[geometry.Skeleton, geometry.HypothesisSet]
 
 BLOCK_VALUES = 1 << 16  # values a width or small-ball block holds at once (0.5 MB)
 
@@ -38,15 +37,13 @@ class WidthEstimate:
     target: str
 
 
-def _target_shape(target: Target):
-    if isinstance(target, geometry.Skeleton):
-        return target.points.shape[1], f"skeleton[{target.covered_set}]"
+def _target_shape(target: geometry.HypothesisSet):
     if target.is_matrix_set:
         return target.p * target.p, f"{target.kind}(r={target.radius})"
     return target.p, f"{target.kind}(p={target.p})"
 
 
-def _width(target: Target, trials: int, seed: int, domain: str, driver,
+def _width(target: geometry.HypothesisSet, trials: int, seed: int, domain: str, driver,
            kind: Optional[str] = None, n: int = 1) -> WidthEstimate:
     """Mean and standard error of sup_v <z, v> over trials drivers z.
 
@@ -69,20 +66,20 @@ def _width(target: Target, trials: int, seed: int, domain: str, driver,
                          trials, kind or domain, label)
 
 
-def gaussian_width(target: Target, trials: int, seed: int) -> WidthEstimate:
+def gaussian_width(target: geometry.HypothesisSet, trials: int, seed: int) -> WidthEstimate:
     """Mean over trials of sup_v <g, v> with standard normal g."""
     return _width(target, trials, seed, "gaussian",
                   lambda rng, m, d: rng.standard_normal((m, d)))
 
 
-def exponential_width(target: Target, trials: int, seed: int) -> WidthEstimate:
+def exponential_width(target: geometry.HypothesisSet, trials: int, seed: int) -> WidthEstimate:
     """Same as gaussian_width with symmetric unit-rate exponential coordinates
     (P(|Y_j| >= t) = exp(-t)), i.e. standard Laplace drivers."""
     return _width(target, trials, seed, "exponential",
                   lambda rng, m, d: rng.laplace(0.0, 1.0, size=(m, d)))
 
 
-def empirical_width(target: Target, spec, n: int, trials: int,
+def empirical_width(target: geometry.HypothesisSet, spec, n: int, trials: int,
                     seed: int) -> WidthEstimate:
     """Mean of sup_v <(1/sqrt(n)) sum_i eps_i x_i, v> over fresh draws; a
     block of m trials draws one input seed, then its m x n signs."""
@@ -190,28 +187,31 @@ def small_ball_report(spec, directions, theta_rule, trials: int,
 # ---------------------------------------------------------------------------
 
 def polytope_complexity(s: geometry.HypothesisSet, profile, n: int):
-    """Vertex-count complexity surrogates for a polytopal set:
+    """Finite-set q/m surrogates of a polytopal set, such as a skeleton, with
+    D vertices, each gamma replaced by its diameter-log bound as in
+    `finite_gamma_bound`:
 
-    q = Delta_e log D / sqrt(n) + (Delta_g + Delta_e) sqrt(log D)
-    m = Delta_e log D + Delta_g sqrt(log D)
+    q = gamma_1(e) / sqrt(n) + gamma_2(g + e) = Delta_e log D / sqrt(n) + Delta_(g+e) sqrt(log D)
+    m = gamma_1(e) + gamma_2(g) = Delta_e log D + Delta_g sqrt(log D)
 
-    Both diameters come from one `geometry.pairwise_max` call, so the
-    vertex list is checked for negation closure once; the lists of the l1
-    ball and the hypercube are closed, and their diameters are read off one
-    row scan.
+    Delta_(g+e) <= Delta_g + Delta_e, with equality when one vertex pair
+    attains both (the l1 ball and the hypercube under a non-mixed law).  One
+    `geometry.pairwise_max` call takes the three diameters, so the vertex
+    list is checked for negation closure once.
     """
-    verts = geometry.vertices_of(s)
-    D = verts.shape[0]
-    if D < 1:
-        raise ConfigurationError("polytope needs at least one vertex")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    logd = np.log(D)
+    verts = geometry.vertices_of(s)
+    logd = np.log(verts.shape[0])
     if logd == 0.0:
         return 0.0, 0.0
-    dg, de = geometry.pairwise_max(verts, lambda V: np.column_stack(
-        [seminorm_rows(profile.g_norm, V), seminorm_rows(profile.e_norm, V)]))
-    q = de * logd / np.sqrt(n) + (dg + de) * np.sqrt(logd)
+
+    def rows(V):
+        rg, re = seminorm_rows(profile.g_norm, V), seminorm_rows(profile.e_norm, V)
+        return np.column_stack([re, rg, rg + re])
+
+    de, dg, dge = geometry.pairwise_max(verts, rows)
+    q = de * logd / np.sqrt(n) + dge * np.sqrt(logd)
     m = de * logd + dg * np.sqrt(logd)
     return float(q), float(m)
 
@@ -253,20 +253,16 @@ def sparse_cone_bound(k: int, p: int, n: int, regime: str) -> RegimeBound:
     return RegimeBound(float(val), in_regime)
 
 
-def finite_gamma_bound(points: geometry.Skeleton, alpha: int,
+def finite_gamma_bound(points: geometry.HypothesisSet, alpha: int,
                        metric: SemiNorm) -> float:
-    """Diameter-times-log-cardinality chaining surrogate for a finite set:
-    Delta_metric(points) * (log |points|)^(1/alpha); zero for singletons."""
+    """Diameter-times-log-cardinality chaining surrogate for the vertices of
+    a polytope: Delta_metric(points) * (log |points|)^(1/alpha); zero for
+    one vertex."""
     if alpha not in (1, 2):
         raise ConfigurationError("alpha must be 1 or 2")
-    pts = points.points
-    m = pts.shape[0]
-    if m < 1:
-        raise ConfigurationError("skeleton must be non-empty")
-    if m == 1:
-        return 0.0
+    pts = points.vertices  # one vertex: a diameter and a log of 0.0
     diam = geometry.pairwise_max(pts, lambda V: seminorm_rows(metric, V))
-    return float(diam * np.log(m) ** (1.0 / alpha))
+    return float(diam * np.log(pts.shape[0]) ** (1.0 / alpha))
 
 
 def dudley_sparse_bound(k: int, p: int, alpha: int) -> float:
@@ -287,34 +283,6 @@ def dudley_sparse_bound(k: int, p: int, alpha: int) -> float:
         return 3.0 * k * (a + 1.0)
     tail = 0.5 * math.sqrt(math.pi) * (9.0 * p / k) * math.erfc(math.sqrt(a))
     return 3.0 * math.sqrt(k) * (math.sqrt(a) + tail)
-
-
-def skeleton_q_m_proxies(skeleton: geometry.Skeleton, profile, n: int):
-    """Finite-set q/m surrogates of a skeleton under a profile:
-
-    q = gamma_1(e) / sqrt(n) + gamma_2(g + e)
-    m = gamma_1(e) + gamma_2(g)
-
-    with each gamma replaced by its diameter-log bound, in the arithmetic of
-    `finite_gamma_bound`; one `geometry.pairwise_max` call takes all three
-    diameters, so the skeleton is checked for negation closure once.
-    """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    m_count = skeleton.points.shape[0]
-    if m_count <= 1:
-        return 0.0, 0.0
-    g, e = profile.g_norm, profile.e_norm
-
-    def rows(V):
-        rg, re = seminorm_rows(g, V), seminorm_rows(e, V)
-        return np.column_stack([re, rg, rg + re])
-
-    diam_e, diam_g, diam_ge = geometry.pairwise_max(skeleton.points, rows)
-    logm = np.log(m_count)
-    q = diam_e * logm / np.sqrt(n) + diam_ge * np.sqrt(logm)
-    m = diam_e * logm + diam_g * logm ** 0.5
-    return float(q), float(m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ mixed gaussian/exponential tail bound on all marginals <x, v>:
 
     P(|<x, v>| >= t) <= 2 exp(-min{t^2 / g(v)^2, t / e(v)})
 
-where g and e are scaled semi-norms.  The scales shipped by `profile_for`
-are exact (Chernoff-derived) per law, so the bound holds with multiplier 1;
-an extra multiplier can be applied for looser conventions, and
+where g and e are scaled semi-norms.  The per-law scales shipped by
+`profile_for` are exact (Chernoff-derived), so the bound holds with
+multiplier 1; an extra multiplier can be applied for looser conventions, and
 `verify_bernstein_tail` reports the smallest multiplier that would make the
-bound hold on data.
+bound hold on data.  The `uniform_subexp=True` profile is not exact: its
+scale is a Monte-Carlo moment-proxy estimate over the p axes and 64 random
+directions, times `PSI1_PROXY_TO_ORLICZ`, and guarantees no tail bound.
 """
 
 from __future__ import annotations
@@ -315,7 +317,8 @@ def profile_for(spec: DistributionSpec, multiplier: float = 1.0,
     laplace / symmetric_exp    -> (euclidean, infinity)
     mixed                      -> base scales behind ||M^T .||_2 / ||M^T .||_inf
     uniform_subexp=True        -> (zero, euclidean) with an estimated uniform
-                                  psi_1 scale: the pure-exponential reading.
+                                  psi_1 scale: the pure-exponential reading,
+                                  a Monte-Carlo estimate with no tail bound.
     """
     if multiplier <= 0:
         raise ConfigurationError("multiplier must be positive")

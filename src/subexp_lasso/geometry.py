@@ -2,9 +2,10 @@
 
 Sets are immutable values; every operation here is a pure function of its
 arguments.  Projections are exact (closed form) for l1/l2 balls and
-hypercubes and for the PSD-intersect-Frobenius-ball set.  Polytope
-projection and the distance to a convex hull share one nearest-point
-kernel, Wolfe's minimum-norm-point algorithm (`_nearest_weights`).
+hypercubes and for the PSD-intersect-Frobenius-ball set.  A finite point
+list, such as a skeleton, is a polytope; its projection, and through it the
+distance to a convex hull, is one nearest-point kernel, Wolfe's
+minimum-norm-point algorithm (`_nearest_weights`).
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ def hypercube(halfwidth: float, p: int) -> HypothesisSet:
 
 
 def polytope(vertices) -> HypothesisSet:
+    """The hull of a finite point list, one point per row (a flat list is one
+    point); every finite point list, a skeleton included, is one of these."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if V.shape[0] < 1:
-        raise ConfigurationError("polytope needs at least one vertex")
+    if V.ndim != 2 or V.size == 0:
+        raise ConfigurationError(
+            f"vertices must be a non-empty 2-D list of points, got shape {V.shape}")
     return HypothesisSet("polytope", 0.0, V.shape[1], vertices=V)
 
 
@@ -252,20 +256,19 @@ def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
 # Support functions and vertex representations
 # ---------------------------------------------------------------------------
 
-def support_function(s, z) -> float:
-    """sup over the set, or over the points of a Skeleton, of <z, v>
-    (Frobenius pairing for the matrix set)."""
+def support_function(s: HypothesisSet, z) -> float:
+    """sup over the set of <z, v> (Frobenius pairing for the matrix set)."""
     return float(support_function_rows(s, np.asarray(z, dtype=float)[None])[0])
 
 
-def support_function_rows(s, Z) -> np.ndarray:
+def support_function_rows(s: HypothesisSet, Z) -> np.ndarray:
     """`support_function` of each row of Z as one array; a lifted-set row
     is a flat or p x p matrix, and one batched `eigvalsh` takes them all.
-    Point lists (skeletons, polytopes) are scored in slices of rows whose
-    products with the points take at most PAIR_BLOCK_BYTES."""
+    A polytope's rows are scored in slices whose products with the vertices
+    take at most PAIR_BLOCK_BYTES."""
     Z = np.asarray(Z, dtype=float)
-    if isinstance(s, Skeleton) or s.kind == "polytope":
-        P = s.points if isinstance(s, Skeleton) else s.vertices
+    if s.kind == "polytope":
+        P = s.vertices
         rows = max(1, PAIR_BLOCK_BYTES // (8 * P.shape[0]))
         return np.concatenate([(Z[i:i + rows] @ P.T).max(axis=1)
                                for i in range(0, Z.shape[0], rows)])
@@ -360,41 +363,29 @@ def _dedup_directions(dirs: np.ndarray, tol: float = ANGULAR_DEDUP_TOL) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Skeletons
+# Skeletons and diameters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Skeleton:
-    """Finite point list whose convex hull certifies coverage of a set."""
-
-    points: np.ndarray
-    covered_set: str
-
-
-def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> Skeleton:
-    """Skeleton of {v : ||v||_0 <= k, ||v||_2 <= 3}.
+def sparse_skeleton_sampler(k: int, p: int, n_points: int, seed: int) -> HypothesisSet:
+    """The polytope of a skeleton of {v : ||v||_0 <= k, ||v||_2 <= 3}, whose
+    hull covers the descent cone of the l1 ball at a k-sparse point on the sphere.
 
     Uniform size-k supports with directions on the k-sphere scaled to radius
     3; the sample is symmetrized so Euclidean diameter is exactly 6.
     """
     if not (1 <= k <= p):
         raise ConfigurationError("need 1 <= k <= p")
+    if n_points < 1:
+        raise ConfigurationError(f"n_points must be >= 1, got {n_points!r}")
     rng = rng_for(seed, "sparse-skeleton")
-    half = max(1, (n_points + 1) // 2)
+    half = (n_points + 1) // 2
     pts = np.zeros((half, p))
     for i in range(half):
         support = rng.choice(p, size=k, replace=False)
         g = rng.standard_normal(k)
         g /= np.linalg.norm(g)
         pts[i, support] = 3.0 * g
-    return skeleton_from_points(
-        np.vstack([pts, -pts]),
-        f"descent cone of the l1 ball at a {k}-sparse point, "
-        f"intersected with the sphere (p={p})")
-
-
-def skeleton_from_points(points, covered_set: str = "custom") -> Skeleton:
-    return Skeleton(np.atleast_2d(np.asarray(points, dtype=float)), covered_set)
+    return polytope(np.vstack([pts, -pts]))
 
 
 def pairwise_max(points, rows_fn):
@@ -445,7 +436,7 @@ def _negation_closed(P: np.ndarray) -> bool:
 def certify_hull_membership(points: np.ndarray, vectors: np.ndarray,
                             tol: float = 1e-6, prefilter: int = 500) -> float:
     """Largest distance from the vectors to conv(points U {0}), exact when
-    it exceeds tol.
+    it exceeds tol, up to the stopping gap of the `project` of a polytope.
 
     Each vector is measured first against the hull of its `prefilter`
     most-correlated atoms, which lies inside the full hull, and against
@@ -453,21 +444,14 @@ def certify_hull_membership(points: np.ndarray, vectors: np.ndarray,
     tol bounds every distance from above.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    origin = np.zeros((1, points.shape[1]))
     cut = points.shape[0] > prefilter
     worst = 0.0
     for v in vectors:
         top = (np.argpartition(points @ v, -prefilter)[-prefilter:] if cut
                else slice(None))
-        r = hull_membership_residual(points[top], v)
+        r = np.linalg.norm(project(polytope(np.vstack([points[top], origin])), v) - v)
         if r > tol and cut:
-            r = hull_membership_residual(points, v)
-        worst = max(worst, r)
+            r = np.linalg.norm(project(polytope(np.vstack([points, origin])), v) - v)
+        worst = max(worst, float(r))
     return worst
-
-
-def hull_membership_residual(points: np.ndarray, v: np.ndarray) -> float:
-    """The exact distance from v to conv(points U {0}), up to the stopping
-    gap of `_nearest_weights`, which runs on the points with the origin
-    appended as a row."""
-    P = np.vstack([points, np.zeros(points.shape[1])])
-    return float(np.linalg.norm(P.T @ _nearest_weights(P, v) - v))

@@ -147,11 +147,11 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Target resolution
+# Resolving the target
 # ---------------------------------------------------------------------------
 
 def resolve_target(config: ExperimentConfig) -> np.ndarray:
-    """Target vector according to the config's rule."""
+    """The target vector of the config's rule."""
     rule = config.target_rule
     if rule == "explicit":
         return np.asarray(config.target_vector, dtype=float)
@@ -467,7 +467,9 @@ def emit(result, fmt: str = "csv", out=None) -> str:
     """Render a Table, records, a phase result or a report object (see
     `_table`) as csv, jsonl (an object per row) or table text.  A csv or
     table cell is the value's str (in a table, in its column's `fmt`),
-    lower-cased for a bool, and empty (csv) or `-` (table) for None.
+    lower-cased for a bool, and empty (csv) or `-` (table) for None; a
+    jsonl cell holding a non-finite float is null, since strict JSON has
+    no NaN or Infinity.
     Writes to `out` (path or file object) when given; returns the text.
     """
     if fmt not in FORMATS:
@@ -476,7 +478,8 @@ def emit(result, fmt: str = "csv", out=None) -> str:
     names = [c.name for c in t.columns] + [c.name for c, _ in t.fit]
     rows = [(*row, *(v for _, v in t.fit)) for row in t.rows]
     if fmt == "jsonl":
-        text = "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+        text = "".join(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v)
+                                   else v for k, v in zip(names, row)}) + "\n" for row in rows)
     elif fmt == "csv":
         text = _csv_text([names] + [[_cell(v, "", "") for v in row] for row in rows])
     else:

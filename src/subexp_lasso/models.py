@@ -181,7 +181,7 @@ def lift_centering(spec: DistributionSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Target scalings
+# Scalings of the target
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

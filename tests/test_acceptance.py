@@ -119,7 +119,9 @@ def test_criterion_04_mismatch_principle_consistency():
     mu = target_scale_mu(model, spec, 10_000_000, seed=41)
     beta_nat = mu.value * beta0
     rep = mismatch_report(model, spec, beta_nat, mc_budget=200_000, seed=42)
-    rho_ok = rep.rho_global < 3.0 * rep.mc_std_error * math.sqrt(p)
+    # only the |T| = 5 on-support coordinates of beta0 carry Monte-Carlo noise
+    allow = 3.0 * rep.mc_std_error * math.sqrt(np.count_nonzero(beta0))
+    rho_ok = rep.rho_global < allow
 
     s = geometry.l1_ball(float(np.abs(beta_nat).sum()), p)
     curve = harness.run_error_curve(harness.ExperimentConfig(
@@ -132,7 +134,7 @@ def test_criterion_04_mismatch_principle_consistency():
     ok = rho_ok and med_hi < 0.5 * med_lo
     _report(4, "single-index scaled target: vanishing mismatch, error halves", ok,
             f"mu {mu.value:.4f}, rho {rep.rho_global:.4f} "
-            f"(allow {3 * rep.mc_std_error * math.sqrt(p):.4f}), "
+            f"(allow {allow:.4f}), "
             f"medians {med_lo:.4f} -> {med_hi:.4f}")
 
 
@@ -181,7 +183,7 @@ def test_criterion_07_width_sanity():
     for i in range(5):
         p = int(rng.integers(4, 24))
         pts = rng.standard_normal((int(rng.integers(5, 25)), p))
-        sk = geometry.skeleton_from_points(pts, f"skeleton-{i}")
+        sk = geometry.polytope(pts)
         spec = DistributionSpec("gaussian", p)
         a = gaussian_width(sk, 3_000, 72 + i)
         b = empirical_width(sk, spec, 24, 3_000, 172 + i)
@@ -192,8 +194,7 @@ def test_criterion_07_width_sanity():
     ratio_ok = True
     tested = [(geometry.l1_ball(1.0, 16), 16), (geometry.l2_ball(1.0, 8), 8),
               (geometry.hypercube(0.5, 6), 6),
-              (geometry.skeleton_from_points(rng.standard_normal((12, 10)),
-                                             "ratio"), 10)]
+              (geometry.polytope(rng.standard_normal((12, 10))), 10)]
     for target, p in tested:
         g = gaussian_width(target, 3_000, 73)
         e = exponential_width(target, 3_000, 74)
@@ -359,8 +360,7 @@ def test_criterion_12_formula_bounds():
     _, m_e = polytope_complexity(s, prof_e, 100)
     hand_ok &= abs(m_e - 2 * r * c * math.log(2 * p)) < 1e-12
 
-    two = geometry.skeleton_from_points(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                        "pair")
+    two = geometry.polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     hand_ok &= abs(finite_gamma_bound(two, 2, euclidean_scaled(1.0))
                    - 2 * math.sqrt(math.log(2))) < 1e-12
 

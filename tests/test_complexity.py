@@ -8,7 +8,7 @@ from subexp_lasso import geometry
 from subexp_lasso.complexity import (BLOCK_VALUES, assemble_bound, dudley_sparse_bound,
                                      empirical_width, exponential_width,
                                      finite_gamma_bound, gaussian_width,
-                                     polytope_complexity, skeleton_q_m_proxies,
+                                     polytope_complexity,
                                      small_ball_report, sparse_cone_bound)
 from subexp_lasso.distributions import (ConcentrationProfile,
                                         DistributionSpec, euclidean_scaled,
@@ -22,7 +22,7 @@ from subexp_lasso.seeding import rng_for
 
 
 def origin_skeleton():
-    return geometry.skeleton_from_points(np.zeros((1, 3)), "origin")
+    return geometry.polytope(np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_empirical_width_gaussian_inputs_equals_gaussian_width():
     # the normalized symmetrized sum of gaussians is exactly gaussian
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((12, 6))
-    sk = geometry.skeleton_from_points(pts, "random skeleton")
+    sk = geometry.polytope(pts)
     spec = DistributionSpec("gaussian", 6)
     a = gaussian_width(sk, 3_000, 8)
     b = empirical_width(sk, spec, 32, 3_000, 9)
@@ -145,8 +145,8 @@ def test_empirical_width_laplace_matches_bruteforce_oracle():
 def test_width_monotone_under_skeleton_inclusion():
     rng = np.random.default_rng(12)
     pts = rng.standard_normal((20, 5))
-    small = geometry.skeleton_from_points(pts[:8], "small")
-    big = geometry.skeleton_from_points(pts, "big")
+    small = geometry.polytope(pts[:8])
+    big = geometry.polytope(pts)
     a = gaussian_width(small, 3_000, 13)
     b = gaussian_width(big, 3_000, 13)
     assert a.mean <= b.mean + 3 * (a.std_error + b.std_error)
@@ -155,10 +155,10 @@ def test_width_monotone_under_skeleton_inclusion():
 def test_gaussian_width_invariant_under_convex_combinations():
     rng = np.random.default_rng(14)
     pts = rng.standard_normal((10, 4))
-    sk = geometry.skeleton_from_points(pts, "extreme points")
+    sk = geometry.polytope(pts)
     # augment with sampled convex combinations: the width must not change
     combos = rng.dirichlet(np.ones(10), size=60) @ pts
-    sk_aug = geometry.skeleton_from_points(np.vstack([pts, combos]), "hull")
+    sk_aug = geometry.polytope(np.vstack([pts, combos]))
     a = gaussian_width(sk, 4_000, 15)
     b = gaussian_width(sk_aug, 4_000, 15)
     assert abs(a.mean - b.mean) <= 3 * (a.std_error + b.std_error)
@@ -169,7 +169,7 @@ def test_exponential_vs_gaussian_width_logp_factor():
     targets = [geometry.l1_ball(1.0, 16),
                geometry.l2_ball(1.0, 8),
                geometry.hypercube(0.5, 6),
-               geometry.skeleton_from_points(rng.standard_normal((15, 12)), "s")]
+               geometry.polytope(rng.standard_normal((15, 12)))]
     dims = [16, 8, 6, 12]
     for target, p in zip(targets, dims):
         g = gaussian_width(target, 3_000, 17)
@@ -183,12 +183,12 @@ def test_width_scale_equivariance_paired_seed():
     pts = rng.standard_normal((9, 5))
     c = 2.5
     for fn in (gaussian_width, exponential_width):
-        a = fn(geometry.skeleton_from_points(pts, "a"), 2_000, 20)
-        b = fn(geometry.skeleton_from_points(c * pts, "b"), 2_000, 20)
+        a = fn(geometry.polytope(pts), 2_000, 20)
+        b = fn(geometry.polytope(c * pts), 2_000, 20)
         assert abs(b.mean - c * a.mean) <= 3 * (c * a.std_error + b.std_error)
     spec = DistributionSpec("laplace", 5)
-    a = empirical_width(geometry.skeleton_from_points(pts, "a"), spec, 16, 2_000, 21)
-    b = empirical_width(geometry.skeleton_from_points(c * pts, "b"), spec, 16, 2_000, 21)
+    a = empirical_width(geometry.polytope(pts), spec, 16, 2_000, 21)
+    b = empirical_width(geometry.polytope(c * pts), spec, 16, 2_000, 21)
     assert abs(b.mean - c * a.mean) <= 3 * (c * a.std_error + b.std_error)
 
 
@@ -282,23 +282,32 @@ def test_polytope_complexity_symmetric_vertex_lists_match_closed_forms(
     assert m == pytest.approx(want_m, rel=1e-12)
 
 
-def _two_scan_surrogates(s, prof, n):
-    """q and m with one pairwise_max call per semi-norm."""
+def _three_scan_surrogates(s, prof, n):
+    """q and m with one pairwise_max call per semi-norm: e, g and g + e."""
     verts = geometry.vertices_of(s)
-    dg = geometry.pairwise_max(verts, lambda V: seminorm_rows(prof.g_norm, V))
-    de = geometry.pairwise_max(verts, lambda V: seminorm_rows(prof.e_norm, V))
-    return _surrogates(dg, de, verts.shape[0], n)
+    g, e = prof.g_norm, prof.e_norm
+    de = geometry.pairwise_max(verts, lambda V: seminorm_rows(e, V))
+    dg = geometry.pairwise_max(verts, lambda V: seminorm_rows(g, V))
+    dge = geometry.pairwise_max(verts, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
+    logd = np.log(verts.shape[0])
+    return (float(de * logd / np.sqrt(n) + dge * np.sqrt(logd)),
+            float(de * logd + dg * np.sqrt(logd)))
 
 
-@pytest.mark.parametrize("s", [
-    geometry.l1_ball(0.7, 400), geometry.hypercube(0.5, 8),
-    geometry.hypercube(0.5, 12),
-    geometry.polytope([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5], [3.0, 1.0, 0.0],
-                       [-1.0, 2.0, 1.0]]),  # not negation-closed: pair scan
-], ids=["l1-400", "cube-8", "cube-12", "polytope"])
-def test_polytope_complexity_decides_negation_closure_once(s, monkeypatch):
-    prof = profile_for(DistributionSpec("laplace", s.p))
-    want = _two_scan_surrogates(s, prof, 200)
+@pytest.mark.parametrize("s, kind", [
+    (geometry.l1_ball(0.7, 400), "laplace"), (geometry.hypercube(0.5, 8), "laplace"),
+    (geometry.hypercube(0.5, 12), "laplace"),
+    (geometry.polytope([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5], [3.0, 1.0, 0.0],
+                        [-1.0, 2.0, 1.0]]), "laplace"),  # not negation-closed: pair scan
+    (geometry.sparse_skeleton_sampler(5, 40, 2000, 3), "laplace"),
+    (geometry.sparse_skeleton_sampler(2, 6, 100, 26), "gaussian"),
+    (geometry.polytope(np.random.default_rng(27).standard_normal((300, 7))),
+     "symmetric_exponential"),  # not negation-closed
+], ids=["l1-400", "cube-8", "cube-12", "polytope", "sparse-40", "sparse-6",
+        "gaussian-cloud"])
+def test_polytope_complexity_decides_negation_closure_once(s, kind, monkeypatch):
+    prof = profile_for(DistributionSpec(kind, s.p))
+    want = _three_scan_surrogates(s, prof, 200)
     calls = []
     closed = geometry._negation_closed
     monkeypatch.setattr(geometry, "_negation_closed",
@@ -331,18 +340,16 @@ def test_sparse_cone_bound_values():
 
 
 def test_finite_gamma_bound_examples():
-    sing = geometry.skeleton_from_points(np.array([[1.0, 1.0]]), "one")
+    sing = geometry.polytope(np.array([[1.0, 1.0]]))
     metric = euclidean_scaled(1.0)
     assert finite_gamma_bound(sing, 2, metric) == 0.0
     # two points at distance 2
-    two = geometry.skeleton_from_points(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                        "pair")
+    two = geometry.polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     assert finite_gamma_bound(two, 2, metric) == pytest.approx(
         2 * math.sqrt(math.log(2)), rel=1e-12)
     # 2p axis points of radius r under alpha = 1
     p, r = 5, 1.7
-    axes = geometry.skeleton_from_points(
-        np.vstack([r * np.eye(p), -r * np.eye(p)]), "axes")
+    axes = geometry.polytope(np.vstack([r * np.eye(p), -r * np.eye(p)]))
     assert finite_gamma_bound(axes, 1, metric) == pytest.approx(
         2 * r * math.log(2 * p), rel=1e-12)
 
@@ -381,39 +388,24 @@ def test_dudley_monotone_in_p():
 def test_skeleton_q_m_proxies():
     sk = geometry.sparse_skeleton_sampler(2, 6, 100, seed=26)
     prof = profile_for(DistributionSpec("laplace", 6))
-    q, m = skeleton_q_m_proxies(sk, prof, 400)
+    q, m = polytope_complexity(sk, prof, 400)
     assert q > 0 and m > 0
     # q decreases with n (the gamma_1 part is divided by sqrt(n))
-    q_big, _ = skeleton_q_m_proxies(sk, prof, 40_000)
+    q_big, _ = polytope_complexity(sk, prof, 40_000)
     assert q_big < q
 
 
-def _three_scan_proxies(sk, prof, n):
-    """skeleton_q_m_proxies with one pairwise_max call per diameter."""
-    g, e = prof.g_norm, prof.e_norm
-    g1_e = finite_gamma_bound(sk, 1, e)
-    g2_g = finite_gamma_bound(sk, 2, g)
-    diam_ge = geometry.pairwise_max(
-        sk.points, lambda V: seminorm_rows(g, V) + seminorm_rows(e, V))
-    q = g1_e / np.sqrt(n) + diam_ge * np.sqrt(np.log(sk.points.shape[0]))
-    return float(q), float(g1_e + g2_g)
-
-
-@pytest.mark.parametrize("sk, kind", [
-    (geometry.sparse_skeleton_sampler(5, 40, 2000, 3), "laplace"),
-    (geometry.sparse_skeleton_sampler(2, 6, 100, 26), "gaussian"),
-    (geometry.skeleton_from_points(np.random.default_rng(27).standard_normal(
-        (300, 7))), "symmetric_exponential"),  # not negation-closed
-], ids=["sparse-40", "sparse-6", "gaussian-cloud"])
-def test_skeleton_q_m_proxies_check_negation_closure_once(sk, kind, monkeypatch):
-    prof = profile_for(DistributionSpec(kind, sk.points.shape[1]))
-    want = _three_scan_proxies(sk, prof, 300)
-    calls = []
-    closed = geometry._negation_closed
-    monkeypatch.setattr(geometry, "_negation_closed",
-                        lambda P: calls.append(P.shape) or closed(P))
-    assert skeleton_q_m_proxies(sk, prof, 300) == want  # bitwise
-    assert len(calls) == 1
+def test_polytope_complexity_q_takes_the_joint_diameter():
+    # Delta_g = 2 at the pair (0, 1_4) and Delta_e = 1.5 at the pair
+    # (0, 1.5 e_1), so Delta_(g+e) = 3 falls below Delta_g + Delta_e = 3.5;
+    # m sees only the two diameters
+    s = geometry.polytope([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                           [1.5, 0.0, 0.0, 0.0]])
+    prof = ConcentrationProfile(euclidean_scaled(1.0), infinity_scaled(1.0))
+    q, m = polytope_complexity(s, prof, 25)
+    logd = math.log(3)
+    assert q == pytest.approx(1.5 * logd / 5 + 3 * math.sqrt(logd), rel=1e-12)
+    assert m == pytest.approx(1.5 * logd + 2 * math.sqrt(logd), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +498,7 @@ def test_bound_assembly_pipeline_from_estimated_ingredients():
     prof = profile_for(spec)
 
     sk = geometry.sparse_skeleton_sampler(k, p, 2_000, seed=91)
-    q_proxy, m_proxy = skeleton_q_m_proxies(sk, prof, n)
+    q_proxy, m_proxy = polytope_complexity(sk, prof, n)
 
     # unit directions in span(s - s), the whole space for the l1 ball
     dirs = rng_for(92, "span-sphere").standard_normal((128, p))
@@ -542,9 +534,13 @@ _PROFILE = profile_for(_SPEC)
                  id="width-trials"),
     pytest.param(lambda: empirical_width(_L1, _SPEC, 0, 100, 0), "n must be >= 1",
                  id="empirical-width-n"),
-    pytest.param(lambda: finite_gamma_bound(geometry.Skeleton(np.eye(3), "l1"), 3,
+    pytest.param(lambda: finite_gamma_bound(geometry.polytope(np.eye(3)), 3,
                                             euclidean_scaled(1.0)),
                  "alpha must be 1 or 2", id="finite-gamma-alpha"),
+    pytest.param(lambda: geometry.polytope([[]]), r"vertices must be .* shape \(1, 0\)",
+                 id="polytope-no-columns"),
+    pytest.param(lambda: geometry.polytope(np.zeros((0, 3))),
+                 r"vertices must be .* shape \(0, 3\)", id="polytope-no-rows"),
     pytest.param(lambda: dudley_sparse_bound(1, 3, 3), "alpha must be 1 or 2",
                  id="dudley-alpha"),
     pytest.param(lambda: assemble_bound(1.0, 1.0, None, 7.0, 100, 1.0, 0.0, "local"),

@@ -205,8 +205,7 @@ def test_support_function_lifted_psd():
     assert geo.support_function(s, Z) == pytest.approx(2.0 * np.sqrt(9.0 + 0.25))
 
 
-SUPPORT_KINDS = ("l1_ball", "hypercube", "polytope", "skeleton", "l2_ball",
-                 "lifted_psd_fro")
+SUPPORT_KINDS = ("l1_ball", "hypercube", "polytope", "l2_ball", "lifted_psd_fro")
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,7 +223,6 @@ def test_support_function_rows_equal_the_per_row_calls(kind, p, m, seed, spread)
     s = {"l1_ball": lambda: geo.l1_ball(radius, p),
          "hypercube": lambda: geo.hypercube(radius, p),
          "polytope": lambda: geo.polytope(points),
-         "skeleton": lambda: geo.skeleton_from_points(points),
          "l2_ball": lambda: geo.l2_ball(radius, p, center),
          "lifted_psd_fro": lambda: geo.lifted_psd_fro(radius, p)}[kind]()
     Z = spread * rng.standard_normal((m, p * p if kind == "lifted_psd_fro" else p))
@@ -234,7 +232,7 @@ def test_support_function_rows_equal_the_per_row_calls(kind, p, m, seed, spread)
         assert np.array_equal(rows, one_by_one)
     else:
         extent = {"l2_ball": radius + np.abs(center).max(), "lifted_psd_fro": radius,
-                  "polytope": np.abs(points).max(), "skeleton": np.abs(points).max()}[kind]
+                  "polytope": np.abs(points).max()}[kind]
         assert np.all(np.abs(rows - one_by_one) <= 1e-12 * extent * np.abs(Z).sum(axis=1))
     if kind == "lifted_psd_fro":
         assert np.array_equal(rows, geo.support_function_rows(s, Z.reshape(m, p, p)))
@@ -245,8 +243,8 @@ def test_support_function_rows_score_point_lists_in_slices(monkeypatch):
     P, Z = rng.standard_normal((50, 4)), rng.standard_normal((20, 4))
     oracle = np.array([np.max(P @ z) for z in Z])
     monkeypatch.setattr(geo, "PAIR_BLOCK_BYTES", 8 * 50 * 3)  # slices of 3 rows
-    for s in (geo.polytope(P), geo.skeleton_from_points(P)):
-        assert np.allclose(geo.support_function_rows(s, Z), oracle, rtol=1e-12, atol=1e-12)
+    assert np.allclose(geo.support_function_rows(geo.polytope(P), Z), oracle,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_support_duality_with_projection():
@@ -574,30 +572,32 @@ def test_cone_directions_degenerate_set():
 # ---------------------------------------------------------------------------
 
 def test_sparse_skeleton_constructive_properties():
-    skel = geo.sparse_skeleton_sampler(3, 10, 400, seed=1)
-    pts = skel.points
+    pts = geo.sparse_skeleton_sampler(3, 10, 400, seed=1).vertices
     assert np.all((np.abs(pts) > 0).sum(axis=1) <= 3)
     assert np.all(np.linalg.norm(pts, axis=1) <= 3.0 + 1e-12)
-    assert pairwise_diameter(skel.points) == pytest.approx(6.0)
+    assert pairwise_diameter(pts) == pytest.approx(6.0)
 
 
 def test_sparse_skeleton_k_equals_p():
-    skel = geo.sparse_skeleton_sampler(4, 4, 200, seed=2)
-    assert pairwise_diameter(skel.points) == pytest.approx(6.0)
-    assert np.all(np.linalg.norm(skel.points, axis=1) <= 3.0 + 1e-12)
+    pts = geo.sparse_skeleton_sampler(4, 4, 200, seed=2).vertices
+    assert pairwise_diameter(pts) == pytest.approx(6.0)
+    assert np.all(np.linalg.norm(pts, axis=1) <= 3.0 + 1e-12)
 
 
 def test_sparse_skeleton_axis_points_k1_p2():
     # enumeration oracle: all four signed axis points at radius 3 appear
-    skel = geo.sparse_skeleton_sampler(1, 2, 64, seed=3)
+    pts = geo.sparse_skeleton_sampler(1, 2, 64, seed=3).vertices
     expected = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]])
     for e in expected:
-        assert np.min(np.linalg.norm(skel.points - e, axis=1)) < 1e-9
+        assert np.min(np.linalg.norm(pts - e, axis=1)) < 1e-9
 
 
 def test_sparse_skeleton_validates_k():
     with pytest.raises(ConfigurationError):
         geo.sparse_skeleton_sampler(5, 3, 10, seed=0)
+    for n_points in (0, -5):
+        with pytest.raises(ConfigurationError, match="n_points"):
+            geo.sparse_skeleton_sampler(2, 3, n_points, seed=0)
 
 
 def sample_descent_cone(rng, p, support, signs, count):
@@ -623,14 +623,14 @@ def test_descent_cone_contained_in_skeleton_hull():
     signs = np.array([1.0, -1.0, 1.0])
     dirs = sample_descent_cone(rng, p, support, signs, 10_000)
     skel = geo.sparse_skeleton_sampler(k, p, 8_000, seed=5)
-    worst = geo.certify_hull_membership(skel.points, dirs, tol=1e-6)
+    worst = geo.certify_hull_membership(skel.vertices, dirs, tol=1e-6)
     assert worst <= 1e-6
 
 
 def test_hull_membership_detects_outside_point():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    inside = geo.hull_membership_residual(pts, np.array([0.2, 0.2]))
-    outside = geo.hull_membership_residual(pts, np.array([1.5, 0.0]))
+    inside = geo.certify_hull_membership(pts, np.array([0.2, 0.2]))
+    outside = geo.certify_hull_membership(pts, np.array([[0.2, 0.2], [1.5, 0.0]]))
     assert inside < 1e-10
     assert outside > 0.4
 
@@ -638,13 +638,21 @@ def test_hull_membership_detects_outside_point():
 def test_hull_membership_residual_is_zero_inside_hull_with_origin():
     # conv{0, e1, e2} contains (0.25, 0.25) = (e1 + e2) / 4 + 0 / 2
     pts = np.eye(2)
-    assert geo.hull_membership_residual(pts, np.array([0.25, 0.25])) < 1e-12
+    assert geo.certify_hull_membership(pts, np.array([0.25, 0.25])) < 1e-12
 
 
 def test_hull_membership_residual_is_the_exact_distance():
     # the nearest point of conv{0, e1, e2} to (3, 0.5) is e1, at sqrt(4.25)
-    got = geo.hull_membership_residual(np.eye(2), np.array([3.0, 0.5]))
+    got = geo.certify_hull_membership(np.eye(2), np.array([3.0, 0.5]))
     assert got == pytest.approx(math.sqrt(4.25), rel=1e-12)
+    # a prefilter of one atom measures (1.2, 1) against conv{0, 2 e1} first,
+    # at distance 1; past tol, the full hull gives (1.1, 0.9), at 0.1 sqrt 2,
+    # and within tol the first distance stands as an upper bound
+    pts, v = np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1.2, 1.0])
+    got = geo.certify_hull_membership(pts, v, prefilter=1)
+    assert got == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-12)
+    assert geo.certify_hull_membership(pts, v, tol=2.0, prefilter=1) == pytest.approx(
+        1.0, rel=1e-12)
 
 
 vertex_lists = st.integers(1, 5).flatmap(lambda p: st.tuples(
@@ -683,7 +691,7 @@ def test_nearest_point_kernel_satisfies_the_optimality_oracle(case):
     atoms = np.vstack([V, np.zeros(V.shape[1])])
     w0 = geo._nearest_weights(atoms, v)
     _assert_nearest(atoms, v, atoms.T @ w0)
-    assert geo.hull_membership_residual(V, v) == np.linalg.norm(atoms.T @ w0 - v)
+    assert geo.certify_hull_membership(V, v) == np.linalg.norm(atoms.T @ w0 - v)
 
 
 def test_nearest_point_kernel_returns_at_once_on_a_vertex():

@@ -6,7 +6,7 @@ import os
 import re
 import tempfile
 import typing
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -490,9 +490,9 @@ def test_records_round_trip_every_format_and_header_length(records):
             harness.parse_records_csv(",".join(header) + "\n" + body)
 
     lines = harness.emit(result, "jsonl").rstrip("\n").split("\n")
-    assert len(lines) == len(records)
+    assert len(lines) == len(records)  # a non-finite float comes back as null
     assert [repr(harness.TrialRecord(**json.loads(line))) for line in lines] == \
-        [repr(r) for r in records]
+        [repr(harness.TrialRecord(*_finite_or_none(astuple(r)))) for r in records]
 
     def cell(value, f):
         if value is None:
@@ -597,6 +597,10 @@ def test_config_yaml_load_and_run(tmp_path):
     ("level: 0.1}", "level: -0.1}", "model.noise.level must be finite and nonnegative"),
     ("tol: 1.0e-12}", "tol: -1.0}", "solver.tol must be positive"),
     ("{k: 2, seed: 4}", "{k: 7, seed: 4}", "model.beta0_rule: need 1 <= k <= p"),
+    ("{kind: l1_ball, radius: beta0_l1}", "{kind: polytope, vertices: []}",
+     "set.vertices must be a non-empty 2-D list of points, got shape (1, 0)"),
+    ("{kind: l1_ball, radius: beta0_l1}", "{kind: polytope, vertices: [[[1.0]]]}",
+     "set.vertices must be a non-empty 2-D list of points, got shape (1, 1, 1)"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML
@@ -913,14 +917,43 @@ def typed_tables(draw):
         (harness.Column(f"fit{i}", float), v) for i, v in enumerate(fit)))
 
 
+def _finite_or_none(row):
+    return tuple(None if isinstance(v, float) and not math.isfinite(v) else v for v in row)
+
+
 @settings(max_examples=150, deadline=None)
 @given(typed_tables())
 def test_typed_rows_round_trip_through_csv_and_jsonl(table):
-    # repr tells -0.0 from 0.0 and compares NaN
+    # repr tells -0.0 from 0.0 and compares NaN; jsonl writes a non-finite
+    # float as null
     fit_columns, fit = zip(*table.fit) if table.fit else ((), ())
-    for fmt in ("csv", "jsonl"):
-        assert repr(read_back(harness.emit(table, fmt), fmt, table.columns + fit_columns)) \
-            == repr([(*row, *fit) for row in table.rows])
+    want = [(*row, *fit) for row in table.rows]
+    assert repr(read_back(harness.emit(table, "csv"), "csv", table.columns + fit_columns)) \
+        == repr(want)
+    assert repr(read_back(harness.emit(table, "jsonl"), "jsonl", table.columns + fit_columns)) \
+        == repr(list(map(_finite_or_none, want)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_report_jsonl_is_strict_json_without_a_fit(tmp_path, capsys):
+    # two n values leave the decay fit undefined: its cells are null, not
+    # the NaN token that strict readers reject
+    from subexp_lasso.cli import main
+
+    cfg, records = tmp_path / "exp.yaml", tmp_path / "records.csv"
+    cfg.write_text(CONFIG_YAML.replace("n_grid: [20, 40, 80]", "n_grid: [20, 40]"))
+    assert main(["experiment", "--config", str(cfg), "--out", str(records)]) == 0
+    _, *fit = harness.summarize(harness.parse_records_csv(str(records)))
+    assert math.isnan(fit[0]) and math.isnan(fit[1])
+    assert main(["report", str(records), "--format", "jsonl"]) == 0
+    objects = [json.loads(line, parse_constant=_reject_constant)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [obj["n"] for obj in objects] == [20, 40]
+    assert all((obj["decay_slope"], obj["stderr"]) == _finite_or_none(fit)
+               for obj in objects)
 
 
 @pytest.mark.parametrize("command", [["sample"], ["solve"], ["mismatch"], ["complexity"],

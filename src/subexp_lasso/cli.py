@@ -115,13 +115,15 @@ def cmd_sample(args) -> harness.Table:
 
 
 def cmd_solve(args) -> dict:
+    """One row of scalars: the solve's summary, then the flat, row-major
+    estimate as columns estimate_0, estimate_1, ..."""
     config = _load(args)
     ds = _dataset(args, config, "solve")
     res = solver.solve(ds, config.hypothesis_set, config.solver_config)
     return {"n": ds.n, "objective": res.objective, "iterations": res.iterations,
             "converged": res.converged,
             "fixed_point_residual": res.fixed_point_residual,
-            "estimate": np.asarray(res.estimate).ravel().tolist()}
+            **{f"estimate_{j}": v for j, v in enumerate(res.estimate.ravel().tolist())}}
 
 
 def cmd_mismatch(args):

@@ -304,7 +304,6 @@ class BoundAssembly:
     version: str
     n_required: float
     predicted_error: float
-    constants_convention: str = "all hidden universal constants = 1"
     degenerate: bool = False
 
 
@@ -313,7 +312,8 @@ def assemble_bound(q_proxy: float, m_proxy: float,
                    sigma: float, rho_local: float, version: str,
                    q_provenance: str = "caller",
                    m_provenance: str = "caller") -> BoundAssembly:
-    """Evaluate the sample-size condition and predicted error level.
+    """Evaluate the sample-size condition and predicted error level, with
+    every hidden universal constant set to 1.
 
     local:  n_required = ((q + tau u) / (tau qhat))^2
             error      = [rho_t + u^2 sigma m / sqrt(n)]_+ / (tau qhat)^2

@@ -5,13 +5,10 @@ mixed gaussian/exponential tail bound on all marginals <x, v>:
 
     P(|<x, v>| >= t) <= 2 exp(-min{t^2 / g(v)^2, t / e(v)})
 
-where g and e are scaled semi-norms.  The per-law scales shipped by
-`profile_for` are exact (Chernoff-derived), so the bound holds with
-multiplier 1; an extra multiplier can be applied for looser conventions, and
-`verify_bernstein_tail` reports the smallest multiplier that would make the
-bound hold on data.  The `uniform_subexp=True` profile is not exact: its
-scale is a Monte-Carlo moment-proxy estimate over the p axes and 64 random
-directions, times `PSI1_PROXY_TO_ORLICZ`, and guarantees no tail bound.
+where g and e are scaled semi-norms; a tail profile is exactly this pair.
+The per-law scales shipped by `profile_for` are exact (Chernoff-derived),
+so the bound holds as stated, and `verify_bernstein_tail` reports the
+smallest multiplier of both semi-norms under which it holds on data.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 
 # Coordinate law -> (variance factor, Laplace divisor): a coordinate of
 # scale s has variance factor * s^2, and a Laplace-type law is Laplace(b),
@@ -34,11 +31,6 @@ _LAWS = {"gaussian": (1.0, None), "rademacher": (1.0, None),
 KINDS = (*_LAWS, "mixed")
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-# proxy -> true Orlicz-norm calibration for the sub-exponential catalog; the
-# ratio is exactly 2 for Laplace/exponential coordinates and below 2 for the
-# lighter members (gaussian 1.72, rademacher 1.45).
-PSI1_PROXY_TO_ORLICZ = 2.0
 
 # entries per block of unpacked sign bits in `symmetrize`; a multiple of 8
 _SIGN_BLOCK = 1 << 15
@@ -275,15 +267,10 @@ def seminorm_eval(descriptor: SemiNorm, v) -> float:
 
 @dataclass(frozen=True)
 class ConcentrationProfile:
-    """Pair of semi-norms (g, e) driving the two-sided marginal tail bound.
-
-    constants_convention records the multiplier applied on top of the
-    per-law analytic scales (1.0 = the scales as derived).
-    """
+    """Pair of semi-norms (g, e) driving the two-sided marginal tail bound."""
 
     g_norm: SemiNorm
     e_norm: SemiNorm
-    constants_convention: float = 1.0
 
     def __post_init__(self):
         if self.g_norm.is_zero and self.e_norm.is_zero:
@@ -309,26 +296,18 @@ def mixed_tail_bound(g: float, e: float, t: float) -> float:
     return 2.0 * np.exp(-exponent)
 
 
-def profile_for(spec: DistributionSpec, multiplier: float = 1.0,
-                uniform_subexp: bool = False) -> ConcentrationProfile:
+def profile_for(spec: DistributionSpec) -> ConcentrationProfile:
     """Tail profile matching the spec.
 
     gaussian / rademacher      -> (euclidean, zero)
     laplace / symmetric_exp    -> (euclidean, infinity)
     mixed                      -> base scales behind ||M^T .||_2 / ||M^T .||_inf
-    uniform_subexp=True        -> (zero, euclidean) with an estimated uniform
-                                  psi_1 scale: the pure-exponential reading,
-                                  a Monte-Carlo estimate with no tail bound.
+
+    The paper's uniformly sub-exponential profile with a known kappa is
+    `ConcentrationProfile(zero_norm(), euclidean_scaled(kappa))`.
     """
-    if multiplier <= 0:
-        raise ConfigurationError("multiplier must be positive")
-    if uniform_subexp:
-        kappa = uniform_psi1_scale(spec)
-        return ConcentrationProfile(zero_norm(),
-                                    euclidean_scaled(multiplier * kappa),
-                                    constants_convention=multiplier)
     # Per-law tail scales from exact Chernoff bounds, so that the two-sided
-    # inequality holds with multiplier 1:
+    # inequality holds as stated:
     #   gaussian    P(|N(0,s^2)| >= t) <= 2 exp(-t^2 / (2 s^2))
     #   rademacher  weighted-sum Hoeffding with the sharp 1/2 constant
     #   laplace(b)  mgf 1/(1-l^2 b^2): (g, e) = (sqrt(8) b, 2 sqrt(2) b)
@@ -339,12 +318,12 @@ def profile_for(spec: DistributionSpec, multiplier: float = 1.0,
         b = spec.scale / b_div
         g, e = np.sqrt(8.0) * b, 2.0 * np.sqrt(2.0) * b
     mt = "mt_" if spec.kind == "mixed" else ""
-    g_norm = SemiNorm(mt + "euclidean", multiplier * g, spec.mixing)
-    e_norm = SemiNorm(mt + "infinity", multiplier * e, spec.mixing) if e > 0 else zero_norm()
-    return ConcentrationProfile(g_norm, e_norm, constants_convention=multiplier)
+    g_norm = SemiNorm(mt + "euclidean", g, spec.mixing)
+    e_norm = SemiNorm(mt + "infinity", e, spec.mixing) if e > 0 else zero_norm()
+    return ConcentrationProfile(g_norm, e_norm)
 
 
-def lifted_profile(spec: DistributionSpec, multiplier: float = 1.0) -> ConcentrationProfile:
+def lifted_profile(spec: DistributionSpec) -> ConcentrationProfile:
     """(Frobenius, operator) profile for centered rank-one lifts x x^T - E.
 
     Valid for sub-gaussian coordinate laws.  The scale 4 s^2 comes from the
@@ -354,43 +333,15 @@ def lifted_profile(spec: DistributionSpec, multiplier: float = 1.0) -> Concentra
     if _law(spec.coordinate_kind)[1] is not None:
         raise ConfigurationError(
             "lifted profile requires sub-gaussian coordinates (gaussian/rademacher)")
-    c = multiplier * 4.0 * spec.scale ** 2
-    return ConcentrationProfile(frobenius_scaled(c), operator_scaled(c),
-                                constants_convention=multiplier)
-
-
-def uniform_psi1_scale(spec: DistributionSpec, budget: int = 100_000,
-                       directions: int = 64, seed: int = 0) -> float:
-    """Estimated uniform psi_1 scale sup_v ||<x, v>||_psi1 over unit directions.
-
-    Moment-proxy maximum over axes plus random directions, times the
-    proxy-to-Orlicz factor calibrated on the shipped catalog (exact for
-    exponential-type coordinates).
-    """
-    rng = rng_for(seed, f"{spec.seed_domain}:psi1-directions")
-    dirs = rng.standard_normal((directions, spec.p))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([np.eye(spec.p), dirs])
-    x = sample_inputs(spec, budget, rng_for(seed, f"{spec.seed_domain}:psi1-samples").integers(2 ** 63))
-    margins = x @ dirs.T
-    best = max(psi_norm_estimate(margins[:, j], alpha=1).value
-               for j in range(dirs.shape[0]))
-    return PSI1_PROXY_TO_ORLICZ * best
+    c = 4.0 * spec.scale ** 2
+    return ConcentrationProfile(frobenius_scaled(c), operator_scaled(c))
 
 
 # ---------------------------------------------------------------------------
 # Orlicz-norm moment proxies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrliczEstimate:
-    alpha: int
-    value: float
-    q_grid: tuple
-    sample_count: int
-
-
-def psi_norm_estimate(samples, alpha: int, q_grid=DEFAULT_Q_GRID) -> OrliczEstimate:
+def psi_norm_estimate(samples, alpha: int, q_grid=DEFAULT_Q_GRID) -> float:
     """Moment proxy max_q (E|Z|^q)^(1/q) / q^(1/alpha); exactly homogeneous."""
     if alpha not in (1, 2):
         raise ConfigurationError("alpha must be 1 or 2")
@@ -403,14 +354,14 @@ def psi_norm_estimate(samples, alpha: int, q_grid=DEFAULT_Q_GRID) -> OrliczEstim
     a = np.abs(samples)
     peak = a.max()
     if peak == 0.0:
-        return OrliczEstimate(alpha, 0.0, q_grid, samples.size)
+        return 0.0
     best = 0.0
     # factor out the peak so high moments do not overflow
     scaled = a / peak
     for q in q_grid:
         moment = peak * np.mean(scaled ** q) ** (1.0 / q)
         best = max(best, moment / q ** (1.0 / alpha))
-    return OrliczEstimate(alpha, float(best), q_grid, samples.size)
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -504,5 +455,5 @@ def xi_norm_concentration_check(samples) -> float:
     norm = float(np.linalg.norm(samples))
     if norm == 0.0:
         return 0.0
-    proxy = psi_norm_estimate(samples, alpha=1).value
+    proxy = psi_norm_estimate(samples, alpha=1)
     return norm / (np.sqrt(samples.size) * proxy)

@@ -22,6 +22,7 @@ from .seeding import rng_for
 MEMBERSHIP_TOL = 1e-8
 ANGULAR_DEDUP_TOL = 1e-6
 PAIR_BLOCK_BYTES = 1 << 22  # bytes held at once by pairwise_max, support_function_rows
+MAX_VERTICES = 1 << 20  # the longest vertex list `vertices_of` builds
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ def polytope(vertices) -> HypothesisSet:
     if V.ndim != 2 or V.size == 0:
         raise ConfigurationError(
             f"vertices must be a non-empty 2-D list of points, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise ConfigurationError("vertices must be finite, got a nan or inf coordinate")
     return HypothesisSet("polytope", 0.0, V.shape[1], vertices=V)
 
 
@@ -285,7 +288,7 @@ def support_function_rows(s: HypothesisSet, Z) -> np.ndarray:
     raise ConfigurationError(f"unknown set kind {s.kind!r}")
 
 
-def vertices_of(s: HypothesisSet, max_vertices: int = 1 << 20) -> np.ndarray:
+def vertices_of(s: HypothesisSet) -> np.ndarray:
     """Vertex list for polytopal sets (l1 ball, hypercube, explicit polytope)."""
     if s.kind == "polytope":
         return s.vertices
@@ -293,7 +296,7 @@ def vertices_of(s: HypothesisSet, max_vertices: int = 1 << 20) -> np.ndarray:
         eye = np.eye(s.p)
         return np.vstack([s.radius * eye, -s.radius * eye])
     if s.kind == "hypercube":
-        if 2 ** s.p > max_vertices:
+        if 2 ** s.p > MAX_VERTICES:
             raise ConfigurationError("hypercube vertex list too large")
         grid = np.array(np.meshgrid(*([[-s.radius, s.radius]] * s.p))).reshape(s.p, -1).T
         return grid

@@ -373,23 +373,22 @@ class PhaseTransitionResult:
     k_grid: tuple
     n_grid: tuple
     success: np.ndarray         # |k_grid| x |n_grid| success fractions
-    threshold_rule: str
     max_error: np.ndarray       # |k_grid| x |n_grid| largest trial errors
 
 
-def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
-                         success_threshold: Optional[float] = None) -> PhaseTransitionResult:
+def run_phase_transition(k_grid, n_grid, config: ExperimentConfig) -> PhaseTransitionResult:
     """Fraction of trials with error below threshold, and the largest trial
     error, per (k, n) cell.
 
     For each sparsity k a fresh unit-norm k-sparse target is drawn and the
-    l1 ball is tuned to it; the default threshold is 1e-3 times the target
-    norm for noiseless models and the noise level otherwise.  The cells are
+    l1 ball is tuned to it; the threshold is 1e-3 times the target norm for
+    noiseless models and the noise level otherwise.  The cells are
     the error-curve cells of a config named "pt:k=<k>", solved by
     `_run_cells` on thread_count() workers.
     """
     k_grid, n_grid = _grid(k_grid, "k_grid"), _grid(n_grid, "n_grid")
     noise = config.model.noise
+    noiseless = noise.kind == "none" or noise.level == 0.0
     cells, thresholds = [], []
     for i, k in enumerate(k_grid):
         beta0 = sparse_vector(config.spec.p, k,
@@ -401,18 +400,13 @@ def run_phase_transition(k_grid, n_grid, config: ExperimentConfig,
                                             config.spec.p))
         cells += [(config_k, beta0, n, trial) for n in n_grid
                   for trial in range(config.trials_per_n)]
-        if success_threshold is not None:
-            thresholds.append(float(success_threshold))
-        elif noise.kind == "none" or noise.level == 0.0:
-            thresholds.append(1e-3 * float(np.linalg.norm(beta0)))
-        else:
-            thresholds.append(noise.level)
+        thresholds.append(1e-3 * float(np.linalg.norm(beta0)) if noiseless
+                          else noise.level)
     errors = np.array([r.error for r in _run_cells(cells)]).reshape(
         len(k_grid), len(n_grid), config.trials_per_n)
     hits = np.count_nonzero(errors < np.array(thresholds)[:, None, None], axis=2)
-    rule = "auto" if success_threshold is None else "explicit"
     return PhaseTransitionResult(k_grid, n_grid, hits / config.trials_per_n,
-                                 rule, errors.max(axis=2))
+                                 errors.max(axis=2))
 
 
 # ---------------------------------------------------------------------------

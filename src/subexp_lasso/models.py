@@ -312,7 +312,7 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
 
     mean_vec, se_vec, on, xi = _xi_moments(model, spec, beta_nat, mc_budget, seed)
     mc_std_error = float(np.sqrt(np.mean(se_vec ** 2)))
-    sigma = psi_norm_estimate(xi, alpha=1).value
+    sigma = psi_norm_estimate(xi, alpha=1)
     rho_global = float(np.linalg.norm(mean_vec[on]))
 
     rho_local, used, exceeds = None, 0, False
@@ -324,7 +324,7 @@ def mismatch_report(model: ObservationModel, spec: DistributionSpec,
         else:
             rho_local, used = float(np.max(dirs @ mean_vec)), dirs.shape[0]
 
-    return MismatchReport(sigma=float(sigma), rho_global=rho_global,
+    return MismatchReport(sigma=sigma, rho_global=rho_global,
                           rho_local=rho_local, mc_std_error=mc_std_error,
                           budget=mc_budget, directions_used=used,
                           scale_exceeds_diameter=exceeds)

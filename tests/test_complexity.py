@@ -541,6 +541,10 @@ _PROFILE = profile_for(_SPEC)
                  id="polytope-no-columns"),
     pytest.param(lambda: geometry.polytope(np.zeros((0, 3))),
                  r"vertices must be .* shape \(0, 3\)", id="polytope-no-rows"),
+    pytest.param(lambda: geometry.polytope([[np.nan, 1.0], [0.0, 2.0]]),
+                 "vertices must be finite", id="polytope-nan"),
+    pytest.param(lambda: geometry.polytope([[1.0, 0.0], [0.0, -np.inf]]),
+                 "vertices must be finite", id="polytope-inf"),
     pytest.param(lambda: dudley_sparse_bound(1, 3, 3), "alpha must be 1 or 2",
                  id="dudley-alpha"),
     pytest.param(lambda: assemble_bound(1.0, 1.0, None, 7.0, 100, 1.0, 0.0, "local"),

@@ -201,9 +201,6 @@ def test_profile_kinds():
     lift = lifted_profile(DistributionSpec("gaussian", 4))
     assert lift.g_norm.kind == "frobenius" and lift.e_norm.kind == "operator"
 
-    sub = profile_for(DistributionSpec("laplace", 5), uniform_subexp=True)
-    assert sub.g_norm.is_zero and sub.e_norm.kind == "euclidean"
-
     with pytest.raises(ConfigurationError):
         lifted_profile(DistributionSpec("laplace", 4))
 
@@ -219,14 +216,14 @@ def test_profile_requires_one_nonzero_norm():
 
 def test_psi_norm_zero_samples():
     est = psi_norm_estimate(np.zeros(100), alpha=1)
-    assert est.value == 0.0
+    assert est == 0.0
 
 
 def test_psi_norm_exact_homogeneity():
     rng = np.random.default_rng(4)
     z = rng.standard_normal(500)
-    base = psi_norm_estimate(z, alpha=2).value
-    scaled = psi_norm_estimate(3.0 * z, alpha=2).value
+    base = psi_norm_estimate(z, alpha=2)
+    scaled = psi_norm_estimate(3.0 * z, alpha=2)
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -237,14 +234,14 @@ def test_psi1_symmetric_exponential_vs_exact_moment_oracle():
     spec = DistributionSpec("symmetric_exponential", 1)
     z = sample_inputs(spec, 1_000_000, 23).ravel()
     est = psi_norm_estimate(z, alpha=1, q_grid=q_grid)
-    assert abs(est.value - oracle) / oracle < 0.10
+    assert abs(est - oracle) / oracle < 0.10
 
 
 def test_orlicz_monotonicity_between_alphas():
     rng = np.random.default_rng(9)
     z = rng.laplace(size=2_000)
-    v2 = psi_norm_estimate(z, alpha=2).value
-    v1 = psi_norm_estimate(z, alpha=1).value
+    v2 = psi_norm_estimate(z, alpha=2)
+    v1 = psi_norm_estimate(z, alpha=1)
     assert v2 <= v1 * math.sqrt(max(DEFAULT_Q_GRID)) + 1e-12
 
 

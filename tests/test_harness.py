@@ -311,7 +311,6 @@ def test_phase_transition_equals_inline_loop(noise, monkeypatch):
     serial = harness.run_phase_transition(k_grid, n_grid, config)
     assert np.array_equal(serial.success, oracle)
     assert np.array_equal(serial.max_error, max_error)
-    assert serial.threshold_rule == "auto"
     monkeypatch.setenv("SUBEXP_LASSO_THREADS", "2")
     threaded = harness.run_phase_transition(k_grid, n_grid, config)
     assert np.array_equal(threaded.success, oracle)
@@ -368,8 +367,7 @@ def test_jsonl_and_table_formats():
     table = harness.emit(res, "table")
     assert table.splitlines()[0].startswith("experiment")
     # reports and phase results rendered an unknown format as a table
-    phase = harness.PhaseTransitionResult((1,), (20,), np.ones((1, 1)), "auto",
-                                          np.zeros((1, 1)))
+    phase = harness.PhaseTransitionResult((1,), (20,), np.ones((1, 1)), np.zeros((1, 1)))
     for result in (res, harness.CertificateReport(0.5, 10, 0.1, True), phase):
         with pytest.raises(ConfigurationError, match="unknown format 'xml'"):
             harness.emit(result, "xml")
@@ -601,6 +599,8 @@ def test_config_yaml_load_and_run(tmp_path):
      "set.vertices must be a non-empty 2-D list of points, got shape (1, 0)"),
     ("{kind: l1_ball, radius: beta0_l1}", "{kind: polytope, vertices: [[[1.0]]]}",
      "set.vertices must be a non-empty 2-D list of points, got shape (1, 1, 1)"),
+    ("{kind: l1_ball, radius: beta0_l1}", "{kind: polytope, vertices: [[.nan, 1.0]]}",
+     "set.vertices must be finite, got a nan or inf coordinate"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML
@@ -956,6 +956,24 @@ def test_report_jsonl_is_strict_json_without_a_fit(tmp_path, capsys):
                for obj in objects)
 
 
+def test_solve_jsonl_is_strict_json_with_a_diverged_estimate(tmp_path, capsys,
+                                                              monkeypatch):
+    # the estimate is a scalar column per entry, so a non-finite entry is
+    # null like every other cell, not a NaN token inside a list
+    from subexp_lasso import cli
+
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(CONFIG_YAML)
+    diverged = solver.SolveResult(np.array([np.nan, 1.0, -np.inf]), 7, np.inf, False)
+    monkeypatch.setattr(cli.solver, "solve", lambda *args: diverged)
+    assert cli.main(["solve", "--config", str(cfg), "--format", "jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out, parse_constant=_reject_constant) == {
+        "n": 20, "objective": None, "iterations": 7, "converged": False,
+        "fixed_point_residual": None, "estimate_0": None, "estimate_1": 1.0,
+        "estimate_2": None}
+
+
 @pytest.mark.parametrize("command", [["sample"], ["solve"], ["mismatch"], ["complexity"],
                                      ["certificate", "--scale", "0.5"], ["experiment"],
                                      ["report"]], ids=lambda command: command[0])
@@ -1265,7 +1283,8 @@ def test_cli_datasets_come_from_the_command_streams(tmp_path):
     res = solve_lasso(dataset("solve", 20), config.hypothesis_set,
                       config.solver_config)
     assert report["n"] == 20 and report["iterations"] == res.iterations
-    assert report["estimate"] == res.estimate.tolist()
+    assert list(report)[5:] == [f"estimate_{j}" for j in range(res.estimate.size)]
+    assert list(report.values())[5:] == res.estimate.tolist()
 
     cert_out = tmp_path / "cert.jsonl"
     assert main(["certificate", "--config", str(cfg), "--scale", "0.5",

@@ -435,7 +435,7 @@ def test_mismatch_scale_equivariance():
     for chunk_seed, m in partitions(200_000, 24, "mismatch"):
         ds = generate_dataset(base, spec, m, chunk_seed)
         xi3.append(3 * ds.outputs - ds.inputs @ (3 * 0.3 * beta0))
-    sigma3 = psi_norm_estimate(np.concatenate(xi3), alpha=1).value
+    sigma3 = psi_norm_estimate(np.concatenate(xi3), alpha=1)
     assert sigma3 == pytest.approx(3.0 * rep1.sigma, rel=1e-12)
 
 
@@ -456,7 +456,7 @@ def _full_draw_mismatch(model, spec, beta_nat, mc_budget, seed):
     mean_vec /= mc_budget
     var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
     se_vec = np.sqrt(var_vec / mc_budget)
-    return (psi_norm_estimate(np.concatenate(xis), alpha=1).value,
+    return (psi_norm_estimate(np.concatenate(xis), alpha=1),
             float(np.linalg.norm(mean_vec)), float(np.sqrt(np.mean(se_vec ** 2))))
 
 
@@ -503,7 +503,7 @@ def _mismatch_reference(model, spec, beta_nat, mc_budget, seed):
     sq_vec[on] += sq_on
     var_vec = np.maximum(sq_vec / mc_budget - mean_vec ** 2, 0.0)
     se_vec = np.sqrt(var_vec / mc_budget)
-    return (psi_norm_estimate(np.concatenate(xis), alpha=1).value,
+    return (psi_norm_estimate(np.concatenate(xis), alpha=1),
             float(np.linalg.norm(mean_on / mc_budget)),
             float(np.sqrt(np.mean(se_vec ** 2))))
 
@@ -569,7 +569,7 @@ def test_mismatch_with_an_empty_latent_support_draws_the_noise_only():
                           4_000) ** 2
     se = np.sqrt(0.25 * (M ** 2).sum(axis=1) * float(xi @ xi) / 4_000 / 4_000)
     assert rep.rho_global == 0.0
-    assert rep.sigma == psi_norm_estimate(xi, alpha=1).value
+    assert rep.sigma == psi_norm_estimate(xi, alpha=1)
     assert rep.mc_std_error == pytest.approx(np.sqrt(np.mean(se ** 2)),
                                              rel=1e-12)
 

@@ -59,6 +59,8 @@ def l2_ball(radius: float, p: int, center=None) -> HypothesisSet:
     c = np.zeros(p) if center is None else np.asarray(center, dtype=float)
     if c.shape != (p,):
         raise ConfigurationError("center must have length p")
+    if not np.isfinite(c).all():
+        raise ConfigurationError("center must be finite, got a nan or inf coordinate")
     return HypothesisSet("l2_ball", float(radius), int(p), center=c)
 
 
@@ -85,8 +87,8 @@ def lifted_psd_fro(radius: float, p: int) -> HypothesisSet:
 
 
 def _check_radius(r):
-    if not (r > 0):
-        raise ConfigurationError("radius/halfwidth must be positive")
+    if not (0 < r < np.inf):
+        raise ConfigurationError(f"radius must be finite and positive, got {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,7 @@ def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
         raise ConfigurationError("dimension mismatch in project (lifted)")
     vals, vecs = np.linalg.eigh(0.5 * (B + B.T))
     X = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    X = 0.5 * (X + X.T)  # exactly symmetric, as the solver's iterates need
     nrm = np.linalg.norm(X, "fro")
     return X * (s.radius / nrm) if nrm > s.radius else X
 

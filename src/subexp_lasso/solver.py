@@ -9,9 +9,9 @@ Imaging Sci. 2009, section 4): each step is a projected gradient step of
 1/L' from the extrapolated point z = beta + ((t - 1) / t') (beta - beta_prev),
 where L' stands in for the Lipschitz constant L = 2 lambda_max(H) of the
 gradient, H = X^T X / n.  L' starts at 2 theta <= L, theta the top Ritz
-value of RITZ_STEPS Lanczos steps on H (exact, from one eigvalsh, when the
-Gram matrix has side d (Gram form) or n (residual form) at most
-RITZ_STEPS).  No L is computed: each step checks the descent inequality
+value of RITZ_STEPS Lanczos steps on H (exact, from one eigvalsh, when
+vector data has a Gram matrix of side d (Gram form) or n (direct form) at
+most RITZ_STEPS).  No L is computed: each step checks the descent inequality
 f(cand) <= f(z) + <grad f(z), m> + (L' / 2) ||m||^2, m = cand - z, which
 for this quadratic risk reads 2 m^T H m <= L' ||m||^2, and m^T H m is one
 dot product of stored states (see the two forms below).  A step that fails
@@ -44,8 +44,8 @@ config.tol
   <z - cand, cand - beta> > 0, the step from z turned against the
   direction of travel, and the momentum restarts as well: t = 1 before the
   next coefficient, so the next step starts from cand itself (the gradient
-  restart of O'Donoghue and Candes, Found. Comput. Math. 2015; svec is an
-  isometry, so for lifted data this is the Frobenius inner product).
+  restart of O'Donoghue and Candes, Found. Comput. Math. 2015; for lifted
+  data this is the Frobenius inner product).
 
 SolveResult.restarts counts both kinds of restart.
 
@@ -55,19 +55,19 @@ multiplier, 1e-10 to 1e-9, far above a tol of 1e-14.  Accepted iterates,
 subspace steps included, strictly lower the objective, so the estimate (the
 last accepted iterate) is the lowest-objective one; the objective trace
 holds the objective of the accepted iterate after each step.  The loop runs
-in one of two forms, chosen by the shape of the n x d design X:
+in one of two forms, chosen by the n x d design X:
 
-* Gram form (n >= d).  G = X^T X / n and c = X^T y / n are formed once,
-  and the Lanczos steps of the start of L' run on that same G.  An
-  iteration costs one d x d matvec, grad = 2 (G beta - c), and
+* Gram form (vector data with n >= d).  G = X^T X / n and c = X^T y / n
+  are formed once, and the Lanczos steps of the start of L' run on that
+  same G.  An iteration costs one d x d matvec, grad = 2 (G beta - c), and
   m^T H m = m^T (G cand - G z).  The objective is tracked as the exact
   starting objective minus the decreases delta^T (G beta + G beta' - 2 c),
   delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
   ||y||^2 / n would cancel catastrophically near zero risk.
-* Direct form (n < d).  The loop keeps the residual X beta - y of the
-  accepted iterate: two products with X per iteration, and
-  m^T H m = ||r_cand - r_z||^2 / n.  The Lanczos steps apply
-  v -> X^T (X v), so X X^T is never formed.  Over an l1 ball it
+* Direct form (vector data with n < d, and every lifted dataset).  The
+  loop keeps the residual X beta - y of the accepted iterate: two products
+  with X per iteration, and m^T H m = ||r_cand - r_z||^2 / n.  The Lanczos
+  steps apply v -> X^T (X v), so X X^T is never formed.  Over an l1 ball it
   also takes a subspace step every SUBSPACE_EVERY accepted steps: on the
   support S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, when
   |S| < n, the least-squares point u on the columns S (zero off S; from
@@ -84,23 +84,16 @@ in one of two forms, chosen by the shape of the n x d design X:
 Both stored states (G beta, or X beta - y) are affine in beta, so the state
 at z is recombined from those of beta and beta_prev with no extra product.
 
-Lifted datasets are solved in svec coordinates: the upper triangle of a
-symmetric matrix with its off-diagonal entries scaled by sqrt(2).  svec is
-an isometry from the symmetric matrices onto R^(p(p+1)/2), and the lifts and
-every iterate are symmetric, so L, every curvature m^T H m and the
-iterates at a given L' are those of the full-coordinate (d = p^2) problem
-in exact arithmetic, with d = p(p+1)/2.
-The lifts are never stored: the svec rows are built from the raw sample x
-and the centering E one block at a time, (x[:, rows] * x[:, cols] -
-E[rows, cols]) * weights.  In the Gram form the blocks, built into one
-reused pair of buffers, accumulate G and c; in the direct form they make
-the n x d svec design once, half the size of the n x p^2 lifts.
+Lifted data is solved matrix-free: the iterate is the flat p x p matrix
+(d = p^2), and X beta and X^T r are the dataset's forward and adjoint
+operators, x_i^T B x_i - <E, B> and X^T diag(r) X - (sum_i r_i) E, applied
+straight from the raw sample x and the centering E, so no lift is stored.
+The PSD projection returns an exactly symmetric matrix, so every iterate
+and the estimate are symmetric.
 
-Either way the starting objective, and the returned objective and
-fixed-point residual (recomputed once from the true residual of the
-returned estimate), come from the dataset's forward and adjoint operators:
-X beta and X^T r, or for lifted data x_i^T B x_i - <E, B> and
-X^T diag(r) X - (sum_i r_i) E.
+The starting objective, and the returned objective and fixed-point
+residual (recomputed once from the true residual of the returned
+estimate), come from the dataset's forward and adjoint operators.
 """
 
 from __future__ import annotations
@@ -228,46 +221,6 @@ def _ritz_top(apply, d: int) -> float:
     return float(np.linalg.eigvalsh(tri[:k + 1, :k + 1])[-1])
 
 
-class _Svec:
-    """svec coordinates of symmetric p x p matrices (see the module docstring)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows, self.cols = np.triu_indices(p)
-        self.weights = np.where(self.rows == self.cols, 1.0, np.sqrt(2.0))
-        self.dim = self.rows.size
-
-    def vec(self, A: np.ndarray) -> np.ndarray:
-        """svec of a matrix, or of each matrix in an (m, p, p) stack."""
-        v = A[..., self.rows, self.cols]
-        v *= self.weights
-        return v
-
-    def lift_rows(self, x: np.ndarray, centering: np.ndarray,
-                  out: Optional[tuple] = None) -> np.ndarray:
-        """svec of the centered lifts x_i x_i^T - centering of the rows of x:
-        the products of vec(lifts) in the same order, so bitwise equal.
-        With out, a pair of buffers of at least len(x) rows and dim columns,
-        the two gathers land in their leading rows and the result is a view
-        of the first."""
-        m = x.shape[0]
-        v, w = ((np.empty((m, self.dim)), np.empty((m, self.dim))) if out is None
-                else (out[0][:m], out[1][:m]))
-        np.take(x, self.rows, axis=1, out=v, mode="clip")
-        v *= np.take(x, self.cols, axis=1, out=w, mode="clip")
-        v -= centering[self.rows, self.cols]
-        v *= self.weights
-        return v
-
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        """The symmetric matrix whose svec is v."""
-        half = v / self.weights
-        B = np.empty((self.p, self.p))
-        B[self.rows, self.cols] = half
-        B[self.cols, self.rows] = half
-        return B
-
-
 def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
          config: SolverConfig) -> SolveResult:
     x = dataset.inputs
@@ -278,27 +231,23 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         raise ConfigurationError("non-finite data passed to the solver")
 
     if dataset.lifted:
-        sv = _Svec(s.p)
-        d, to_coords, from_coords = sv.dim, sv.vec, sv.mat
+        d = s.p * s.p
+        forward = dataset.forward
 
-        def rows(lo, hi, out=None):
-            return sv.lift_rows(x[lo:hi], dataset.centering, out)
+        def adjoint(r):
+            return dataset.adjoint(r).ravel()
     else:
-        d, to_coords, from_coords = x.shape[1], _flat, _flat
+        d = x.shape[1]
+        forward, adjoint = x.__matmul__, x.T.__matmul__
 
-        def rows(lo, hi, out=None):
-            return x[lo:hi]
-
-    if n >= d:
+    gram = n >= d and not dataset.lifted
+    if gram:
         block = min(n, max(1, GRAM_BLOCK_BYTES // (8 * d)))
         G, c = np.zeros((d, d)), np.zeros(d)
-        # the lifted blocks are built into one pair of buffers, reused
-        out = (np.empty((block, d)), np.empty((block, d))) if dataset.lifted else None
         for lo in range(0, n, block):
-            V = rows(lo, lo + block, out)
+            V = x[lo:lo + block]
             G += V.T @ V
             c += V.T @ y[lo:lo + block]
-        del out, V  # the block buffers are not needed past here
         G /= n
         c /= n
         lip = 2.0 * (max(float(np.linalg.eigvalsh(G)[-1]), 0.0) if d <= RITZ_STEPS
@@ -318,16 +267,15 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             dec = float((b - b_next) @ (g + g_next - 2.0 * c))
             return dec, obj - dec
     else:
-        Xc = rows(0, n)
-        lip = 2.0 * (max(float(np.linalg.eigvalsh(Xc @ Xc.T)[-1]), 0.0)
-                     if n <= RITZ_STEPS
-                     else _ritz_top(lambda v: Xc.T @ (Xc @ v), d)) / n
+        lip = 2.0 * (max(float(np.linalg.eigvalsh(x @ x.T)[-1]), 0.0)
+                     if n <= RITZ_STEPS and not dataset.lifted
+                     else _ritz_top(lambda v: adjoint(forward(v)), d)) / n
 
         def state(b):
-            return Xc @ b - y
+            return forward(b) - y
 
         def gradient(r):
-            return (2.0 / n) * (Xc.T @ r)
+            return (2.0 / n) * adjoint(r)
 
         def curvature(moved, diff, mm):
             # ||X m||^2 / n = <w, diff> with w = diff / n, and ||w||
@@ -337,7 +285,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         def decrease(obj, b, r, b_next, r_next):
             obj_next = float(r_next @ r_next) / n
             return obj - obj_next, obj_next
-    sigma_offset = float(np.linalg.norm(c if n >= d else y))
+    sigma_offset = float(np.linalg.norm(c if gram else y))
     rounding = STEP_ROUNDING * np.finfo(float).eps
     tol = config.tol
     subspace = n < d and s.kind == "l1_ball"
@@ -345,7 +293,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     start = geometry.project(s, np.zeros(s.ambient))
     r = dataset.forward(start) - y
     obj = float(r @ r) / n
-    beta = to_coords(start)
+    beta = start.ravel()
     st = state(beta)
     # z is the point the next step starts from; its state is recombined from
     # the stored states, which are affine in the iterate
@@ -358,7 +306,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         grad = gradient(st_z)
         while True:
             step = 1.0 / lip if lip > 0 else 1.0
-            cand = to_coords(geometry.project(s, from_coords(z - step * grad)))
+            cand = geometry.project(s, (z - step * grad).reshape(s.ambient)).ravel()
             st_cand = state(cand)
             moved = cand - z
             mm = float(moved @ moved)
@@ -401,7 +349,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             t, momentum = t_next, coef > 0.0
             accepted += 1
             if subspace and accepted % SUBSPACE_EVERY == 0:
-                u = _subspace_point(Xc, y, s, beta)
+                u = _subspace_point(x, y, s, beta)
                 if u is not None:
                     st_u = state(u)
                     dec_u, obj_u = decrease(obj, beta, st, u, st_u)
@@ -414,7 +362,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         if converged:
             break
 
-    estimate = from_coords(beta)
+    estimate = beta.reshape(s.ambient)
     r = dataset.forward(estimate) - y
     grad = ((2.0 / n) * dataset.adjoint(r)).reshape(estimate.shape)
     fp = geometry.project(s, estimate - step * grad)
@@ -494,7 +442,9 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
 def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
                  config: SolverConfig = SolverConfig()) -> SolveResult:
     """Minimize the lifted empirical risk over a PSD/Frobenius set; the loop
-    and its result are those of solve_lasso."""
+    and its result are those of solve_lasso, in the direct form for any n,
+    matrix-free: the lifts are applied from x and the centering through
+    Dataset.forward and Dataset.adjoint.  The estimate is exactly symmetric."""
     if not s.is_matrix_set:
         raise ConfigurationError("solve_lifted requires the lifted matrix set")
     if not dataset.lifted:

@@ -545,6 +545,14 @@ _PROFILE = profile_for(_SPEC)
                  "vertices must be finite", id="polytope-nan"),
     pytest.param(lambda: geometry.polytope([[1.0, 0.0], [0.0, -np.inf]]),
                  "vertices must be finite", id="polytope-inf"),
+    pytest.param(lambda: geometry.l1_ball(np.inf, 3),
+                 "radius must be finite and positive, got inf", id="radius-inf"),
+    pytest.param(lambda: geometry.hypercube(np.nan, 3),
+                 "radius must be finite and positive, got nan", id="radius-nan"),
+    pytest.param(lambda: geometry.l2_ball(1.0, 2, center=[0.0, np.inf]),
+                 "center must be finite", id="center-inf"),
+    pytest.param(lambda: geometry.l2_ball(1.0, 2, center=[np.nan, 0.0]),
+                 "center must be finite", id="center-nan"),
     pytest.param(lambda: dudley_sparse_bound(1, 3, 3), "alpha must be 1 or 2",
                  id="dudley-alpha"),
     pytest.param(lambda: assemble_bound(1.0, 1.0, None, 7.0, 100, 1.0, 0.0, "local"),

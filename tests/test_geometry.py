@@ -150,7 +150,7 @@ def test_lifted_projection_is_nearest_point(p, radius, seed, spread):
     s = geo.lifted_psd_fro(radius, p)
     B = spread * rng.standard_normal((p, p))
     P = geo.project(s, B)
-    assert geo.contains(s, P)
+    assert geo.contains(s, P) and np.array_equal(P, P.T)
     sym = 0.5 * (B + B.T)
     for _ in range(20):
         A = rng.standard_normal((p, int(rng.integers(1, p + 1))))

@@ -601,6 +601,14 @@ def test_config_yaml_load_and_run(tmp_path):
      "set.vertices must be a non-empty 2-D list of points, got shape (1, 1, 1)"),
     ("{kind: l1_ball, radius: beta0_l1}", "{kind: polytope, vertices: [[.nan, 1.0]]}",
      "set.vertices must be finite, got a nan or inf coordinate"),
+    ("radius: beta0_l1}", "radius: .inf}", "set.radius must be finite and positive, got inf"),
+    ("radius: beta0_l1}", "radius: .nan}", "set.radius must be finite and positive, got nan"),
+    ("{kind: l1_ball, radius: beta0_l1}",
+     "{kind: l2_ball, radius: 1.0, center: [0, 0, 0, 0, 0, .inf]}",
+     "set.center must be finite, got a nan or inf coordinate"),
+    ("{kind: l1_ball, radius: beta0_l1}",
+     "{kind: l2_ball, radius: 1.0, center: [.nan, 0, 0, 0, 0, 0]}",
+     "set.center must be finite, got a nan or inf coordinate"),
 ])
 def test_config_missing_or_bad_keys_name_the_key(tmp_path, old, new, message):
     assert old in CONFIG_YAML

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from subexp_lasso.seeding import derive_seed
 from subexp_lasso import solver
 from subexp_lasso.solver import (BACKTRACK_DELTA, RITZ_STEPS, STEP_ROUNDING,
                                  SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
-                                 SolverConfig, _ritz_top, _Svec,
+                                 SolverConfig, _ritz_top,
                                  _subspace_point, empirical_risk,
                                  excess_decomposition, excess_risk,
                                  rank1_extract, sign_invariant_error, solve,
@@ -195,11 +196,6 @@ def test_lipschitz_constant_zero_design_and_unit_step():
     assert res.objective == 1.0
 
 
-def svec_gram(ds):
-    V = _Svec(ds.inputs.shape[1]).lift_rows(ds.inputs, ds.centering)
-    return V.T @ V / ds.n
-
-
 def spy_linalg(monkeypatch):
     """The (name, shape of the first argument) of the eigh, eigvalsh and
     cholesky calls made, in order."""
@@ -225,13 +221,13 @@ def test_solve_result_reports_the_step():
                       geometry.l1_ball(1.0, 6))
     assert res.step == pytest.approx(1.0 / lipschitz_constant(X), rel=1e-12)
     assert res.backtracks == 0
-    # a lifted Gram of side 276: L' starts at 2 theta <= L, never decreases,
-    # and stays at most (1 + delta) L
+    # lifts of side 23 (529 coordinates, rank 276): L' starts at 2 theta <= L,
+    # never decreases, and stays at most (1 + delta) L
     ds = generate_dataset(ObservationModel("lifted_view", np.eye(23)[0]),
                           DistributionSpec("gaussian", 23), 400, 7)
-    G = svec_gram(ds)
-    lam = float(np.linalg.eigvalsh(G)[-1])
-    theta = _ritz_top(G.__matmul__, G.shape[0])
+    A = ds.lifts().reshape(ds.n, -1)
+    lam = float(np.linalg.eigvalsh(A.T @ A / ds.n)[-1])
+    theta = _ritz_top(lambda v: A.T @ (A @ v) / ds.n, A.shape[1])
     res = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 23),
                        SolverConfig(max_iters=50))
     assert theta <= lam * (1.0 + RITZ_ROUNDING)
@@ -239,7 +235,7 @@ def test_solve_result_reports_the_step():
     assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
     if res.backtracks == 0:
         assert 0.5 / res.step == pytest.approx(theta, rel=RITZ_ROUNDING)
-    # L = 0 (zero lifts at side 276): the step falls back to 1.0
+    # L = 0 (zero lifts of side 23): the step falls back to 1.0
     zero = Dataset(np.zeros((300, 23)), np.ones(300), ds.spec, ds.model, 0,
                    centering=np.zeros((23, 23)))
     res = solve_lifted(zero, geometry.lifted_psd_fro(1.0, 23),
@@ -648,7 +644,7 @@ def test_subspace_steps_only_in_the_direct_form_over_an_l1_ball():
     cube = solve_lasso(toy_dataset(X, X @ np.pad(beta0, (0, 48))),
                        geometry.hypercube(0.6, 60))
     u = rng.standard_normal(6)
-    # p = 6 lifts have d = 21 svec coordinates: n = 15 runs the direct form
+    # every lifted dataset runs the direct form
     ds = lifted_interpolation_dataset(np.outer(u, u) / (u @ u), 15, 22)
     lifted = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 6))
     assert gram.iterations > SUBSPACE_EVERY and gram.subspace_steps == 0
@@ -835,20 +831,6 @@ def test_lifted_operator_pair_matches_the_stored_lifts(shape, seed):
         1e-12 * float(fwd_scale @ np.abs(r))
 
 
-@settings(max_examples=60, deadline=None)
-@given(shape=lifted_shapes, seed=st.integers(0, 2 ** 32 - 1),
-       cut=st.floats(0.0, 1.0))
-def test_svec_lift_rows_are_bitwise_the_svec_of_the_lifts(shape, seed, cut):
-    p, n = shape
-    ds = random_lifted_dataset(p, n, seed)
-    sv = _Svec(p)
-    expected = sv.vec(ds.lifts())
-    assert np.array_equal(sv.lift_rows(ds.inputs, ds.centering), expected)
-    lo = int(cut * n)  # a row block, as the Gram form builds them
-    assert np.array_equal(sv.lift_rows(ds.inputs[lo:], ds.centering),
-                          expected[lo:])
-
-
 def lifted_interior_dataset(p, n, seed):
     """random_lifted_dataset's x and centering, with outputs from a positive
     definite target plus noise 0.1: the solution lies inside the PSD cone"""
@@ -880,17 +862,35 @@ def test_lifted_objective_trace_does_not_increase(shape, seed, interior, radius)
 
 
 def test_lifted_gram_form_restarts_on_an_ill_conditioned_instance():
-    # n = d + 1 just above d = p(p+1)/2 = 10 runs the Gram form with G of
-    # condition number 264; the target is inside the ball, so near it the
-    # problem is an ill-conditioned quadratic, where momentum overshoots
+    # n = 11 lifts of side p = 4 span the d = p(p+1)/2 = 10 symmetric
+    # directions with X^T X of condition number 264 on them; the target is
+    # inside the ball, so near it the problem is an ill-conditioned
+    # quadratic, where momentum overshoots
     p = 4
     ds, B_nat = lifted_interior_dataset(p, 11, 1)
-    X = _Svec(p).lift_rows(ds.inputs, ds.centering)
-    assert np.linalg.cond(X.T @ X) > 100.0
+    sv = np.linalg.svd(ds.lifts().reshape(11, -1), compute_uv=False)[:p * (p + 1) // 2]
+    assert (sv[0] / sv[-1]) ** 2 > 100.0
     res = solve_lifted(ds, geometry.lifted_psd_fro(10.0 * float(np.linalg.norm(B_nat)), p),
                        SolverConfig(max_iters=3_000, tol=1e-12, track_trace=True))
     assert res.converged and res.restarts > 0
     assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
+@pytest.mark.parametrize("p,n", [(40, 1000), (40, 300), (20, 5000)])
+def test_a_lifted_solve_is_matrix_free(p, n):
+    # the solver applies the lifts from x and E: its peak traced allocation
+    # is a few n x p and p x p arrays, far below the n x p^2 lifts, an
+    # n x p(p+1)/2 design or a Gram matrix over the lifted coordinates
+    ds = generate_dataset(ObservationModel("lifted_view", np.eye(p)[0]),
+                          DistributionSpec("gaussian", p), n, 3)
+    tracemalloc.start()
+    try:
+        res = solve_lifted(ds, geometry.lifted_psd_fro(1.0, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 4 * (n * p + p * p) * 8
 
 
 def test_vector_operator_pair_is_the_design_and_its_transpose():

@@ -132,6 +132,9 @@ def project_rows(s: HypothesisSet, V) -> np.ndarray:
     outside = ~(np.abs(V).sum(axis=1) <= s.radius)
     A = np.abs(V[outside])
     U = np.sort(A, axis=1)[:, ::-1]
+    top = U[:, :1].copy()
+    U -= top
+    A -= top
     css = U.cumsum(axis=1)
     rho = s.p - (U * _ranks(s.p) > css - s.radius)[:, ::-1].argmax(axis=1)
     theta = (css[np.arange(len(A)), rho - 1] - s.radius) / rho
@@ -148,11 +151,16 @@ def _ranks(d: int) -> np.ndarray:
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Exact sort-and-threshold Euclidean projection onto the l1 ball."""
+    """Exact sort-and-threshold Euclidean projection onto the l1 ball.  The
+    magnitudes are shifted by their maximum before the cumulative sum, so
+    that the threshold does not cancel when max |v| dwarfs the radius."""
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
+    top = u[0]
+    u -= top
+    a -= top
     css = u.cumsum()
     rho = (u * _ranks(v.size) > css - radius).nonzero()[0][-1] + 1
     theta = (css[rho - 1] - radius) / rho

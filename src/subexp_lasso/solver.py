@@ -8,10 +8,10 @@ IEEE TIP 2009) with restarts and backtracking (Beck and Teboulle, SIAM J.
 Imaging Sci. 2009, section 4): each step is a projected gradient step of
 1/L' from the extrapolated point z = beta + ((t - 1) / t') (beta - beta_prev),
 where L' stands in for the Lipschitz constant L = 2 lambda_max(H) of the
-gradient, H = X^T X / n.  L' starts at 2 theta <= L, theta the top Ritz
-value of RITZ_STEPS Lanczos steps on H (exact, from one eigvalsh, when
-vector data has a Gram matrix of side d (Gram form) or n (direct form) at
-most RITZ_STEPS).  No L is computed: each step checks the descent inequality
+gradient, H = X^T X / n.  L' starts at 2 <g, H g> / <g, g> <= L, the
+curvature along the gradient g at project(0) (0 when g = 0), from one
+product with H, which a power-of-two rescaling of the data rescales
+exactly.  No L is computed: each step checks the descent inequality
 f(cand) <= f(z) + <grad f(z), m> + (L' / 2) ||m||^2, m = cand - z, which
 for this quadratic risk reads 2 m^T H m <= L' ||m||^2, and m^T H m is one
 dot product of stored states (see the two forms below).  A step that fails
@@ -58,16 +58,16 @@ holds the objective of the accepted iterate after each step.  The loop runs
 in one of two forms, chosen by the n x d design X:
 
 * Gram form (vector data with n >= d).  G = X^T X / n and c = X^T y / n
-  are formed once, and the Lanczos steps of the start of L' run on that
-  same G.  An iteration costs one d x d matvec, grad = 2 (G beta - c), and
+  are formed once, each by one product, and H g is G g.  An iteration
+  costs one d x d matvec, grad = 2 (G beta - c), and
   m^T H m = m^T (G cand - G z).  The objective is tracked as the exact
   starting objective minus the decreases delta^T (G beta + G beta' - 2 c),
   delta = beta - beta'; the expanded form beta^T G beta - 2 c^T beta +
   ||y||^2 / n would cancel catastrophically near zero risk.
 * Direct form (vector data with n < d, and every lifted dataset).  The
   loop keeps the residual X beta - y of the accepted iterate: two products
-  with X per iteration, and m^T H m = ||r_cand - r_z||^2 / n.  The Lanczos
-  steps apply v -> X^T (X v), so X X^T is never formed.  Over an l1 ball it
+  with X per iteration, and m^T H m = ||r_cand - r_z||^2 / n.  H g is
+  X^T (X g) / n, so X X^T is never formed.  Over an l1 ball it
   also takes a subspace step every SUBSPACE_EVERY accepted steps: on the
   support S = {j : |beta_j| >= SUBSPACE_THRESHOLD max |beta|}, when
   |S| < n, the least-squares point u on the columns S (zero off S; from
@@ -100,7 +100,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -176,49 +175,17 @@ def excess_risk(dataset: Dataset, beta, beta_nat) -> float:
 # Projected gradient descent
 # ---------------------------------------------------------------------------
 
-GRAM_BLOCK_BYTES = 1 << 21  # bytes of design rows per block when forming G
 SUBSPACE_EVERY = 10  # accepted steps between two subspace steps
 SUBSPACE_THRESHOLD = 1e-3  # support: |beta_j| >= this times max |beta|
-RITZ_STEPS = 8  # Lanczos steps behind the start of L'
 BACKTRACK_DELTA = 0.05  # a failed check sets L' to (1 + this) max(L', c)
 STEP_ROUNDING = 64.0  # the check's allowance, in units of eps ||w|| sigma
 
 
-@lru_cache(maxsize=16)
-def _lanczos_start(d: int) -> np.ndarray:
-    """The fixed unit start vector of _ritz_top, drawn once per d, read-only:
-    normalized standard normal draws from seed 0, so that no structure of the
-    data (a constant or an alternating direction) is orthogonal to it by design."""
-    q = np.random.default_rng(0).standard_normal(d)
-    q /= math.sqrt(float(q @ q))
-    q.flags.writeable = False
-    return q
-
-
-def _ritz_top(apply, d: int) -> float:
-    """The top Ritz value theta <= lambda_max of the symmetric PSD operator
-    `apply` on R^d after RITZ_STEPS Lanczos steps with full
-    reorthogonalization (two classical Gram-Schmidt passes per step) from
-    _lanczos_start(d).  It stops early on breakdown, a next basis vector of
-    norm at most sqrt(eps) times the largest Rayleigh quotient so far: past
-    that, what is left is rounding noise, not orthogonal to the basis."""
-    basis = np.empty((RITZ_STEPS, d))
-    tri = np.zeros((RITZ_STEPS, RITZ_STEPS))
-    breakdown = math.sqrt(np.finfo(float).eps)
-    q = _lanczos_start(d)
-    for k in range(RITZ_STEPS):
-        basis[k] = q
-        w = apply(q)
-        tri[k, k] = float(q @ w)
-        done = basis[:k + 1]
-        w -= (done @ w) @ done
-        w -= (done @ w) @ done
-        beta = math.sqrt(float(w @ w))
-        if beta <= breakdown * tri.diagonal().max() or k + 1 == RITZ_STEPS:
-            break
-        tri[k, k + 1] = tri[k + 1, k] = beta
-        q = w / beta
-    return float(np.linalg.eigvalsh(tri[:k + 1, :k + 1])[-1])
+def _curvature_along(apply, g) -> float:
+    """2 <g, H g> / <g, g>, H = `apply`: the curvature of the risk along g,
+    at most L = 2 lambda_max(H); 0 for g = 0."""
+    gg = float(g @ g)
+    return 2.0 * float(g @ apply(g)) / gg if gg > 0.0 else 0.0
 
 
 def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
@@ -242,16 +209,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
 
     gram = n >= d and not dataset.lifted
     if gram:
-        block = min(n, max(1, GRAM_BLOCK_BYTES // (8 * d)))
-        G, c = np.zeros((d, d)), np.zeros(d)
-        for lo in range(0, n, block):
-            V = x[lo:lo + block]
-            G += V.T @ V
-            c += V.T @ y[lo:lo + block]
-        G /= n
-        c /= n
-        lip = 2.0 * (max(float(np.linalg.eigvalsh(G)[-1]), 0.0) if d <= RITZ_STEPS
-                     else _ritz_top(G.__matmul__, d))
+        G, c = x.T @ x / n, x.T @ y / n
 
         def state(b):
             return G @ b
@@ -267,10 +225,6 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
             dec = float((b - b_next) @ (g + g_next - 2.0 * c))
             return dec, obj - dec
     else:
-        lip = 2.0 * (max(float(np.linalg.eigvalsh(x @ x.T)[-1]), 0.0)
-                     if n <= RITZ_STEPS and not dataset.lifted
-                     else _ritz_top(lambda v: adjoint(forward(v)), d)) / n
-
         def state(b):
             return forward(b) - y
 
@@ -295,6 +249,9 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     obj = float(r @ r) / n
     beta = start.ravel()
     st = state(beta)
+    # H v is the Gram form's state G v, and X^T (X v) / n in the direct form
+    lip = _curvature_along(state if gram else lambda v: adjoint(forward(v)) / n,
+                           gradient(st))
     # z is the point the next step starts from; its state is recombined from
     # the stored states, which are affine in the iterate
     z, st_z, t, momentum = beta, st, 1.0, False
@@ -411,7 +368,8 @@ def solve_lasso(dataset: Dataset, s: geometry.HypothesisSet,
 
     Starts at project(0) and returns the last accepted iterate, the
     lowest-objective one among those accepted (see the module docstring).
-    `step` is the final 1/L': L' starts at or below L, never decreases,
+    `step` is the final 1/L': L' starts at the curvature of the risk along
+    its gradient at project(0), at or below L, never decreases,
     stays at most (1 + BACKTRACK_DELTA) L, and every step the loop went on
     with satisfied the descent inequality at L' up to its rounding
     allowance; `backtracks` counts the steps redone at a larger L', each

@@ -105,12 +105,14 @@ def _l1_sort_threshold_oracle(v, radius):
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
+    # magnitudes less their maximum, so that the threshold does not cancel
+    top = a.max()
+    u = np.sort(a)[::-1] - top
     css = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
     rho = np.max(np.nonzero(u * idx > css - radius)[0]) + 1
     theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    return np.sign(v) * np.maximum((a - top) - theta, 0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +124,36 @@ def test_l1_projection_equals_sort_threshold_oracle(v, radius):
     # rounding of the cumulative sum behind theta: d * eps * ||v||_1
     slack = 4.0 * v.size * np.finfo(float).eps * (radius + np.abs(v).sum())
     assert np.abs(got).sum() <= radius + slack
+
+
+@pytest.mark.parametrize("v,nearest", [
+    ([1e15, 0.0, 0.0], [0.8, 0.0, 0.0]),
+    ([1e16, 0.0, 0.0], [0.8, 0.0, 0.0]),
+    ([0.0, -1e17, 0.0], [0.0, -0.8, 0.0]),
+    ([1e16, 1e16, 0.0], [0.4, 0.4, 0.0]),
+])
+def test_l1_projection_of_a_huge_input_is_the_nearest_point(v, nearest):
+    # max |v| far above 2^50 times the radius: css - radius and a - theta
+    # would cancel, so the kernels subtract the maximum magnitude first
+    s = geo.l1_ball(0.8, 3)
+    assert np.array_equal(geo.project(s, v), nearest)
+    assert np.array_equal(geo.project_rows(s, [v, [0.1, 0.2, 0.3]])[0], nearest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=arrays(float, st.integers(1, 30), elements=st.floats(-1.0, 1.0)),
+       scale=st.integers(0, 900), radius=st.floats(1e-3, 1e3))
+def test_l1_projection_of_a_scaled_input_stays_on_the_sphere(v, scale, radius):
+    # an input far outside lands on the sphere to rounding of the radius,
+    # not of the input, and keeps only coordinates within radius of the top
+    v = v * 2.0 ** scale
+    if not np.abs(v).sum() > 2.0 * radius:
+        return
+    got = geo.project_l1_ball(v, radius)
+    assert abs(np.abs(got).sum() - radius) <= 4.0 * v.size * np.finfo(float).eps * radius
+    assert np.all(got * v >= 0.0)
+    assert np.all((got == 0.0) | (np.abs(v) >= np.abs(v).max() - radius))
+    assert np.array_equal(geo.project_rows(geo.l1_ball(radius, v.size), [v])[0], got)
 
 
 def test_lifted_projection_psd_clip_example():
@@ -366,6 +398,14 @@ def test_sample_directions_rejects_a_count_below_one(n_dirs):
 def test_sample_directions_rejects_a_negative_or_nan_scale(t):
     with pytest.raises(ConfigurationError, match="t must be >= 0"):
         geo.sample_directions(geo.l2_ball(2.0, 3), np.zeros(3), t, 10, 0)
+
+
+def test_sample_directions_on_a_slice_wider_than_the_set_is_empty():
+    # no point of the unit l1 ball lies 1e16 from its center: the projected
+    # draws of radius up to 3e16 land on the ball, so no row is kept
+    dirs = geo.sample_directions(geo.l1_ball(1.0, 5), [0.5, 0.0, 0.0, 0.0, 0.0],
+                                 1e16, 64, 3)
+    assert dirs.shape == (0, 5)
 
 
 def test_sphere_slice_membership_recheck_at_vertex():

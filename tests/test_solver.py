@@ -13,10 +13,9 @@ from subexp_lasso.models import (Dataset, ObservationModel, generate_dataset,
                                  sparse_vector)
 from subexp_lasso.seeding import derive_seed
 from subexp_lasso import solver
-from subexp_lasso.solver import (BACKTRACK_DELTA, RITZ_STEPS, STEP_ROUNDING,
+from subexp_lasso.solver import (BACKTRACK_DELTA, STEP_ROUNDING,
                                  SUBSPACE_EVERY, SUBSPACE_THRESHOLD,
-                                 SolverConfig, _ritz_top,
-                                 _subspace_point, empirical_risk,
+                                 SolverConfig, _subspace_point, empirical_risk,
                                  excess_decomposition, excess_risk,
                                  rank1_extract, sign_invariant_error, solve,
                                  solve_lasso, solve_lifted)
@@ -209,32 +208,41 @@ def spy_linalg(monkeypatch):
     return calls
 
 
-# the rounding of a Ritz value or of an eigvalsh, relative
-RITZ_ROUNDING = 1e-12
+def residual_start(X, y, s):
+    """The solver's starting L' for the design X, from X: 2 <g, H g> / <g, g>,
+    H = X^T X / n, g the risk gradient at project(0); 0 when g = 0.  The
+    products are those of the direct form, so that a reference run from it
+    rounds as the solver does."""
+    n = X.shape[0]
+    start = geometry.project(s, np.zeros(s.ambient)).ravel()
+    g = (2.0 / n) * (X.T @ (X @ start - y))
+    gg = float(g @ g)
+    return 2.0 * float(g @ (X.T @ (X @ g) / n)) / gg if gg > 0.0 else 0.0
+
+
+# the rounding of a curvature or of an eigvalsh, relative
+CURVATURE_ROUNDING = 1e-12
 
 
 def test_solve_result_reports_the_step():
+    # L' starts at 2 theta <= L, theta the curvature along the first
+    # gradient, never decreases, and stays at most (1 + delta) L: in the Gram
+    # form (40 x 6) and over lifts of side 23 (529 coordinates, rank 276)
     rng = np.random.default_rng(3)
-    # side 6 <= RITZ_STEPS: L' = L exactly, and no check fails
     X = rng.standard_normal((40, 6))
-    res = solve_lasso(toy_dataset(X, rng.standard_normal(40)),
-                      geometry.l1_ball(1.0, 6))
-    assert res.step == pytest.approx(1.0 / lipschitz_constant(X), rel=1e-12)
-    assert res.backtracks == 0
-    # lifts of side 23 (529 coordinates, rank 276): L' starts at 2 theta <= L,
-    # never decreases, and stays at most (1 + delta) L
+    vector = (toy_dataset(X, rng.standard_normal(40)), geometry.l1_ball(1.0, 6), X)
     ds = generate_dataset(ObservationModel("lifted_view", np.eye(23)[0]),
                           DistributionSpec("gaussian", 23), 400, 7)
-    A = ds.lifts().reshape(ds.n, -1)
-    lam = float(np.linalg.eigvalsh(A.T @ A / ds.n)[-1])
-    theta = _ritz_top(lambda v: A.T @ (A @ v) / ds.n, A.shape[1])
-    res = solve_lifted(ds, geometry.lifted_psd_fro(1.0, 23),
-                       SolverConfig(max_iters=50))
-    assert theta <= lam * (1.0 + RITZ_ROUNDING)
-    assert theta * (1.0 - RITZ_ROUNDING) <= 0.5 / res.step
-    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
-    if res.backtracks == 0:
-        assert 0.5 / res.step == pytest.approx(theta, rel=RITZ_ROUNDING)
+    lifted = (ds, geometry.lifted_psd_fro(1.0, 23), ds.lifts().reshape(ds.n, -1))
+    for data, s, A in (vector, lifted):
+        lam = float(np.linalg.eigvalsh(A.T @ A / data.n)[-1])
+        theta = 0.5 * residual_start(A, data.outputs, s)
+        res = solve(data, s, SolverConfig(max_iters=50))
+        assert 0.0 < theta <= lam * (1.0 + CURVATURE_ROUNDING)
+        assert theta * (1.0 - CURVATURE_ROUNDING) <= 0.5 / res.step
+        assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + CURVATURE_ROUNDING)
+        if res.backtracks == 0:
+            assert 0.5 / res.step == pytest.approx(theta, rel=CURVATURE_ROUNDING)
     # L = 0 (zero lifts of side 23): the step falls back to 1.0
     zero = Dataset(np.zeros((300, 23)), np.ones(300), ds.spec, ds.model, 0,
                    centering=np.zeros((23, 23)))
@@ -244,10 +252,10 @@ def test_solve_result_reports_the_step():
     assert res.backtracks == 0
 
 
-def test_ritz_start_is_the_one_eigen_solve_of_a_solve(monkeypatch):
-    # the start of L' is one eigvalsh of the RITZ_STEPS x RITZ_STEPS
-    # tridiagonal matrix, in both forms: no eigvalsh of X X^T or of G and no
-    # Cholesky factorisation (a hypercube takes no subspace steps)
+def test_a_solve_makes_no_eigen_solve(monkeypatch):
+    # the start of L' is one product with H, in both forms: no eigvalsh of
+    # X X^T, of G or of any small matrix, and no Cholesky factorisation (a
+    # hypercube takes no subspace steps)
     rng = np.random.default_rng(4)
     calls = spy_linalg(monkeypatch)
     for n, d in ((140, 200), (300, 40)):
@@ -256,30 +264,7 @@ def test_ritz_start_is_the_one_eigen_solve_of_a_solve(monkeypatch):
         solve_lasso(toy_dataset(X, X @ geometry.project(
             geometry.hypercube(0.5, d), rng.standard_normal(d))),
             geometry.hypercube(0.5, d), SolverConfig(max_iters=30))
-        assert calls == [("eigvalsh", (RITZ_STEPS, RITZ_STEPS))]
-
-
-def test_ritz_top_edge_cases():
-    d = 40
-    # G = 0: theta = 0 at the first step's breakdown
-    assert _ritz_top(np.zeros((d, d)).__matmul__, d) == 0.0
-    # G = c I: one step, theta = c to rounding
-    assert _ritz_top((2.5 * np.eye(d)).__matmul__, d) == pytest.approx(2.5, rel=1e-14)
-    # a Wishart Gram: theta is a lower bound on lambda_max
-    X = np.random.default_rng(6).standard_normal((60, d)) + 0.3
-    G = X.T @ X / 60
-    assert _ritz_top(G.__matmul__, d) <= np.linalg.eigvalsh(G)[-1] * (1 + RITZ_ROUNDING)
-
-
-def test_the_lanczos_start_is_drawn_once_per_d_and_read_only():
-    for d in (1, 9, 465):
-        q = solver._lanczos_start(d)
-        fresh = np.random.default_rng(0).standard_normal(d)
-        fresh = fresh / math.sqrt(float(fresh @ fresh))
-        assert solver._lanczos_start(d) is q
-        assert np.array_equal(q.view(np.uint64), fresh.view(np.uint64))
-        with pytest.raises(ValueError, match="read-only"):
-            q[0] = 0.0
+        assert calls == []
 
 
 def design_with_gram(gram, n):
@@ -290,34 +275,40 @@ def design_with_gram(gram, n):
 
 
 def test_a_top_eigenvector_that_the_ritz_start_misses_is_found_by_backtracking():
-    # X^T X / n = I + 10 u u^T with u orthogonal to the Lanczos start: the
-    # Krylov space never sees the eigenvalue 11, so L' starts at 2 (the Ritz
-    # value 1) and the failed checks raise it to at most (1 + delta) L = 22
-    # (1 + delta); the solve still reaches the exact-L reference
+    # X^T X / n = I + 10 u u^T with u orthogonal to the first gradient
+    # -(2/n) X^T y: the curvature along it is 1, so L' starts at 2, and the
+    # failed checks raise it to at most (1 + delta) L = 22 (1 + delta).  The
+    # unconstrained solution 2.2 w is orthogonal to u as well, but it lies
+    # outside the ball, whose center is u, so the first projection moves
+    # along u; the solve still reaches the exact-L reference
     d, n = 30, 50
-    q = solver._lanczos_start(d)
-    u = np.random.default_rng(5).standard_normal(d)
-    u -= (u @ q) * q
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
+    w = rng.standard_normal(d)
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
     X = design_with_gram(np.eye(d) + 10.0 * np.outer(u, u), n)
     lam = float(np.linalg.eigvalsh(X.T @ X / n)[-1])
-    assert _ritz_top(lambda v: X.T @ (X @ v) / n, d) == pytest.approx(1.0, rel=1e-9)
-    y = X @ (3.0 * u) + 0.1 * np.random.default_rng(6).standard_normal(n)
-    s = geometry.l2_ball(2.0, d)
+    Xu = X @ u
+    noise = 0.1 * np.random.default_rng(6).standard_normal(n)
+    y = X @ (2.2 * w) + noise - (noise @ Xu) / (Xu @ Xu) * Xu
+    s = geometry.l2_ball(2.0, d, center=u)
+    assert residual_start(X, y, s) == pytest.approx(2.0, rel=1e-9)
     cfg = SolverConfig(max_iters=50_000, tol=1e-14)
     res = solve_lasso(toy_dataset(X, y), s, cfg)
     assert res.backtracks > 0 and res.converged
-    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + CURVATURE_ROUNDING)
     oracle = residual_form_mfista(X, y, s, cfg, lip=lipschitz_constant(X))
     assert np.max(np.abs(res.estimate - oracle)) < 1e-8
 
 
-def quarter_ritz(monkeypatch):
-    """Make the Ritz start a fourfold underestimate: theta = lambda_max / 4."""
-    def fake(apply, d):
-        M = np.column_stack([apply(e) for e in np.eye(d)])
-        return 0.25 * float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
-    monkeypatch.setattr(solver, "_ritz_top", fake)
+def quarter_start(monkeypatch):
+    """Make the start of L' a fourfold underestimate of L: lambda_max / 2."""
+    def fake(apply, g):
+        M = np.column_stack([apply(e) for e in np.eye(g.size)])
+        return 0.5 * float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    monkeypatch.setattr(solver, "_curvature_along", fake)
 
 
 @pytest.mark.parametrize("n,d", [(60, 20), (30, 60)])
@@ -333,11 +324,11 @@ def test_an_underestimated_start_backtracks_to_the_exact_step_solution(
     y = X @ beta0
     s = geometry.l1_ball(2.5, d)
     cfg = SolverConfig(max_iters=50_000, tol=1e-14)
-    quarter_ritz(monkeypatch)
+    quarter_start(monkeypatch)
     res = solve_lasso(toy_dataset(X, y), s, cfg)
     lam = float(np.linalg.eigvalsh(X.T @ X / n)[-1])
     assert res.backtracks > 0 and res.converged
-    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + RITZ_ROUNDING)
+    assert 0.5 / res.step <= (1.0 + BACKTRACK_DELTA) * lam * (1.0 + CURVATURE_ROUNDING)
     oracle = residual_form_mfista(X, y, s, cfg, subspace=n < d,
                                   lip=lipschitz_constant(X))
     assert np.max(np.abs(res.estimate - oracle)) < 1e-8
@@ -351,7 +342,7 @@ def test_the_step_never_grows_and_each_raise_is_at_least_delta(monkeypatch):
     rng = np.random.default_rng(9)
     X = rng.standard_normal((40, 25))
     y = rng.standard_normal(40)
-    quarter_ritz(monkeypatch)
+    quarter_start(monkeypatch)
     runs = [solve_lasso(toy_dataset(X, y), geometry.hypercube(0.3, 25),
                         SolverConfig(max_iters=k, tol=1e-14))
             for k in range(1, 41)]
@@ -367,6 +358,36 @@ def test_the_step_never_grows_and_each_raise_is_at_least_delta(monkeypatch):
 
 SET_MAKERS = {"l1": geometry.l1_ball, "l2": geometry.l2_ball,
               "hypercube": geometry.hypercube}
+
+
+@pytest.mark.parametrize("kind", sorted(SET_MAKERS) + ["lifted"])
+def test_a_power_of_two_rescaling_of_the_data_leaves_the_solve_unchanged(kind):
+    # (X, y) -> (2^k X, 2^k y), and lifted (x, y, E) -> (2^k x, 2^2k y, 2^2k E),
+    # scale every product of the loop, and so L', by a power of two, which
+    # rounds nothing: the estimate and the counts are bitwise the same, for
+    # vector data in the Gram form (n >= d) and the direct form (n < d), and
+    # for lifted data (always the direct form) with n above and below p^2
+    rng = np.random.default_rng(23)
+    for n, d in ((60, 12), (20, 40)):
+        if kind == "lifted":
+            p = 4 if n > d else 9
+            ds = random_lifted_dataset(p, n, int(rng.integers(2 ** 32)))
+            s, ks = geometry.lifted_psd_fro(1.0, p), (20, -20)
+        else:
+            X = rng.standard_normal((n, d))
+            y = X @ (rng.standard_normal(d) / 2.0) + 0.1 * rng.standard_normal(n)
+            ds = toy_dataset(X, y)
+            s, ks = SET_MAKERS[kind](1.0, d), (30, -30)
+        cfg = SolverConfig(max_iters=2_000, tol=1e-12)
+        base = solve(ds, s, cfg)
+        for k in ks:
+            c = 2.0 ** k
+            scaled = (Dataset(c * ds.inputs, c * c * ds.outputs, ds.spec, ds.model, 0,
+                              centering=c * c * ds.centering) if ds.lifted else
+                      toy_dataset(c * ds.inputs, c * ds.outputs))
+            res = solve(scaled, s, cfg)
+            assert np.array_equal(res.estimate, base.estimate)
+            assert (res.iterations, res.backtracks) == (base.iterations, base.backtracks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,15 +457,6 @@ def test_tol_controls_the_final_fixed_point_residual():
         assert r.objective <= 1e-28
 
 
-def residual_start(X):
-    """The solver's starting L' for the design X: exact below side
-    RITZ_STEPS, else twice the top Ritz value of v -> X^T X v / n."""
-    n, d = X.shape
-    if min(n, d) <= RITZ_STEPS:
-        return lipschitz_constant(X)
-    return 2.0 * _ritz_top(lambda v: X.T @ (X @ v), d) / n
-
-
 def residual_form_mfista(X, y, s, cfg, subspace=False, lip=None):
     """Reference monotone FISTA in the residual form, with the solver's
     decisions: each candidate's residual is a fresh product with X, the
@@ -452,7 +464,7 @@ def residual_form_mfista(X, y, s, cfg, subspace=False, lip=None):
     decrease is a difference of residual-form objectives, and an accepted
     momentum step with <z - cand, cand - beta> > 0 sets t = 1, so that the
     next step starts from cand itself.  Each step starts from L' =
-    residual_start(X) (or `lip`) and checks the descent inequality
+    residual_start(X, y, s) (or `lip`) and checks the descent inequality
     ||X m||^2 / n <= (L' / 2) ||m||^2, m = cand - z, from the residuals; one
     that fails beyond the solver's rounding allowance raises L' and is
     redone from the same z.  With `subspace`, every SUBSPACE_EVERY accepted
@@ -461,7 +473,7 @@ def residual_form_mfista(X, y, s, cfg, subspace=False, lip=None):
     restarts the momentum."""
     n, d = X.shape
     shape = (s.p, s.p) if s.is_matrix_set else (d,)
-    lip = residual_start(X) if lip is None else lip
+    lip = residual_start(X, y, s) if lip is None else lip
     allow = STEP_ROUNDING * np.finfo(float).eps
     beta = geometry.project(s, np.zeros(shape)).ravel()
     r = X @ beta - y
@@ -772,9 +784,11 @@ def test_lifted_objective_identity_isotropic_centering():
 
 
 @pytest.mark.parametrize("n", [9, 14, 15, 16, 24, 60])
-def test_svec_path_matches_full_coordinate_pgd(n):
-    # p = 5: svec has p(p+1)/2 = 15 coordinates (Gram form from n = 15 on),
-    # the flattened lifts p^2 = 25
+def test_lifted_solve_matches_full_coordinate_pgd(n):
+    # p = 5: the lifts span the p(p+1)/2 = 15 symmetric directions of the
+    # p^2 = 25 flattened coordinates, and n runs on both sides of 15 and 25;
+    # the matrix-free direct form must match the reference on the flattened
+    # lifts and return an exactly symmetric estimate
     p = 5
     model = ObservationModel("lifted_view", np.ones(p) / math.sqrt(p))
     ds = generate_dataset(model, DistributionSpec("gaussian", p), n, 50 + n)

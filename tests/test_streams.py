@@ -7,9 +7,11 @@ one on purpose means rewriting the manifest, with
 
     PYTHONPATH=src python tests/test_streams.py --write
 
-and naming the stream that moved.  Solver outputs depend on the BLAS, so
-the manifest records the numpy version and BLAS it was made with, and a
-mismatch names both beside those of the failing run.
+which prints each stream whose digest differs from the committed one
+(name, old digest, new digest), and naming each stream that moved.  Solver
+outputs depend on the BLAS, so the manifest records the numpy version and
+BLAS it was made with, and a mismatch names both beside those of the
+failing run.
 """
 
 import hashlib
@@ -139,8 +141,11 @@ def test_digest_reads_every_value():
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    old = _manifest()["digests"] if MANIFEST.exists() else {}
+    digests = {name: digest(STREAMS[name]()) for name in sorted(STREAMS)}
+    for name in sorted(old.keys() | digests.keys()):
+        if old.get(name) != digests.get(name):
+            print(f"{name}: {old.get(name)} -> {digests.get(name)}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(
-        {"numpy": np.__version__, "blas": blas(),
-         "digests": {name: digest(STREAMS[name]()) for name in sorted(STREAMS)}},
-        indent=1) + "\n")
+        {"numpy": np.__version__, "blas": blas(), "digests": digests}, indent=1) + "\n")

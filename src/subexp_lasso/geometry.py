@@ -98,7 +98,7 @@ def _check_radius(r):
 def project(s: HypothesisSet, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if s.kind == "lifted_psd_fro":
-        return _project_psd_fro(s, v)
+        return project_psd_fro(s, v)[0]
     if v.shape != (s.p,):
         raise ConfigurationError("dimension mismatch in project")
     if s.kind == "l1_ball":
@@ -226,13 +226,15 @@ def _nearest_weights(P: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
-    """Nearest point of PSD-intersect-Frobenius-ball to sym(B).
+def project_psd_fro(s: HypothesisSet, B: np.ndarray):
+    """Nearest point X of PSD-intersect-Frobenius-ball to sym(B), and the
+    positive eigenpairs (V, w) of X: X = V diag(w) V^T up to rounding.
 
     One eigendecomposition: clip the eigenvalues at 0, then scale onto the
     ball.  This is exact because projecting onto a closed cone intersected
     with an origin-centred ball is the cone projection followed by the ball
-    projection.
+    projection.  V is a slice of eigh's vectors, p x 0 if none is positive:
+    a boolean-mask gather would copy it in Fortran order, slower in x @ V.
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (s.p, s.p):
@@ -240,8 +242,10 @@ def _project_psd_fro(s: HypothesisSet, B: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (B + B.T))
     X = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     X = 0.5 * (X + X.T)  # exactly symmetric, as the solver's iterates need
+    k = int(np.searchsorted(vals, 0.0, side="right"))
     nrm = np.linalg.norm(X, "fro")
-    return X * (s.radius / nrm) if nrm > s.radius else X
+    scale = s.radius / nrm if nrm > s.radius else 1.0
+    return X * scale, vecs[:, k:], vals[k:] * scale
 
 
 def contains(s: HypothesisSet, v, tol: float = MEMBERSHIP_TOL) -> bool:

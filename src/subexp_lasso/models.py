@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -134,23 +134,30 @@ class Dataset:
         x = self.inputs
         return x[:, :, None] * x[:, None, :] - self.centering
 
-    def forward(self, beta) -> np.ndarray:
+    def forward(self, beta, factors=None) -> np.ndarray:
         """The linear predictions <input_i, beta>: X beta, or for the lifted
-        view x_i^T B x_i - <E, B> with B = beta as a p x p matrix."""
+        view x_i^T B x_i - <E, B> with B = beta as a p x p matrix, where given
+        factors (V, w), B = V diag(w) V^T, x_i^T B x_i is ((x V)^2 w)_i."""
         x = self.inputs
         b = np.asarray(beta, dtype=float)
         if self.lifted:
             B = b.reshape(x.shape[1], x.shape[1])
-            return ((x @ B) * x).sum(axis=1) - float(np.sum(self.centering * B))
+            quad = (np.einsum("ij,ij->i", x @ B, x) if factors is None
+                    else np.square(x @ factors[0]) @ factors[1])
+            return quad - float(np.sum(self.centering * B))
         return x @ b.ravel()
 
     def adjoint(self, r) -> np.ndarray:
         """sum_i r_i input_i: X^T r, or for the lifted view the p x p matrix
-        X^T diag(r) X - (sum_i r_i) E."""
+        X^T diag(r) X - (sum_i r_i) E, from a C-contiguous x^T formed once."""
         x = self.inputs
         if self.lifted:
-            return (x.T * r) @ x - float(np.sum(r)) * self.centering
+            return (self._xt * r) @ x - float(np.sum(r)) * self.centering
         return x.T @ r
+
+    @cached_property
+    def _xt(self) -> np.ndarray:
+        return np.ascontiguousarray(self.inputs.T)
 
 
 def generate_dataset(model: ObservationModel, spec: DistributionSpec, n: int,

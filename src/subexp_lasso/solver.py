@@ -88,8 +88,9 @@ Lifted data is solved matrix-free: the iterate is the flat p x p matrix
 (d = p^2), and X beta and X^T r are the dataset's forward and adjoint
 operators, x_i^T B x_i - <E, B> and X^T diag(r) X - (sum_i r_i) E, applied
 straight from the raw sample x and the centering E, so no lift is stored.
-The PSD projection returns an exactly symmetric matrix, so every iterate
-and the estimate are symmetric.
+The PSD projection returns an exactly symmetric candidate B (so every
+iterate and the estimate are symmetric) with its positive eigenpairs
+(V, w), and the state of B is (x V)^2 w - <E, B> - y, an n x rank product.
 
 The starting objective, and the returned objective and fixed-point
 residual (recomputed once from the true residual of the returned
@@ -142,10 +143,6 @@ class SolveResult:
 # Risk evaluation
 # ---------------------------------------------------------------------------
 
-def _flat(beta) -> np.ndarray:
-    return np.asarray(beta, dtype=float).ravel()
-
-
 def empirical_risk(dataset: Dataset, beta) -> float:
     """(1/n) sum of squared residuals of the linear hypothesis beta."""
     r = dataset.outputs - dataset.forward(beta)
@@ -159,7 +156,7 @@ def excess_decomposition(dataset: Dataset, beta, beta_nat) -> tuple[float, float
     M = (2/n) sum (<x_i, beta_nat> - y_i) <x_i, beta - beta_nat>
     and Q + M equals the excess risk identically.
     """
-    Xd = dataset.forward(_flat(beta) - _flat(beta_nat))
+    Xd = dataset.forward(np.ravel(beta) - np.ravel(beta_nat))
     q = float(Xd @ Xd) / dataset.n
     resid = dataset.forward(beta_nat) - dataset.outputs
     m = 2.0 * float(resid @ Xd) / dataset.n
@@ -193,9 +190,9 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     x = dataset.inputs
     y = dataset.outputs
     n = dataset.n
-    data = (x, y, dataset.centering) if dataset.lifted else (x, y)
-    if not all(np.all(np.isfinite(a)) for a in data):
-        raise ConfigurationError("non-finite data passed to the solver")
+    for name in ("inputs", "outputs") + (("centering",) if dataset.lifted else ()):
+        if not np.all(np.isfinite(getattr(dataset, name))):
+            raise ConfigurationError(f"non-finite {name} passed to the solver")
 
     if dataset.lifted:
         d = s.p * s.p
@@ -203,9 +200,17 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
 
         def adjoint(r):
             return dataset.adjoint(r).ravel()
+
+        def project_state(v):
+            B, V, w = geometry.project_psd_fro(s, v.reshape(s.ambient))
+            return B.ravel(), forward(B, (V, w)) - y
     else:
         d = x.shape[1]
         forward, adjoint = x.__matmul__, x.T.__matmul__
+
+        def project_state(v):
+            b = geometry.project(s, v)
+            return b, state(b)
 
     gram = n >= d and not dataset.lifted
     if gram:
@@ -244,10 +249,9 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
     tol = config.tol
     subspace = n < d and s.kind == "l1_ball"
 
-    start = geometry.project(s, np.zeros(s.ambient))
-    r = dataset.forward(start) - y
+    beta = geometry.project(s, np.zeros(s.ambient)).ravel()
+    r = dataset.forward(beta) - y
     obj = float(r @ r) / n
-    beta = start.ravel()
     st = state(beta)
     # H v is the Gram form's state G v, and X^T (X v) / n in the direct form
     lip = _curvature_along(state if gram else lambda v: adjoint(forward(v)) / n,
@@ -263,8 +267,7 @@ def _pgd(dataset: Dataset, s: geometry.HypothesisSet,
         grad = gradient(st_z)
         while True:
             step = 1.0 / lip if lip > 0 else 1.0
-            cand = geometry.project(s, (z - step * grad).reshape(s.ambient)).ravel()
-            st_cand = state(cand)
+            cand, st_cand = project_state(z - step * grad)
             moved = cand - z
             mm = float(moved @ moved)
             q, wnorm = curvature(moved, st_cand - st_z, mm)
@@ -402,7 +405,8 @@ def solve_lifted(dataset: Dataset, s: geometry.HypothesisSet,
     """Minimize the lifted empirical risk over a PSD/Frobenius set; the loop
     and its result are those of solve_lasso, in the direct form for any n,
     matrix-free: the lifts are applied from x and the centering through
-    Dataset.forward and Dataset.adjoint.  The estimate is exactly symmetric."""
+    Dataset.adjoint and Dataset.forward, the latter from the positive
+    eigenpairs of each projected candidate.  The estimate is exactly symmetric."""
     if not s.is_matrix_set:
         raise ConfigurationError("solve_lifted requires the lifted matrix set")
     if not dataset.lifted:

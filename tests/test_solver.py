@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def design_with_gram(gram, n):
     return math.sqrt(n) * Q @ (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def test_a_top_eigenvector_that_the_ritz_start_misses_is_found_by_backtracking():
+def test_a_top_eigenvector_that_the_curvature_start_misses_is_found_by_backtracking():
     # X^T X / n = I + 10 u u^T with u orthogonal to the first gradient
     # -(2/n) X^T y: the curvature along it is 1, so L' starts at 2, and the
     # failed checks raise it to at most (1 + delta) L = 22 (1 + delta).  The
@@ -688,6 +689,24 @@ def test_non_finite_data_rejected():
         solve_lasso(ds, geometry.l2_ball(1.0, 2))
 
 
+@pytest.mark.parametrize("field", ["inputs", "outputs", "centering"])
+def test_non_finite_data_names_its_field(field):
+    # a vector dataset carries no centering, a lifted one all three fields
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((10, 3))
+    data = [(random_lifted_dataset(3, 20, 4), geometry.lifted_psd_fro(1.0, 3))]
+    if field != "centering":
+        data.append((toy_dataset(X, X @ np.ones(3)), geometry.l2_ball(1.0, 3)))
+    for ds, s in data:
+        for bad in (np.nan, np.inf, -np.inf):
+            value = getattr(ds, field).copy()
+            value.flat[1] = bad
+            broken = replace(ds, **{field: value})
+            with pytest.raises(ConfigurationError,
+                               match=f"^non-finite {field} passed to the solver$"):
+                solve(broken, s)
+
+
 def test_nonconvergence_is_reported_not_fatal():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((50, 6))
@@ -842,6 +861,57 @@ def test_lifted_operator_pair_matches_the_stored_lifts(shape, seed):
     assert np.all(np.abs(fwd - L @ B.ravel()) <= 1e-12 * fwd_scale)
     assert np.all(np.abs(adj - (L.T @ r).reshape(p, p)) <= 1e-12 * adj_scale)
     assert abs(float(fwd @ r) - float(np.sum(B * adj))) <= \
+        1e-12 * float(fwd_scale @ np.abs(r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 12), n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       case=st.sampled_from(["no positive eigenvalue", "inside", "onto"]))
+def test_the_projections_eigenpairs_give_the_projected_state(p, n, seed, case):
+    # geometry.project_psd_fro's matrix is project's, bitwise, and its
+    # positive eigenpairs (V, w) give the same lifted state as the matrix,
+    # to rounding: both compute x_i^T X x_i in p-term sums of magnitude at
+    # most ||x_i||^2 sum(w) (w > 0, and sum(w) = trace X bounds |X|'s
+    # eigenvalues), so their gap is O(p eps) of it; 1e-12 allows p <= 12
+    ds = random_lifted_dataset(p, n, seed)
+    rng = np.random.default_rng(seed + 2)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    lam = rng.uniform(-3.0, 3.0, p)
+    if case == "no positive eigenvalue":
+        lam = -np.abs(lam) - 0.1
+    else:
+        lam[0] = rng.uniform(0.5, 3.0)
+    K = rng.standard_normal((p, p))
+    M = (Q * lam) @ Q.T + (K - K.T)  # project takes sym(M)
+    top = float(np.linalg.norm(np.maximum(lam, 0.0)))
+    radius = {"inside": 2.0 * top + 0.1, "onto": 0.5 * top}.get(case, 1.0)
+    s = geometry.lifted_psd_fro(radius, p)
+    X, V, w = geometry.project_psd_fro(s, M)
+    assert np.array_equal(X, geometry.project(s, M))
+    assert V.shape == (p, w.size) and np.all(w > 0.0)
+    state = ds.forward(X, (V, w)) - ds.outputs
+    if case == "no positive eigenvalue":
+        assert w.size == 0 and not X.any()
+        assert np.array_equal(state, -ds.outputs)  # -<E, 0> - y
+        assert geometry.project_psd_fro(s, np.zeros((p, p)))[1].shape == (p, 0)
+        return
+    if case == "onto":
+        assert np.linalg.norm(X) == pytest.approx(radius, rel=1e-12)
+    else:
+        assert np.linalg.norm(X) < radius
+    ax2 = np.square(ds.inputs).sum(axis=1)
+    aE = float(np.sum(np.abs(ds.centering) * np.abs(X)))
+    fwd_scale = ax2 * float(w.sum()) + aE
+    assert np.all(np.abs(state - (ds.forward(X) - ds.outputs)) <= 1e-12 * fwd_scale)
+    # the adjoint pair, against the stored lifts
+    L = ds.lifts().reshape(n, -1)
+    r = rng.standard_normal(n)
+    fwd, adj = ds.forward(X, (V, w)), ds.adjoint(r)
+    adj_scale = (np.abs(ds.inputs).T * np.abs(r)) @ np.abs(ds.inputs) \
+        + float(np.abs(r).sum()) * np.abs(ds.centering)
+    assert np.all(np.abs(fwd - L @ X.ravel()) <= 1e-12 * fwd_scale)
+    assert np.all(np.abs(adj - (L.T @ r).reshape(p, p)) <= 1e-12 * adj_scale)
+    assert abs(float(fwd @ r) - float(np.sum(X * adj))) <= \
         1e-12 * float(fwd_scale @ np.abs(r))
 
 
